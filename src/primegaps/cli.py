@@ -31,7 +31,6 @@ def _cmd_tuple(args) -> int:
             method=args.method,
             shift="search" if args.shift == "search" else int(args.shift),
             batch_size=args.batch_size,
-            threads=args.threads,
         )
         t = sieves.find_tuple(args.k, cfg)
         print(f"method={args.method} k={t.k} diameter={t.diameter}")
@@ -205,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     tf.add_argument("--k", type=int, required=True)
     tf.add_argument("--method", default="shifted-schinzel", choices=sieves.METHODS)
     tf.add_argument("--shift", default="search")
-    tf.add_argument("--threads", type=int, default=1)
     tf.add_argument("--batch-size", type=int, default=1)
     tf.add_argument("--out")
     tv = tsub.add_parser("verify")

@@ -251,6 +251,8 @@ def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = Fals
                  provenance=None) -> DHLClaim:
     """Enlarged rule: EH needs 1+eps < 1/theta, GEH needs eps < 1/(k-1).
 
+    A certificate must be for the eps variant at this k and this eps.
+
     nonstrict relaxes the side conditions (only) to non-strict comparisons,
     justified by continuity in eps; default off.
     """
@@ -271,7 +273,11 @@ def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = Fals
             raise ValueError("side condition failed: eps < 1/(k-1)")
     else:
         raise ValueError("the enlarged rule needs EH, BV or GEH")
-    value, source = _bound_value(C, k, kinds=("eps", "plain"))
+    value, source = _bound_value(C, k, kinds=("eps",))
+    if isinstance(C, BoundCertificate) and C.variant.eps != eps:
+        raise ValueError(
+            f"certificate variant {C.variant} does not match the rule at eps = {rational_str(eps)}"
+        )
     threshold = hyp.ratio_threshold(m)
     if not value > threshold:
         raise ValueError(

@@ -15,12 +15,11 @@ every returned tuple is re-verified with the fast tester.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import Tuple, covers_all_classes, is_admissible
+from .admissible import Tuple, _bitmap_length, _classes_covered, _tuple_bitmap, is_admissible
 from .primes import nth_prime_bound, primes_upto
 
 __all__ = [
@@ -60,7 +59,6 @@ class SieveConfig:
     shift_range: tuple | None = None
     shift_stride: int | None = None
     batch_size: int = 1
-    threads: int = 1
     greedy_multiplier: float = 2.0
     growth: float = 1.05
     refine_top: int = 6
@@ -70,10 +68,8 @@ class SieveConfig:
             raise ValueError(f"unknown sieve method {self.method!r}")
         if self.shift != "search" and not isinstance(self.shift, int):
             raise ValueError("shift must be an integer or 'search'")
-        if self.batch_size < 1 or self.threads < 1:
-            raise ValueError("batch_size and threads must be positive")
-        if self.batch_size % self.threads != 0:
-            raise ValueError("batch_size must be a multiple of the thread count")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,6 +105,27 @@ def sieve_k_primes_past_k(k: int) -> Tuple:
     return Tuple(tuple(int(p) for p in ps[pi_k : pi_k + k]))
 
 
+def _eratosthenes_start(k: int, ps, pi_k: int) -> int:
+    """Decrement the start index m from pi(k) while the window
+    ps[m-1 : m-1+k] leaves a class free modulo the newly exposed prime.
+
+    One bitmap follows the window: each step adds the new first prime and
+    drops the last one, then asks the column test.
+    """
+    m = pi_k
+    base = int(ps[0])
+    top = int(ps[m + k - 1])
+    bits = _tuple_bitmap(ps[m : m + k], base, _bitmap_length(top - base + 1, int(ps[m - 1])))
+    while m >= 1:
+        p = int(ps[m - 1])
+        bits[p - base] = True
+        bits[int(ps[m - 1 + k]) - base] = False
+        if _classes_covered(bits, p - base, int(ps[m - 2 + k]) - p + 1, p):
+            break
+        m -= 1
+    return m
+
+
 def sieve_eratosthenes(k: int) -> Tuple:
     """k consecutive primes with the start index pushed down greedily.
 
@@ -120,13 +137,7 @@ def sieve_eratosthenes(k: int) -> Tuple:
     if k < 2:
         raise ValueError("k must be >= 2")
     ps, pi_k = _primes_with_index(k)
-    m = pi_k
-    while m >= 1:
-        window = ps[m - 1 : m - 1 + k]
-        p = int(ps[m - 1])
-        if covers_all_classes(window, p):
-            break
-        m -= 1
+    m = _eratosthenes_start(k, ps, pi_k)
     while True:
         t = Tuple(tuple(int(p) for p in ps[m : m + k]))
         if is_admissible(t):
@@ -134,29 +145,52 @@ def sieve_eratosthenes(k: int) -> Tuple:
         m += 1
 
 
+def _hr_sides(k: int):
+    """Numbers of primes left and right of (-1, 1) in a symmetric k-tuple."""
+    return k // 2 - 1, (k + 1) // 2 - 1
+
+
+def _hr_offsets(ps, m: int, nl: int, nr: int) -> np.ndarray:
+    """(-p_{m+nl}, ..., -p_{m+1}, -1, 1, p_{m+1}, ..., p_{m+nr})."""
+    return np.concatenate([-ps[m : m + nl][::-1], np.array([-1, 1], dtype=np.int64), ps[m : m + nr]])
+
+
+def _hensley_richards_start(k: int, ps, pi_k: int) -> int:
+    """Decrement the start index m from pi(k) while the symmetric tuple at
+    m - 1 leaves a class free modulo the newly exposed prime.
+
+    One bitmap follows the tuple: each step adds -p and p for the newly
+    exposed prime p on each side that holds primes, and drops that side's
+    outermost element, then asks the column test.
+    """
+    nl, nr = _hr_sides(k)
+    m = pi_k
+    first = _hr_offsets(ps, m, nl, nr)
+    base = int(first[0])
+    bits = _tuple_bitmap(first, base, _bitmap_length(int(first[-1]) - base + 1, int(ps[m - 1])))
+    while m >= 1:
+        p = int(ps[m - 1])
+        for sign, count in ((-1, nl), (1, nr)):
+            if count:
+                bits[sign * p - base] = True
+                bits[sign * int(ps[m - 1 + count]) - base] = False
+        lo = -int(ps[m - 2 + nl]) if nl else -1
+        hi = int(ps[m - 2 + nr]) if nr else 1
+        if _classes_covered(bits, lo - base, hi - lo + 1, p):
+            break
+        m -= 1
+    return m
+
+
 def sieve_hensley_richards(k: int) -> Tuple:
     """Symmetric tuple (-p_{m+k/2-1}, ..., -1, 1, ..., p_{m+(k+1)/2-1})."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    nl = k // 2 - 1
-    nr = (k + 1) // 2 - 1
+    nl, nr = _hr_sides(k)
     ps, pi_k = _primes_with_index(k, extra=max(nl, nr))
-
-    def offsets(m):
-        return np.concatenate(
-            [-ps[m : m + nl][::-1], np.array([-1, 1], dtype=np.int64), ps[m : m + nr]]
-        )
-
-    if nl == 0 and nr == 0:
-        return Tuple(tuple(int(v) for v in offsets(0)))
-    m = pi_k
-    while m >= 1:
-        p = int(ps[m - 1])
-        if covers_all_classes(offsets(m - 1), p):
-            break
-        m -= 1
+    m = _hensley_richards_start(k, ps, pi_k)
     while True:
-        cand = offsets(m)
+        cand = _hr_offsets(ps, m, nl, nr)
         if is_admissible(cand):
             return Tuple(tuple(int(v) for v in cand))
         m += 1
@@ -211,26 +245,25 @@ def _schinzel_run(k: int, s: int, ps, pi_k: int, growth: float, x_hint: int) -> 
             break
         x = int(x * growth) + 64
 
-    def admissible_at(m):
+    def admissible_window(m):
+        """Best window when sieving the primes below p_m, if admissible."""
         mask = _structural_mask(s, x + 1, ps[1:m])
         win = _best_window(np.flatnonzero(mask).astype(np.int64) + s, k)
-        if win is None:
-            return False
-        return Tuple(tuple(int(v) for v in win[0])) if is_admissible(win[0]) else False
+        return win[0] if win is not None and is_admissible(win[0]) else None
 
     lo, hi = 1, pi_k
-    best = admissible_at(hi)
-    if best is False:  # pragma: no cover - fully sieved windows are admissible
+    best = admissible_window(hi)
+    if best is None:  # pragma: no cover - fully sieved windows are admissible
         raise ArithmeticError("fully sieved window failed admissibility")
     while lo < hi:
         mid = (lo + hi) // 2
-        t = admissible_at(mid)
-        if t:
+        win = admissible_window(mid)
+        if win is not None:
             hi = mid
-            best = t
+            best = win
         else:
             lo = mid + 1
-    return SieveRun(best, k=k, s=s, m=hi)
+    return SieveRun(Tuple(tuple(int(v) for v in best)), k=k, s=s, m=hi)
 
 
 def _shift_candidates(k: int, cfg: SieveConfig, ps, pi_k: int, m_ref: int, x_hint: int):
@@ -294,7 +327,7 @@ class _GreedyPass:
 
     Classes are minimally occupied residues (ties to the smallest value),
     selected against the survivor set frozen at batch start, so the result
-    is deterministic for a given batch size regardless of thread count.
+    is deterministic for a given batch size.
     Sieving stops at the first batch whose best window is admissible; a
     snapshot taken at the previous checkpoint lets the stop point be
     refined without re-running the whole pass.
@@ -306,19 +339,10 @@ class _GreedyPass:
         self.surv = surv
         self.primes = [int(p) for p in primes]
         self.picks = []
-        self.executor = (
-            ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-        )
 
     def _classes_for(self, batch):
         surv = self.surv
-
-        def min_class(p):
-            return int(np.argmin(np.bincount(surv % p, minlength=p)))
-
-        if self.executor is not None:
-            return list(self.executor.map(min_class, batch))
-        return [min_class(p) for p in batch]
+        return [int(np.argmin(np.bincount(surv % p, minlength=p))) for p in batch]
 
     def _apply(self, batch, classes):
         keep = np.ones(len(self.surv), dtype=bool)
@@ -336,32 +360,28 @@ class _GreedyPass:
         batches whose best window is admissible."""
         nb = self.cfg.batch_size
         batches = [self.primes[i : i + nb] for i in range(0, len(self.primes), nb)]
-        try:
-            state = (self.surv, 0, list(self.picks))
-            cadence = max(1, len(batches) // 12)
-            stop = None
-            i = 0
-            while i < len(batches):
-                upto = min(i + cadence, len(batches))
-                for j in range(i, upto):
-                    self._apply(batches[j], self._classes_for(batches[j]))
+        state = (self.surv, 0, list(self.picks))
+        cadence = max(1, len(batches) // 12)
+        stop = None
+        i = 0
+        while i < len(batches):
+            upto = min(i + cadence, len(batches))
+            for j in range(i, upto):
+                self._apply(batches[j], self._classes_for(batches[j]))
+            if self._window_admissible():
+                stop = (i, upto)
+                break
+            state = (self.surv, upto, list(self.picks))
+            i = upto
+        if stop is not None and stop[1] - stop[0] > 1:
+            # replay from the last clean checkpoint one batch at a time
+            self.surv, i, self.picks = state
+            while i < stop[1]:
+                self._apply(batches[i], self._classes_for(batches[i]))
+                i += 1
                 if self._window_admissible():
-                    stop = (i, upto)
                     break
-                state = (self.surv, upto, list(self.picks))
-                i = upto
-            if stop is not None and stop[1] - stop[0] > 1:
-                # replay from the last clean checkpoint one batch at a time
-                self.surv, i, self.picks = state
-                while i < stop[1]:
-                    self._apply(batches[i], self._classes_for(batches[i]))
-                    i += 1
-                    if self._window_admissible():
-                        break
-            return self.surv
-        finally:
-            if self.executor is not None:
-                self.executor.shutdown()
+        return self.surv
 
 
 def _greedy_pass(k: int, s: int, x: int, cfg: SieveConfig, ps, pi_k):

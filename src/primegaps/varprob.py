@@ -587,6 +587,11 @@ def read_certificate(path):
                 fields[key] = value.strip()
     if "C" not in fields or not coeffs:
         raise ValueError("certificate file is missing C or coefficients")
+    missing = [key for key in ("k", "d", "variant") if key not in fields]
+    if missing:
+        raise ValueError(f"certificate file is missing the {', '.join(missing)} line")
+    if sorted(coeffs) != list(range(len(coeffs))):
+        raise ValueError(f"coefficient indices must be a[0] .. a[{len(coeffs) - 1}]")
     k = int(fields["k"])
     d = int(fields["d"])
     kind = fields["variant"]

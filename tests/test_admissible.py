@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps.admissible import (
+    BITMAP_MAX_SPREAD,
     GapEncoding,
     Tuple,
     decode_gaps,
@@ -14,6 +15,8 @@ from primegaps.admissible import (
     read_tuple_file,
     write_tuple_file,
 )
+
+from primegaps.primes import primes_upto
 
 from .reference import tuple_50, tuple_51, tuple_54
 
@@ -80,6 +83,70 @@ class TestAdmissibility:
             t = Tuple(tuple(int(v) for v in offs))
             c = int(rng.integers(-1000, 1000))
             assert is_admissible(t) == is_admissible(t.shifted(c))
+
+
+class TestBitmapPaths:
+    """The bitmap test against full enumeration, path by path."""
+
+    @staticmethod
+    def agree(cases):
+        answers = set()
+        for offs in cases:
+            ok = is_admissible(offs)
+            assert ok == is_admissible_naive(offs), offs
+            answers.add(ok)
+        return answers
+
+    def test_negative_offsets(self):
+        # Hensley-Richards shape: values on both sides of (-1, 1), drawn from
+        # the primes (admissible) or from all integers (mostly not)
+        rng = np.random.default_rng(11)
+        cases = []
+        for i in range(400):
+            k = int(rng.integers(3, 80))
+            pool = primes_upto(20 * k)[k // 4 :] if i % 2 else np.arange(2, 8 * k)
+            side = rng.choice(pool, size=k - 2, replace=False)
+            offs = np.unique(np.concatenate([-side[: k // 2], [-1, 1], side[k // 2 :]]))
+            cases.append(offs)
+            cases.append(offs - int(rng.integers(0, 10**6)))
+        assert self.agree(cases) == {True, False}
+
+    def test_class_zero_occupied(self):
+        # 0 is a multiple of every prime, so the probe finds class 0 taken
+        # and the column test decides every prime
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(2000):
+            k = int(rng.integers(2, 150))
+            rest = rng.choice(np.arange(1, 10 * k), size=k - 1, replace=False)
+            cases.append(np.sort(np.append(rest, 0)))
+        assert self.agree(cases) == {True, False}
+
+    def test_class_zero_free(self):
+        # survivors of class 0 mod every p <= k: the probe settles each prime
+        rng = np.random.default_rng(13)
+        cases = []
+        for _ in range(300):
+            k = int(rng.integers(2, 150))
+            span = np.arange(-30 * k, 30 * k)
+            keep = np.ones(len(span), dtype=bool)
+            for p in primes_upto(k):
+                keep &= span % p != 0
+            cases.append(np.sort(rng.choice(span[keep], size=k, replace=False)))
+        assert self.agree(cases) == {True}
+
+    def test_sparse_past_bitmap_limit(self):
+        rng = np.random.default_rng(14)
+        cases = [(0, 2, 6 + 3 * 10**13), (0, 2, 10**13), (-(10**15), 0, 2, 6, 10**15)]
+        for _ in range(300):
+            k = int(rng.integers(2, 60))
+            width = BITMAP_MAX_SPREAD * k * int(rng.integers(2, 50))
+            cases.append(np.sort(rng.choice(width, size=k, replace=False)) - width // 2)
+        # smallest and largest of each case lie further apart than the limit
+        cases = [c for c in cases if max(c) - min(c) > BITMAP_MAX_SPREAD * len(c)]
+        assert len(cases) > 250
+        assert self.agree(cases) == {True, False}
+        assert is_admissible((0, 2, 6 + 3 * 10**13)) and not is_admissible((0, 2, 10**13))
 
 
 class TestHExactSmall:

@@ -33,6 +33,19 @@ class TestTupleCommands:
         code, out = run(capsys, "tuple", "verify", str(bad))
         assert code == 1 and "admissible=no" in out
 
+    def test_verify_sparse_admissible(self, capsys, tmp_path):
+        # diameter far past the bitmap limit: residues are enumerated instead
+        sparse = tmp_path / "sparse.txt"
+        sparse.write_text(f"0\n2\n{6 + 3 * 10**13}\n")
+        code, out = run(capsys, "tuple", "verify", str(sparse))
+        assert code == 0 and "admissible=yes" in out
+
+    def test_verify_sparse_inadmissible(self, capsys, tmp_path):
+        sparse = tmp_path / "sparse.txt"
+        sparse.write_text(f"0\n2\n{10**13}\n")
+        code, out = run(capsys, "tuple", "verify", str(sparse))
+        assert code == 1 and "admissible=no" in out
+
     def test_verify_reference(self, capsys):
         code, out = run(capsys, "tuple", "verify", data_path("tuple_50_246.txt"))
         assert code == 0 and "diameter=246" in out
@@ -49,6 +62,24 @@ class TestBoundCommands:
         assert code == 0 and "verified" in out
         code, out = run(capsys, "verify-cert", str(cert))
         assert code == 0 and "verified" in out
+
+    def test_verify_cert_noncontiguous_indices(self, capsys, tmp_path):
+        cert = tmp_path / "c.txt"
+        run(capsys, "mk", "krylov", "--k", "2", "--n", "4", "--out", str(cert))
+        text = cert.read_text()
+        cert.write_text("".join(ln for ln in text.splitlines(True) if not ln.startswith("a[1]")))
+        code = main(["verify-cert", str(cert)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error:")
+
+    def test_verify_cert_missing_k_line(self, capsys, tmp_path):
+        cert = tmp_path / "c.txt"
+        run(capsys, "mk", "krylov", "--k", "2", "--n", "4", "--out", str(cert))
+        text = cert.read_text()
+        cert.write_text("".join(ln for ln in text.splitlines(True) if not ln.startswith("k ")))
+        code = main(["verify-cert", str(cert)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and "missing the k line" in err[0]
 
     def test_basis(self, capsys):
         code, out = run(capsys, "mk", "basis", "--k", "3", "--d", "2")

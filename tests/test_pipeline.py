@@ -19,7 +19,7 @@ from primegaps.pipeline import (
     tuple_digest,
 )
 from primegaps.rational import Q
-from primegaps.varprob import assemble_plain, certify
+from primegaps.varprob import assemble_eps, assemble_plain, certify, gram_lower_bound
 
 from .reference import tuple_50
 
@@ -158,6 +158,20 @@ class TestEpsRule:
         hyp = Hypothesis.eh(Q(1, 2))
         with pytest.raises(ValueError, match="inequality not satisfied"):
             dhl_from_eps(50, Q(1, 25), ExternalBound(Q(4), "x"), hyp, 1)
+
+
+    def test_rejects_certificate_for_another_eps(self):
+        # C ~ 2.150 for eps = 1/3 would clear the eps = 1/100 threshold ~ 2.041
+        cert = gram_lower_bound(assemble_eps(5, 4, Q(1, 3)))
+        assert cert.verified and cert.C > Hypothesis.eh(Q(49, 50)).ratio_threshold(1)
+        with pytest.raises(ValueError, match="does not match"):
+            dhl_from_eps(5, Q(1, 100), cert, Hypothesis.eh(Q(49, 50)), 1)
+
+    def test_rejects_plain_certificate(self):
+        cert = certify(assemble_plain(2, 0), (1,), Q(1))
+        assert cert.verified
+        with pytest.raises(ValueError, match="does not match"):
+            dhl_from_eps(2, Q(1, 100), cert, Hypothesis.bv(), 1)
 
 
 class TestMarginalRule:

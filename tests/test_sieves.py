@@ -1,6 +1,6 @@
 import pytest
 
-from primegaps.admissible import h_exact_small, is_admissible
+from primegaps.admissible import covers_all_classes, h_exact_small, is_admissible
 from primegaps.sieves import (
     SieveConfig,
     apply_residue_sieve,
@@ -12,7 +12,15 @@ from primegaps.sieves import (
     sieve_shifted_schinzel,
     write_residue_sieve,
 )
-from primegaps.sieves import _shifted_greedy_run, _shifted_schinzel_run
+from primegaps.sieves import (
+    _eratosthenes_start,
+    _hensley_richards_start,
+    _hr_offsets,
+    _hr_sides,
+    _primes_with_index,
+    _shifted_greedy_run,
+    _shifted_schinzel_run,
+)
 
 from .reference import KPPK_DIAMETERS
 
@@ -27,8 +35,6 @@ class TestConfig:
             SieveConfig(method="bogus")
         with pytest.raises(ValueError):
             SieveConfig(shift="sometimes")
-        with pytest.raises(ValueError):
-            SieveConfig(batch_size=5, threads=2)
 
 
 class TestSmallCases:
@@ -91,6 +97,33 @@ def test_exact_minimum_never_beaten():
         assert sieve_shifted_schinzel(k, SieveConfig(method="shifted-schinzel", shift=0)).diameter >= floor
 
 
+class TestDecrementalStart:
+    """The bitmap decrement loops stop where a loop that enumerates every
+    window's residues anew stops."""
+
+    @staticmethod
+    def reference_start(k, ps, pi_k, window):
+        m = pi_k
+        while m >= 1 and not covers_all_classes(window(m - 1), int(ps[m - 1])):
+            m -= 1
+        return m
+
+    @pytest.mark.parametrize("ks", [range(2, 401), [5511]], ids=["2-400", "5511"])
+    def test_eratosthenes(self, ks):
+        for k in ks:
+            ps, pi_k = _primes_with_index(k)
+            ref = self.reference_start(k, ps, pi_k, lambda m: ps[m : m + k])
+            assert _eratosthenes_start(k, ps, pi_k) == ref, k
+
+    @pytest.mark.parametrize("ks", [range(2, 401), [5511]], ids=["2-400", "5511"])
+    def test_hensley_richards(self, ks):
+        for k in ks:
+            nl, nr = _hr_sides(k)
+            ps, pi_k = _primes_with_index(k, extra=max(nl, nr))
+            ref = self.reference_start(k, ps, pi_k, lambda m: _hr_offsets(ps, m, nl, nr))
+            assert _hensley_richards_start(k, ps, pi_k) == ref, k
+
+
 class TestReferenceRows:
     def test_kppk_exact_5511(self):
         assert sieve_k_primes_past_k(5511).diameter == KPPK_DIAMETERS[5511]
@@ -145,13 +178,6 @@ class TestDeterminism:
     def test_search_is_reproducible(self):
         a = sieve_shifted_greedy(311, SieveConfig(method="shifted-greedy"))
         b = sieve_shifted_greedy(311, SieveConfig(method="shifted-greedy"))
-        assert a.offsets == b.offsets
-
-    def test_batch_semantics_thread_invariant(self):
-        base = SieveConfig(method="shifted-greedy", shift=0, batch_size=8)
-        threaded = SieveConfig(method="shifted-greedy", shift=0, batch_size=8, threads=4)
-        a = sieve_shifted_greedy(311, base)
-        b = sieve_shifted_greedy(311, threaded)
         assert a.offsets == b.offsets
 
     def test_batch_size_changes_are_deterministic(self):
