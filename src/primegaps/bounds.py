@@ -44,21 +44,10 @@ def mk_upper(k: int):
 
 
 def m2_exact():
-    """Exact value 1/(1 - W(1/e)) of the two-variable problem.
-
-    The Lambert W point w = W(1/e) solves w e^w = 1/e and is found by
-    Newton iteration from a safe positive seed.
-    """
+    """Exact value 1/(1 - W(1/e)) of the two-variable problem, where the
+    Lambert W point w = W(1/e) solves w e^w = 1/e."""
     with mp.workdps(DPS):
-        target = mp.exp(-1)
-        w = mp.mpf("0.28")
-        for _ in range(80):
-            ew = mp.exp(w)
-            step = (w * ew - target) / (ew * (1 + w))
-            w -= step
-            if abs(step) < mp.mpf(10) ** (-DPS + 2):
-                break
-        return 1 / (1 - w)
+        return 1 / (1 - mp.lambertw(mp.exp(-1)))
 
 
 def _m2_eps_equation(lam, eps):
@@ -153,7 +142,12 @@ def mkeps_upper(k: int, eps, a=None):
 
 
 def _bessel_first_zero(nu: int):
-    """First positive zero of J_nu: large-order asymptotic seed + Newton."""
+    """First positive zero of J_nu: large-order asymptotic seed + Newton.
+
+    mp.besseljzero gives the same zeros but is far slower at large order
+    (0.96 s against 0.014 s at nu = 198, DPS = 40), and bessel_lower is
+    evaluated for every k up to 200.
+    """
     with mp.workdps(DPS):
         if nu == 0:
             x = mp.mpf("2.404825557695773")

@@ -25,20 +25,3 @@ def nth_prime_bound(n: int) -> int:
         return 13
     x = float(n)
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
-
-
-def first_n_primes(n: int) -> np.ndarray:
-    """The first n primes p_1, ..., p_n."""
-    if n <= 0:
-        return np.array([], dtype=np.int64)
-    bound = nth_prime_bound(n)
-    ps = primes_upto(bound)
-    while len(ps) < n:  # bound is proven for n >= 6; loop is a safety net
-        bound *= 2
-        ps = primes_upto(bound)
-    return ps[:n]
-
-
-def prime_count(x: int) -> int:
-    """pi(x): number of primes <= x."""
-    return int(len(primes_upto(x)))

@@ -15,17 +15,6 @@ try:
 except ImportError:  # pragma: no cover
     Q = Fraction
 
-#: zero/one constants in the active rational type
-QZERO = Q(0)
-QONE = Q(1)
-
-
-def to_fraction(x) -> Fraction:
-    """Convert an exact rational (mpq, Fraction, int) to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(int(x.numerator), int(x.denominator)) if hasattr(x, "numerator") else Fraction(x)
-
 
 def parse_rational(text: str):
     """Parse 'p/q' or 'p' into an exact rational.

@@ -340,16 +340,17 @@ class _GreedyPass:
         self.primes = [int(p) for p in primes]
         self.picks = []
 
-    def _classes_for(self, batch):
+    def _sieve_batch(self, batch):
+        """Pick each prime's least occupied class against the survivors at
+        batch start, then remove every picked class at once."""
         surv = self.surv
-        return [int(np.argmin(np.bincount(surv % p, minlength=p))) for p in batch]
-
-    def _apply(self, batch, classes):
-        keep = np.ones(len(self.surv), dtype=bool)
-        for p, cls in zip(batch, classes):
-            keep &= (self.surv % p) != cls
+        keep = np.ones(len(surv), dtype=bool)
+        for p in batch:
+            residues = surv % p
+            cls = int(np.argmin(np.bincount(residues, minlength=p)))
+            keep &= residues != cls
             self.picks.append((p, cls))
-        self.surv = self.surv[keep]
+        self.surv = surv[keep]
 
     def _window_admissible(self):
         win = _best_window(self.surv, self.k)
@@ -367,7 +368,7 @@ class _GreedyPass:
         while i < len(batches):
             upto = min(i + cadence, len(batches))
             for j in range(i, upto):
-                self._apply(batches[j], self._classes_for(batches[j]))
+                self._sieve_batch(batches[j])
             if self._window_admissible():
                 stop = (i, upto)
                 break
@@ -377,7 +378,7 @@ class _GreedyPass:
             # replay from the last clean checkpoint one batch at a time
             self.surv, i, self.picks = state
             while i < stop[1]:
-                self._apply(batches[i], self._classes_for(batches[i]))
+                self._sieve_batch(batches[i])
                 i += 1
                 if self._window_admissible():
                     break
@@ -475,15 +476,30 @@ def write_residue_sieve(path, run: SieveRun) -> None:
 
 
 def apply_residue_sieve(path) -> Tuple:
-    """Reconstruct and verify the tuple described by a residue sieve file."""
+    """Reconstruct and verify the tuple described by a residue sieve file.
+
+    Raises ValueError with a one-line message on any malformed file.
+    """
     with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    k, s, d, m = (int(v) for v in lines[0].split())
+        lines = [fields for ln in fh if (fields := ln.split("#", 1)[0].split())]
+    if not lines:
+        raise ValueError("residue sieve file is empty")
+    try:
+        rows = [[int(v) for v in fields] for fields in lines]
+    except ValueError:
+        raise ValueError("residue sieve file holds a non-integer field") from None
+    if len(rows[0]) != 4:
+        raise ValueError(f"residue sieve header must be 'k s d m', got {len(rows[0])} fields")
+    k, s, d, m = rows[0]
+    if k < 1 or d < 0 or m < 0:
+        raise ValueError(f"residue sieve header needs k >= 1, d >= 0, m >= 0, got {k} {s} {d} {m}")
     entries = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        entries.append((int(parts[0]), int(parts[1]) if len(parts) > 1 else 0))
+    for row in rows[1:]:
+        if len(row) not in (1, 2):
+            raise ValueError(f"residue sieve line must be 'n_i r_i' or 'n_i', got {len(row)} fields")
+        if row[0] < 1:
+            raise ValueError(f"prime index n_i must be >= 1, got {row[0]}")
+        entries.append((row[0], row[1] if len(row) == 2 else 0))
     ps = primes_upto(nth_prime_bound(max([m] + [n for n, _ in entries] + [2]) + 10))
     mask = _structural_mask(s, d + 1, ps[1:m])
     for n_i, r_i in entries:

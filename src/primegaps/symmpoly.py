@@ -1,20 +1,21 @@
 """Exact symmetric-polynomial algebra over Q in k variables.
 
-Polynomials are stored in the monomial symmetric basis P_alpha indexed by
-signatures (non-increasing tuples of positive integers).  Products use
-cached integer structure constants; integrals over scaled simplices reduce
-termwise to the Beta-function identity
+A polynomial is a dict mapping (a, *alpha) to the rational coefficient of
+the term (offset - P_(1))^a * P_alpha.  Here P_alpha is the monomial
+symmetric function of the signature alpha (a non-increasing tuple of
+positive integers) and P_(1) = t_1 + ... + t_k.  This affine form is the
+only representation: every basis element of the variational problems is
+one such term, and the slot-integration operator L (sum over coordinate
+slots of integration over the free fiber of the unit simplex) maps the
+form to itself without re-expanding powers of P_(1).
+
+Products use cached integer structure constants; integrals over scaled
+simplices reduce termwise to the Beta-function identity
 
     int_{R_k} (1-t_1-...-t_k)^a t_1^{a_1}...t_k^{a_k} dt
         = a! a_1! ... a_k! / (a_1+...+a_k+k+a)!
 
 so every operation here is exact rational arithmetic (no floats).
-
-The integral operator L (sum over coordinate slots of integration over the
-free fiber of the unit simplex) maps symmetric polynomials to symmetric
-polynomials.  Internally it is applied in an "affine" representation whose
-terms are (1-P_(1))^a * P_alpha, which avoids re-expanding powers of P_(1)
-at every step; `apply_L` converts back to the plain P_alpha basis.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .rational import Q
 
 __all__ = [
     "Signature",
-    "SymPoly",
-    "beta_integral",
-    "apply_L",
-    "inner_product",
-    "integrate_simplex",
+    "affine_multiply",
+    "affine_integral",
+    "affine_slot_integral",
+    "affine_apply_L",
 ]
 
 
@@ -45,22 +45,9 @@ class Signature(tuple):
             raise ValueError("signature parts must be non-increasing")
         return super().__new__(cls, parts)
 
-    @classmethod
-    def from_exponents(cls, exponents) -> "Signature":
-        """Canonicalize an exponent vector: sort descending, drop zeros."""
-        return cls(tuple(sorted((e for e in exponents if e), reverse=True)))
-
     @property
     def degree(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
-    def all_even(self) -> bool:
-        return all(p % 2 == 0 for p in self)
 
     @property
     def has_one(self) -> bool:
@@ -126,19 +113,6 @@ def _struct_constants(alpha: tuple, beta: tuple, k: int) -> tuple:
     return tuple(out)
 
 
-def beta_integral(k: int, a: int, exponents) -> Q:
-    """Exact int over R_k of (1-t_1-...-t_k)^a * t_1^{e_1}...t_k^{e_k}."""
-    exps = tuple(int(e) for e in exponents)
-    if len(exps) != k:
-        raise ValueError("need one exponent per variable")
-    if a < 0 or any(e < 0 for e in exps):
-        raise ValueError("exponents must be non-negative")
-    num = math.factorial(a)
-    for e in exps:
-        num *= math.factorial(e)
-    return Q(num, math.factorial(sum(exps) + k + a))
-
-
 def _affine_term_integral(k: int, a: int, alpha: tuple, offset=Q(1), scale=Q(1)) -> Q:
     """Exact int over scale*R_k of (offset - P_(1))^a * P_alpha.
 
@@ -164,129 +138,8 @@ def _affine_term_integral(k: int, a: int, alpha: tuple, offset=Q(1), scale=Q(1))
     return total * n * scale ** (deg + k)
 
 
-class SymPoly:
-    """Symmetric polynomial in k variables in the P_alpha basis.
-
-    An optional degree cap bounds every stored term; operations propagate
-    the tightest cap of their operands and reject results that exceed it,
-    which keeps the memoized structure-constant tables bounded.
-    """
-
-    __slots__ = ("k", "terms", "degree_cap")
-
-    def __init__(self, k: int, terms=None, degree_cap: int | None = None):
-        if k < 1:
-            raise ValueError("ambient dimension k must be >= 1")
-        self.k = int(k)
-        self.degree_cap = degree_cap
-        clean: dict = {}
-        for sig, coeff in (terms or {}).items():
-            sig = sig if isinstance(sig, Signature) else Signature(sig)
-            if sig.length > k:
-                raise ValueError(f"signature {sig} does not fit in {k} variables")
-            if degree_cap is not None and sig.degree > degree_cap:
-                raise ValueError(f"degree cap {degree_cap} exceeded by {sig}")
-            c = Q(coeff)
-            if c != 0:
-                clean[sig] = clean.get(sig, Q(0)) + c
-        self.terms = {s: c for s, c in clean.items() if c != 0}
-
-    @classmethod
-    def constant(cls, k: int, c, degree_cap: int | None = None) -> "SymPoly":
-        return cls(k, {Signature(): c}, degree_cap)
-
-    @classmethod
-    def p1(cls, k: int, degree_cap: int | None = None) -> "SymPoly":
-        return cls(k, {Signature((1,)): 1}, degree_cap)
-
-    def _merge_cap(self, other) -> int | None:
-        caps = [c for c in (self.degree_cap, getattr(other, "degree_cap", None)) if c is not None]
-        return min(caps) if caps else None
-
-    @property
-    def degree(self) -> int:
-        return max((s.degree for s in self.terms), default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymPoly) and self.k == other.k and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.k, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other) -> "SymPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Q(0)) + c
-        return SymPoly(self.k, out, self._merge_cap(other))
-
-    def __sub__(self, other) -> "SymPoly":
-        return self + (self._coerce(other) * -1)
-
-    def __mul__(self, other) -> "SymPoly":
-        if not isinstance(other, SymPoly):
-            c = Q(other)
-            return SymPoly(self.k, {s: v * c for s, v in self.terms.items()}, self.degree_cap)
-        if other.k != self.k:
-            raise ValueError("ambient dimensions differ")
-        out: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                cab = ca * cb
-                for gamma, c in _struct_constants(tuple(a), tuple(b), self.k):
-                    key = Signature(gamma)
-                    out[key] = out.get(key, Q(0)) + cab * c
-        return SymPoly(self.k, out, self._merge_cap(other))
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> "SymPoly":
-        if isinstance(other, SymPoly):
-            if other.k != self.k:
-                raise ValueError("ambient dimensions differ")
-            return other
-        return SymPoly.constant(self.k, other)
-
-    def integrate_simplex(self, scale=Q(1)) -> Q:
-        """Exact integral over scale*R_k."""
-        scale = Q(scale)
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        total = Q(0)
-        for sig, c in self.terms.items():
-            total += c * _affine_term_integral(self.k, 0, tuple(sig), Q(1), scale)
-        return total
-
-    def inner_product(self, other: "SymPoly") -> Q:
-        """Exact int over R_k of self*other."""
-        return (self * other).integrate_simplex()
-
-    def dumps(self) -> str:
-        """Debug rendering: 'coeff * P[alpha] + ...' in sorted order."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for sig in sorted(self.terms, key=lambda s: (s.degree, s)):
-            c = self.terms[sig]
-            label = "P[" + ",".join(map(str, sig)) + "]"
-            bits.append(f"{c} * {label}")
-        return " + ".join(bits)
-
-    def __repr__(self):  # pragma: no cover
-        return f"SymPoly(k={self.k}, {self.dumps()})"
-
-
-def integrate_simplex(f: SymPoly, scale=Q(1)) -> Q:
-    return f.integrate_simplex(scale)
-
-
-def inner_product(f: SymPoly, g: SymPoly) -> Q:
-    return f.inner_product(g)
-
-
 # ---------------------------------------------------------------------------
-# affine representation: dict mapping (a, *alpha) -> coeff for terms
-# (offset - P_(1))^a * P_alpha; all routines below are exact.
+# operations on the affine form
 # ---------------------------------------------------------------------------
 
 
@@ -315,10 +168,6 @@ def _strip_candidates(alpha: tuple, k: int):
             yield m, alpha[:i] + alpha[i + 1 :]
     if len(alpha) < k:
         yield 0, alpha
-
-
-def affine_from_sympoly(f: SymPoly) -> dict:
-    return {(0,) + tuple(sig): c for sig, c in f.terms.items()}
 
 
 def affine_apply_L(terms: dict, k: int) -> dict:
@@ -396,30 +245,3 @@ def affine_integral(terms: dict, k: int, offset=Q(1), scale=Q(1)) -> Q:
     for key, coeff in terms.items():
         total += coeff * _affine_term_integral(k, key[0], key[1:], Q(offset), Q(scale))
     return total
-
-
-@lru_cache(maxsize=None)
-def _one_minus_p1_power(a: int, k: int) -> SymPoly:
-    if a == 0:
-        return SymPoly.constant(k, 1)
-    base = SymPoly.constant(k, 1) - SymPoly.p1(k)
-    return _one_minus_p1_power(a - 1, k) * base
-
-
-def sympoly_from_affine(terms: dict, k: int) -> SymPoly:
-    out = SymPoly(k)
-    for key, coeff in terms.items():
-        a, alpha = key[0], key[1:]
-        mono = SymPoly(k, {Signature(alpha): coeff})
-        out = out + _one_minus_p1_power(a, k) * mono
-    return out
-
-
-def apply_L(f: SymPoly) -> SymPoly:
-    """Exact image of f under the slot-integration operator, P_alpha basis.
-
-    Raises ValueError when the (degree + 1) image would exceed f's cap."""
-    out = sympoly_from_affine(affine_apply_L(affine_from_sympoly(f), f.k), f.k)
-    if f.degree_cap is not None:
-        return SymPoly(out.k, out.terms, f.degree_cap)
-    return out

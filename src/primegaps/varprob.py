@@ -8,9 +8,10 @@ so that a vector a with
     a^T M2 a - C a^T M1 a > 0        (exact rational arithmetic)
 
 certifies a lower bound C for the corresponding variational quantity
-(plain simplex variant, or the enlarged/shrunk epsilon variant).  Floating
-point only ever proposes candidates; every emitted bound is re-verified
-exactly.
+(plain simplex variant, or the enlarged/shrunk epsilon variant).  Every
+bound, Gram or Krylov, takes one path: floating point proposes a, and C is
+the exact Rayleigh quotient of a rounded strictly down, so the inequality
+holds by construction and is re-checked exactly.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ import numpy as np
 from .rational import Q, rational_str
 from .symmpoly import (
     Signature,
-    SymPoly,
     affine_apply_L,
-    affine_from_sympoly,
     affine_integral,
     affine_multiply,
     affine_slot_integral,
@@ -44,7 +43,6 @@ __all__ = [
     "assemble_plain",
     "assemble_eps",
     "solve_generalized",
-    "rationalize",
     "certify",
     "gram_lower_bound",
     "krylov_moments",
@@ -201,28 +199,20 @@ def _reduced_matrix_float(R, d, n) -> np.ndarray:
     return (S + S.T) / 2.0, invs
 
 
-def solve_generalized(pair: GramPair, tol: float = 1e-10):
-    """Largest generalized eigenpair of (M2, M1), floating point.
+def solve_generalized(pair: GramPair) -> tuple:
+    """Exact proposal a for the largest generalized eigenvalue of (M2, M1).
 
-    M1 is reduced by its exact triangular factorization; the reduced
-    symmetric problem is solved iteratively and the residual is checked
-    against tol.  The output is advisory: certification is exact.
+    M1 = L D L^T is factored exactly and M2 reduced to R = L^-1 M2 L^-T;
+    float64 solves the symmetric problem D^-1/2 R D^-1/2, and its top
+    eigenvector v is mapped back by the exact back-solve
+    L^T a = D^-1/2 v.  The proposal is advisory: certification is exact.
     """
     n = pair.n
     L, d, R = _reduced_form(pair)
     S, invs = _reduced_matrix_float(R, d, n)
-    w, V = np.linalg.eigh(S)
-    lam = float(w[-1])
-    v = V[:, -1]
-    residual = float(np.linalg.norm(S @ v - lam * v))
-    if residual > tol * max(1.0, abs(lam)):
-        raise ArithmeticError("iteration did not converge within budget")
-    # back-transform a = L^-T (D^-1/2 v); exact L keeps this stable
-    y = [Q(Fraction(float(v[i]))) * invs[i] for i in range(n)]
-    a = _back_solve_transpose(L, y, n)
-    with mp.workdps(60):
-        a_float = np.array([float(_q_to_mpf(x)) for x in a], dtype=float)
-    return lam, a_float
+    _, V = np.linalg.eigh(S)
+    y = [Q(Fraction(float(x))) * inv for x, inv in zip(V[:, -1], invs)]
+    return tuple(_back_solve_transpose(L, y, n))
 
 
 def _back_solve_transpose(L, y, n):
@@ -234,19 +224,6 @@ def _back_solve_transpose(L, y, n):
             s -= L[j][i] * a[j]
         a[i] = s
     return a
-
-
-def rationalize(values, denominator_bound: int = 10**6):
-    """Per-coordinate best rational approximation with bounded denominator
-    (continued-fraction convergents)."""
-    if denominator_bound < 1:
-        raise ValueError("denominator bound must be >= 1")
-    out = []
-    for x in np.atleast_1d(np.asarray(values, dtype=float)):
-        if not math.isfinite(x):
-            raise ValueError("cannot rationalize a non-finite value")
-        out.append(Q(Fraction(float(x)).limit_denominator(denominator_bound)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -278,21 +255,31 @@ def _quadratic_form(M, a, n):
         total += ai * acc
     return total
 
-def quadratic_margin(pair: GramPair, a, C):
-    """Exact (a^T M2 a - C a^T M1 a, a^T M1 a)."""
-    a = [Q(x) for x in a]
+
+def _quadratic_forms(pair: GramPair, a):
+    """Exact (a^T M1 a, a^T M2 a)."""
     n = pair.n
     if len(a) != n:
         raise ValueError("coefficient vector length must match the basis")
-    t1 = _quadratic_form(pair.M1, a, n)
-    t2 = _quadratic_form(pair.M2, a, n)
-    return t2 - Q(C) * t1, t1
+    return _quadratic_form(pair.M1, a, n), _quadratic_form(pair.M2, a, n)
+
+
+def _check(pair: GramPair, a, C, forms=None):
+    """The exact check a^T M2 a - C a^T M1 a > 0 with a^T M1 a > 0.
+
+    Returns (certificate, margin); forms, when given, are the already
+    computed _quadratic_forms(pair, a).
+    """
+    a = tuple(Q(x) for x in a)
+    C = Q(C)
+    t1, t2 = forms or _quadratic_forms(pair, a)
+    margin = t2 - C * t1
+    return BoundCertificate(pair.variant, a, C, margin > 0 and t1 > 0), margin
 
 
 def certify(pair: GramPair, a, C) -> BoundCertificate:
     """Exact verification; never raises on a failed inequality."""
-    margin, t1 = quadratic_margin(pair, a, C)
-    return BoundCertificate(pair.variant, tuple(Q(x) for x in a), Q(C), margin > 0 and t1 > 0)
+    return _check(pair, a, C)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,53 +404,23 @@ def assemble_eps(k: int, d: int, eps, even_only: bool = True) -> GramPair:
 # ---------------------------------------------------------------------------
 
 
-def _certified_from_reduced(pair: GramPair) -> BoundCertificate:
-    """Propose a via the exactly-reduced problem, then certify exactly.
-
-    The eigenvector is computed in the M1-orthonormalized coordinates where
-    float64 is reliable, mapped back through the exact factorization, and
-    the final Rayleigh quotient is evaluated in exact arithmetic; C is that
-    quotient rounded down.
-    """
-    n = pair.n
-    L, d, R = _reduced_form(pair)
-    S, invs = _reduced_matrix_float(R, d, n)
-    w, V = np.linalg.eigh(S)
-    v = V[:, -1]
-    y = [Q(Fraction(float(x))) * inv for x, inv in zip(v, invs)]
-    t1 = sum(y[i] * y[i] * d[i] for i in range(n))
-    t2 = _quadratic_form(R, y, n)
-    if t1 <= 0:
-        raise ArithmeticError("degenerate eigenvector proposal")
-    rho = t2 / t1
-    # round down to the 1e-12 grid so certificate files stay readable
-    C = Q(int(rho * 10**12), 10**12)
-    if C >= rho:
-        C -= Q(1, 10**12)
-    a = _back_solve_transpose(L, y, n)
-    cert = certify(pair, a, C)
-    if not cert.verified:  # pragma: no cover - the rounding above is sufficient
-        raise ArithmeticError("exact certification failed unexpectedly")
-    return cert
+#: certified bounds are rounded down onto this grid so files stay readable
+C_GRID = 10**12
 
 
-def gram_lower_bound(pair: GramPair, tol: float = 1e-10) -> BoundCertificate:
+def gram_lower_bound(pair: GramPair) -> BoundCertificate:
     """Certified lower bound from a Gram pair.
 
-    First tries the documented rationalize-and-retry ladder on the float
-    eigenvector (denominator bounds 1e6 then 1e9, then C reduced in 1e-6
-    steps); falls back to the exactly-reduced proposal.
+    a is the proposal of solve_generalized; C is the exact Rayleigh
+    quotient a^T M2 a / a^T M1 a rounded strictly down onto the 1/C_GRID
+    grid, so a^T M2 a > C a^T M1 a holds by construction.
     """
-    lam, a_float = solve_generalized(pair, tol)
-    scale = float(np.max(np.abs(a_float))) or 1.0
-    ladder = [(10**6, 0.0), (10**9, 0.0), (10**9, 1e-6), (10**9, 2e-6), (10**9, 4e-6)]
-    for bound, drop in ladder:
-        a = rationalize(a_float / scale, bound)
-        C = Q(Fraction(lam * (1 - 1e-9) - drop).limit_denominator(10**12))
-        cert = certify(pair, a, C)
-        if cert.verified:
-            return cert
-    return _certified_from_reduced(pair)
+    a = solve_generalized(pair)
+    t1, t2 = forms = _quadratic_forms(pair, a)
+    C = Q(math.floor(t2 / t1 * C_GRID), C_GRID)
+    if C * t1 >= t2:
+        C -= Q(1, C_GRID)
+    return _check(pair, a, C, forms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +447,7 @@ class _MomentStream:
 
     def __init__(self, k: int):
         self.k = k
-        self._state = affine_from_sympoly(SymPoly.constant(k, 1))
+        self._state = {(0,): Q(1)}
         self._moments = [affine_integral(self._state, k)]
         self._lock = threading.Lock()
 
@@ -541,10 +498,9 @@ def hankel_pair(table: KrylovTable, n: int) -> GramPair:
     return GramPair(Variant("plain", table.k), basis, M1, M2)
 
 
-def krylov_lower_bound(k: int, n: int, tol: float = 1e-10) -> BoundCertificate:
+def krylov_lower_bound(k: int, n: int) -> BoundCertificate:
     """Certified lower bound for the plain variational quantity, order n."""
-    pair = hankel_pair(krylov_moments(k, n), n)
-    return _certified_from_reduced(pair)
+    return gram_lower_bound(hankel_pair(krylov_moments(k, n), n))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +572,4 @@ def verify_certificate_file(path):
         pair = assemble_plain(variant.k, d, even_only=(basis_kind != "full"))
     else:
         pair = assemble_eps(variant.k, d, variant.eps, even_only=(basis_kind != "full"))
-    cert = certify(pair, a, C)
-    margin, _ = quadratic_margin(pair, a, C)
-    return cert, margin
+    return _check(pair, a, C)

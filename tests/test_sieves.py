@@ -218,3 +218,21 @@ class TestResidueSieveFiles:
         path.write_text("\n".join([" ".join(head)] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match="survivors"):
             apply_residue_sieve(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# only a comment\n\n", "empty"),
+            ("101 0 600\n3 1\n", "header must be 'k s d m', got 3 fields"),
+            ("3 0 6 1\n0 1\n", "prime index n_i must be >= 1, got 0"),
+            ("3 0 six 1\n", "non-integer field"),
+            ("3 0 -6 1\n", "needs k >= 1, d >= 0, m >= 0"),
+            ("3 0 6 1\n2 1 5\n", "line must be 'n_i r_i' or 'n_i', got 3 fields"),
+        ],
+        ids=["empty", "three-field-header", "prime-index-zero", "non-integer", "negative-diameter", "three-field-line"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            apply_residue_sieve(path)

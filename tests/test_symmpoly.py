@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,10 +7,9 @@ import pytest
 from primegaps.rational import Q
 from primegaps.symmpoly import (
     Signature,
-    SymPoly,
-    apply_L,
-    beta_integral,
-    inner_product,
+    affine_apply_L,
+    affine_integral,
+    affine_multiply,
 )
 
 
@@ -32,14 +32,57 @@ def simplex_monomial_oracle(a, exponents):
     return coeff  # evaluated at total budget u = 1
 
 
+def plain(terms):
+    """Affine form of sum c * P_alpha (every affine exponent 0)."""
+    return {(0,) + tuple(sig): Q(c) for sig, c in terms.items() if c != 0}
+
+
+def expand(terms, k):
+    """P_alpha coefficients of an affine-form polynomial, multiplying out
+    each (1 - P_(1))^a with affine_multiply."""
+    one_minus_p1 = plain({(): 1, (1,): -1})
+    out = {}
+    for key, c in terms.items():
+        poly = {(0,) + key[1:]: c}
+        for _ in range(key[0]):
+            poly = affine_multiply(poly, one_minus_p1, k)
+        for pkey, v in poly.items():
+            out[pkey[1:]] = out.get(pkey[1:], 0) + v
+    return {sig: v for sig, v in out.items() if v != 0}
+
+
+def combine(*scaled):
+    """sum c * f over (c, f) pairs of affine-form polynomials."""
+    out = {}
+    for c, f in scaled:
+        for key, v in f.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def evaluate(terms, k, t):
+    """Value at the point t: sum c (1 - sum t)^a P_alpha(t), with P_alpha
+    summed over its distinct exponent vectors (independent of the code)."""
+    total = Q(0)
+    for key, c in terms.items():
+        a, alpha = key[0], key[1:]
+        mono = Q(0)
+        for exps in set(itertools.permutations(alpha + (0,) * (k - len(alpha)))):
+            mono += math.prod(ti**e for ti, e in zip(t, exps))
+        total += c * (1 - sum(t)) ** a * mono
+    return total
+
+
+def rand_poly(k, deg, rng):
+    sigs = [(), (1,), (2,), (1, 1), (3,), (2, 1), (2, 2), (4,)]
+    return plain({s: rng.randint(-4, 4) for s in sigs if sum(s) <= deg and len(s) <= k})
+
+
 class TestSignature:
     def test_valid(self):
         s = Signature((3, 2, 2))
-        assert s.degree == 7 and s.length == 3
-        assert not s.all_even and not s.has_one
-
-    def test_from_exponents(self):
-        assert Signature.from_exponents((0, 2, 0, 1)) == (2, 1)
+        assert s.degree == 7 and len(s) == 3
+        assert not s.has_one
 
     def test_rejects_bad(self):
         with pytest.raises(ValueError):
@@ -49,24 +92,32 @@ class TestSignature:
 
 
 class TestBetaIntegral:
+    """The Beta identity, through single-term affine_integral."""
+
     def test_unit_interval(self):
-        assert beta_integral(1, 0, [0]) == 1
+        assert affine_integral({(0,): Q(1)}, 1) == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_volume(self, k):
-        assert beta_integral(k, 0, [0] * k) == Q(1, math.factorial(k))
+        assert affine_integral({(0,): Q(1)}, k) == Q(1, math.factorial(k))
 
     def test_linear_case(self):
-        assert beta_integral(1, 1, [1]) == Q(1, 6)
+        # int_0^1 (1-t) t dt
+        assert affine_integral({(1, 1): Q(1)}, 1) == Q(1, 6)
 
     def test_against_iterated_oracle_exhaustive(self):
-        # every k <= 4, every a <= 3, every exponent vector with entries <= 3
-        import itertools
-
+        # every k <= 4, every a <= 3, every exponent vector with entries <= 3;
+        # a single term P_alpha sums the monomial over its distinct exponent
+        # vectors
         for k in range(1, 5):
             for a in range(4):
                 for exps in itertools.product(range(4), repeat=k):
-                    assert beta_integral(k, a, exps) == simplex_monomial_oracle(a, exps)
+                    alpha = tuple(sorted((e for e in exps if e), reverse=True))
+                    expect = sum(
+                        (simplex_monomial_oracle(a, v) for v in set(itertools.permutations(exps))),
+                        Q(0),
+                    )
+                    assert affine_integral({(a,) + alpha: Q(1)}, k) == expect
 
     def test_against_sympy_spot_checks(self):
         sympy = pytest.importorskip("sympy")
@@ -75,61 +126,60 @@ class TestBetaIntegral:
             sympy.integrate((1 - t1 - t2) ** 2 * t1**3 * t2, (t2, 0, 1 - t1)),
             (t1, 0, 1),
         )
-        assert beta_integral(2, 2, [3, 1]) == Q(int(sympy.fraction(val)[0]), int(sympy.fraction(val)[1]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            beta_integral(2, -1, [0, 0])
-
-
-def rand_poly(k, deg, rng):
-    sigs = [(), (1,), (2,), (1, 1), (3,), (2, 1), (2, 2), (4,)]
-    terms = {}
-    for s in sigs:
-        if sum(s) <= deg and len(s) <= k:
-            terms[s] = rng.randint(-4, 4)
-    return SymPoly(k, terms)
+        num, den = sympy.fraction(val)
+        # P_(3,1) in two variables is t1^3 t2 + t1 t2^3: twice the integral
+        assert affine_integral({(2, 3, 1): Q(1)}, 2) == 2 * Q(int(num), int(den))
 
 
 class TestMultiply:
     def test_p1_squared(self):
         for k in (2, 3, 6):
-            p1 = SymPoly.p1(k)
-            assert p1 * p1 == SymPoly(k, {(2,): 1, (1, 1): 2})
+            p1 = plain({(1,): 1})
+            assert affine_multiply(p1, p1, k) == plain({(2,): 1, (1, 1): 2})
 
     def test_p1_times_p2(self):
-        k = 3
-        out = SymPoly.p1(k) * SymPoly(k, {(2,): 1})
-        assert out == SymPoly(k, {(3,): 1, (2, 1): 1})
+        out = affine_multiply(plain({(1,): 1}), plain({(2,): 1}), 3)
+        assert out == plain({(3,): 1, (2, 1): 1})
 
     def test_k2_p1_times_p11(self):
-        out = SymPoly.p1(2) * SymPoly(2, {(1, 1): 1})
-        assert out == SymPoly(2, {(2, 1): 1})
+        out = affine_multiply(plain({(1,): 1}), plain({(1, 1): 1}), 2)
+        assert out == plain({(2, 1): 1})
 
     def test_commutative_associative(self):
         rng = random.Random(7)
         for k in (2, 3, 4):
             f, g, h = (rand_poly(k, 4, rng) for _ in range(3))
-            assert f * g == g * f
-            assert (f * g) * h == f * (g * h)
+            assert affine_multiply(f, g, k) == affine_multiply(g, f, k)
+            fg_h = affine_multiply(affine_multiply(f, g, k), h, k)
+            assert fg_h == affine_multiply(f, affine_multiply(g, h, k), k)
 
     def test_length_overflow_truncates(self):
         # in 2 variables P_(1,1) * P_(1,1) = P_(2,2): no length-3 terms
-        out = SymPoly(2, {(1, 1): 1}) * SymPoly(2, {(1, 1): 1})
-        assert out == SymPoly(2, {(2, 2): 1})
+        p11 = plain({(1, 1): 1})
+        assert affine_multiply(p11, p11, 2) == plain({(2, 2): 1})
+
+    def test_against_point_evaluation(self):
+        rng = random.Random(5)
+        for k in (2, 3, 4):
+            f, g = rand_poly(k, 3, rng), rand_poly(k, 3, rng)
+            f[(2, 2)] = Q(3)  # an affine exponent, to cover the (1-P_(1))^a factor
+            fg = affine_multiply(f, g, k)
+            for _ in range(3):
+                t = [Q(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(k)]
+                assert evaluate(fg, k, t) == evaluate(f, k, t) * evaluate(g, k, t)
 
 
 class TestIntegration:
     def test_constant(self):
         for k in (1, 2, 5):
-            assert SymPoly.constant(k, 1).integrate_simplex() == Q(1, math.factorial(k))
+            assert affine_integral({(0,): Q(1)}, k) == Q(1, math.factorial(k))
 
     def test_scaled_volume(self):
-        assert SymPoly.constant(3, 1).integrate_simplex(Q(3, 2)) == Q(9, 16)
+        assert affine_integral({(0,): Q(1)}, 3, scale=Q(3, 2)) == Q(9, 16)
 
     def test_p1_k2(self):
         # oracle: int over the 2-simplex of t1+t2 is 2 * (1!0!)/(1+2)! = 1/3
-        assert SymPoly.p1(2).integrate_simplex() == Q(1, 3)
+        assert affine_integral(plain({(1,): 1}), 2) == Q(1, 3)
 
     def test_homogeneous_scaling(self):
         rng = random.Random(3)
@@ -137,42 +187,47 @@ class TestIntegration:
         # each signature of degree d scales by s^(d+k); compare termwise sum
         s = Q(2, 3)
         total = sum(
-            (c * s ** (sig.degree + 3) * SymPoly(3, {sig: 1}).integrate_simplex()
-             for sig, c in f.terms.items()),
+            (c * s ** (sum(key[1:]) + 3) * affine_integral({key: Q(1)}, 3) for key, c in f.items()),
             Q(0),
         )
-        assert f.integrate_simplex(s) == total
+        assert affine_integral(f, 3, scale=s) == total
 
 
 class TestApplyL:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
     def test_image_of_one(self, k):
-        assert apply_L(SymPoly.constant(k, 1)) == SymPoly(k, {(): k, (1,): -(k - 1)})
+        image = expand(affine_apply_L(plain({(): 1}), k), k)
+        assert image == {sig: v for sig, v in {(): k, (1,): -(k - 1)}.items() if v}
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_image_of_p1(self, k):
-        expect = SymPoly(k, {(): Q(k, 2), (2,): Q(-(k - 1), 2), (1, 1): -(k - 2)})
-        assert apply_L(SymPoly.p1(k)) == expect
+        expect = {(): Q(k, 2), (2,): Q(-(k - 1), 2), (1, 1): -(k - 2)}
+        image = expand(affine_apply_L(plain({(1,): 1}), k), k)
+        assert image == {sig: v for sig, v in expect.items() if v}
 
     def test_linear(self):
         rng = random.Random(11)
         for k in (2, 3):
             f, g = rand_poly(k, 3, rng), rand_poly(k, 3, rng)
-            assert apply_L(f * 2 + g * 3) == apply_L(f) * 2 + apply_L(g) * 3
+            lhs = affine_apply_L(combine((2, f), (3, g)), k)
+            rhs = combine((2, affine_apply_L(f, k)), (3, affine_apply_L(g, k)))
+            assert expand(lhs, k) == expand(rhs, k)
 
     def test_self_adjoint(self):
         rng = random.Random(13)
         for k in (2, 3, 4):
             f, g = rand_poly(k, 3, rng), rand_poly(k, 3, rng)
-            assert inner_product(apply_L(f), g) == inner_product(f, apply_L(g))
+            lf_g = affine_integral(affine_multiply(affine_apply_L(f, k), g, k), k)
+            f_lg = affine_integral(affine_multiply(f, affine_apply_L(g, k), k), k)
+            assert lf_g == f_lg
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_moment_closed_forms(self, k):
-        f = SymPoly.constant(k, 1)
-        moments = [f.integrate_simplex()]
+        f = plain({(): 1})
+        moments = [affine_integral(f, k)]
         for _ in range(3):
-            f = apply_L(f)
-            moments.append(f.integrate_simplex())
+            f = affine_apply_L(f, k)
+            moments.append(affine_integral(f, k))
         fac = math.factorial
         assert moments[0] == Q(1, fac(k))
         assert moments[1] == Q(2 * k, fac(k + 1))
@@ -180,39 +235,8 @@ class TestApplyL:
         assert moments[3] == Q(2 * k * k * (7 * k + 5), fac(k + 3))
 
 
-class TestDegreeCap:
-    def test_constructor_rejects_overflow(self):
-        with pytest.raises(ValueError, match="degree cap"):
-            SymPoly(3, {(2, 2): 1}, degree_cap=3)
-
-    def test_multiply_respects_cap(self):
-        f = SymPoly(3, {(2,): 1}, degree_cap=3)
-        with pytest.raises(ValueError, match="degree cap"):
-            f * f
-
-    def test_apply_L_respects_cap(self):
-        f = SymPoly.constant(3, 1, degree_cap=2)
-        g = apply_L(f)           # degree 1: fine
-        assert g.degree_cap == 2
-        h = apply_L(g)           # degree 2: still fine
-        with pytest.raises(ValueError, match="degree cap"):
-            apply_L(h)
-
-    def test_cap_propagates_tightest(self):
-        f = SymPoly(3, {(2,): 1}, degree_cap=8)
-        g = SymPoly(3, {(2,): 1}, degree_cap=5)
-        assert (f + g).degree_cap == 5
-        assert (f * g).degree_cap == 5
-
-
 def test_krylov_order_guard():
     from primegaps.varprob import krylov_moments
 
     with pytest.raises(ValueError, match="degree cap exceeded"):
         krylov_moments(3, 101)
-
-
-def test_dumps_format():
-    f = SymPoly(3, {(): Q(1, 2), (2, 1): -3})
-    assert f.dumps() == "1/2 * P[] + -3 * P[2,1]"
-    assert SymPoly(2).dumps() == "0"

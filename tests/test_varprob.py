@@ -17,7 +17,6 @@ from primegaps.varprob import (
     hankel_pair,
     krylov_lower_bound,
     krylov_moments,
-    rationalize,
     read_certificate,
     solve_generalized,
     verify_certificate_file,
@@ -129,15 +128,45 @@ class TestSolveAndCertify:
         basis = (BasisElement(0, ()), BasisElement(1, ()))
         eye = [[Q(1), Q(0)], [Q(0), Q(1)]]
         pair = GramPair(Variant("plain", 2), basis, eye, eye)
-        lam, a = solve_generalized(pair, 1e-10)
-        assert abs(lam - 1.0) < 1e-12
+        a = solve_generalized(pair)
+        assert len(a) == 2 and any(x != 0 for x in a)
+        assert all(isinstance(x, type(Q(1))) for x in a)
+        # every vector has Rayleigh quotient exactly 1, so C lands one grid
+        # step below it
+        cert = gram_lower_bound(pair)
+        assert cert.verified and cert.C == 1 - Q(1, 10**12)
 
     def test_not_positive_definite(self):
         basis = (BasisElement(0, ()), BasisElement(1, ()))
         bad = [[Q(1), Q(2)], [Q(2), Q(1)]]
         pair = GramPair(Variant("plain", 2), basis, bad, bad)
         with pytest.raises(ValueError, match="not positive definite"):
-            solve_generalized(pair, 1e-10)
+            solve_generalized(pair)
+        with pytest.raises(ValueError, match="not positive definite"):
+            gram_lower_bound(pair)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: assemble_plain(2, 0),
+            lambda: assemble_plain(3, 4),
+            lambda: assemble_eps(2, 2, Q(1, 2)),
+            lambda: hankel_pair(krylov_moments(3, 6), 6),
+        ],
+        ids=["plain-2-0", "plain-3-4", "eps-2-2-half", "hankel-3-6"],
+    )
+    def test_C_is_rounded_rayleigh_quotient(self, make):
+        pair = make()
+        cert = gram_lower_bound(pair)
+        a = list(cert.a)
+        n = pair.n
+        t1 = sum(a[i] * pair.M1[i][j] * a[j] for i in range(n) for j in range(n))
+        t2 = sum(a[i] * pair.M2[i][j] * a[j] for i in range(n) for j in range(n))
+        rho = t2 / t1
+        assert cert.verified
+        assert cert.C < rho <= cert.C + Q(1, 10**12)
+        assert (cert.C * 10**12).denominator == 1
+        assert certify(pair, a, cert.C).verified
 
     def test_certify_examples(self):
         g = assemble_plain(2, 0)
@@ -149,34 +178,6 @@ class TestSolveAndCertify:
         g = assemble_plain(2, 0)
         cert = certify(g, [Q(1)], Q(100))
         assert cert.verified is False
-
-
-class TestRationalize:
-    def test_simple(self):
-        assert rationalize([0.5], 10) == [Q(1, 2)]
-        assert rationalize([0.0], 10) == [Q(0)]
-
-    def test_best_convergent_oracle(self):
-        # oracle: exhaustive scan over all denominators up to the bound
-        # (the best approximation is the convergent 79/57; the nearby
-        # semiconvergent 97/70 is four times further away)
-        x = 1.38593
-        target = Fraction(x)
-        best = None
-        for q in range(1, 101):
-            p = round(x * q)
-            for pp in (p - 1, p, p + 1):
-                cand = Fraction(pp, q)
-                if best is None or abs(cand - target) < abs(best - target):
-                    best = cand
-        assert best == Fraction(79, 57)
-        assert rationalize([x], 100) == [Q(79, 57)]
-
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            rationalize([0.5], 0)
-        with pytest.raises(ValueError):
-            rationalize([float("nan")], 10)
 
 
 class TestKrylov:
