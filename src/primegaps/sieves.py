@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import Tuple, _bitmap_length, _classes_covered, _tuple_bitmap, is_admissible
+from .admissible import (
+    BITMAP_MAX_SPREAD,
+    Tuple,
+    _bitmap_length,
+    _classes_covered,
+    _tuple_bitmap,
+    is_admissible,
+)
 from .primes import nth_prime_bound, primes_upto
 
 __all__ = [
@@ -493,12 +500,23 @@ def apply_residue_sieve(path) -> Tuple:
     k, s, d, m = rows[0]
     if k < 1 or d < 0 or m < 0:
         raise ValueError(f"residue sieve header needs k >= 1, d >= 0, m >= 0, got {k} {s} {d} {m}")
+    # The window is a bitmap of d + 1 entries and the primes are listed up
+    # to p_max(m, n_i), so both are bounded before anything is allocated.
+    # The constructions sieve by primes p_n <= k only, and n < p_n, so every
+    # file they write has m <= k and n_i <= k.
+    if d > BITMAP_MAX_SPREAD * k:
+        limit = BITMAP_MAX_SPREAD * k
+        raise ValueError(f"residue sieve diameter {d} exceeds {BITMAP_MAX_SPREAD} * k = {limit}")
+    if m > k:
+        raise ValueError(f"residue sieve header needs m <= k = {k}, got {m}")
     entries = []
     for row in rows[1:]:
         if len(row) not in (1, 2):
             raise ValueError(f"residue sieve line must be 'n_i r_i' or 'n_i', got {len(row)} fields")
         if row[0] < 1:
             raise ValueError(f"prime index n_i must be >= 1, got {row[0]}")
+        if row[0] > k:
+            raise ValueError(f"prime index n_i must be <= k = {k}, got {row[0]}")
         entries.append((row[0], row[1] if len(row) == 2 else 0))
     ps = primes_upto(nth_prime_bound(max([m] + [n for n, _ in entries] + [2]) + 10))
     mask = _structural_mask(s, d + 1, ps[1:m])

@@ -71,7 +71,8 @@ def _distinct_perms(alpha: tuple, k: int) -> tuple:
     """All distinct length-k exponent vectors with signature alpha."""
     vec = list(alpha) + [0] * (k - len(alpha))
     out, seen = [], set()
-    # k stays small wherever this is used, so a set-filtered recursion is fine
+    # affine_multiply asks for at most len(alpha) + len(beta) variables, so k
+    # stays small and a set-filtered recursion is fine
     def rec(prefix, remaining):
         if not remaining:
             out.append(tuple(prefix))
@@ -91,7 +92,12 @@ def _distinct_perms(alpha: tuple, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _struct_constants(alpha: tuple, beta: tuple, k: int) -> tuple:
-    """P_alpha * P_beta = sum_gamma c * P_gamma; returns ((gamma, c), ...)."""
+    """P_alpha * P_beta = sum_gamma c * P_gamma; returns ((gamma, c), ...).
+
+    The constants do not depend on k once k >= len(alpha) + len(beta)
+    (Macdonald, Symmetric Functions, ch. I), so callers pass
+    min(k, len(alpha) + len(beta)).
+    """
     if _perm_count(alpha, k) == 0 or _perm_count(beta, k) == 0:
         return ()
     # enumerate the factor with fewer distinct permutations
@@ -113,6 +119,18 @@ def _struct_constants(alpha: tuple, beta: tuple, k: int) -> tuple:
     return tuple(out)
 
 
+def _beta_numerator(a: int, alpha: tuple, k: int) -> int:
+    """a! alpha_1! ... times the number of exponent vectors of alpha.
+
+    By the Beta identity, int_{R_k} (1-P_(1))^a P_alpha is this integer
+    over (a + |alpha| + k)!.
+    """
+    out = math.factorial(a) * _perm_count(alpha, k)
+    for p in alpha:
+        out *= math.factorial(p)
+    return out
+
+
 def _affine_term_integral(k: int, a: int, alpha: tuple, offset=Q(1), scale=Q(1)) -> Q:
     """Exact int over scale*R_k of (offset - P_(1))^a * P_alpha.
 
@@ -120,22 +138,19 @@ def _affine_term_integral(k: int, a: int, alpha: tuple, offset=Q(1), scale=Q(1))
     the affine factor, which is expanded binomially and integrated with the
     Beta identity.
     """
-    n = _perm_count(alpha, k)
-    if n == 0:
+    base = _beta_numerator(0, alpha, k)
+    if base == 0:
         return Q(0)
     offset, scale = Q(offset), Q(scale)
     deg = sum(alpha)
-    partfact = 1
-    for p in alpha:
-        partfact *= math.factorial(p)
     shift = offset - scale
     total = Q(0)
     for j in range(a + 1):
         if shift == 0 and j < a:
             continue
         coeff = Q(math.comb(a, j)) * shift ** (a - j) * scale**j
-        total += coeff * Q(math.factorial(j) * partfact, math.factorial(deg + k + j))
-    return total * n * scale ** (deg + k)
+        total += coeff * Q(math.factorial(j) * base, math.factorial(deg + k + j))
+    return total * scale ** (deg + k)
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +158,19 @@ def _affine_term_integral(k: int, a: int, alpha: tuple, offset=Q(1), scale=Q(1))
 # ---------------------------------------------------------------------------
 
 
-def _sorted_insert(alpha: tuple, r: int) -> tuple:
-    out = list(alpha)
-    for i, p in enumerate(out):
-        if r >= p:
-            out.insert(i, r)
-            break
-    else:
-        out.append(r)
-    return tuple(out)
+def _resymmetrize(beta: tuple, c: int, k: int) -> list:
+    """(key, multiplier) pairs of (1-s)^c P_beta re-symmetrized over a slot.
 
-
-def _mult_of(alpha: tuple, r: int) -> int:
-    return sum(1 for p in alpha if p == r)
+    (1-s)^c = sum_r C(c,r) (1-P_(1))^(c-r) t_i^r; the slot's t_i^r joins
+    beta as a part r, counted by the multiplicity of r in the new signature
+    (r = 0 needs one of the k - len(beta) free slots).
+    """
+    row = [((c,) + beta, k - len(beta))] if len(beta) < k else []
+    for r in range(1, c + 1):
+        i = next((i for i, p in enumerate(beta) if r >= p), len(beta))
+        gamma = beta[:i] + (r,) + beta[i:]
+        row.append(((c - r,) + gamma, math.comb(c, r) * gamma.count(r)))
+    return row
 
 
 def _strip_candidates(alpha: tuple, k: int):
@@ -170,6 +185,34 @@ def _strip_candidates(alpha: tuple, k: int):
         yield 0, alpha
 
 
+def _apply_L_int(terms: dict, den: int, k: int) -> tuple:
+    """One application of L to integer numerators over the denominator den.
+
+    With D the highest total degree a+|alpha| in terms, every weight
+    a!m!/(a+m+1)! of affine_apply_L has a+m+1 <= D+1, so scaling by
+    (D+1)! makes the step integer multiply-adds.  Returns the image as
+    (terms, den), reduced once by the gcd of den and every numerator.
+    """
+    fact = math.factorial
+    top = fact(max((key[0] + sum(key[1:]) for key in terms), default=0) + 1)
+    rows: dict = {}
+    out: dict = {}
+    for key, coeff in terms.items():
+        a, alpha = key[0], key[1:]
+        for m, beta in _strip_candidates(alpha, k):
+            c = a + m + 1
+            w = coeff * (top // fact(c) * fact(a) * fact(m))
+            row = rows.get((beta, c))
+            if row is None:
+                row = rows[beta, c] = _resymmetrize(beta, c, k)
+            for okey, x in row:
+                out[okey] = out.get(okey, 0) + w * x
+    out = {key: v for key, v in out.items() if v}
+    den *= top
+    g = math.gcd(den, *out.values())
+    return {key: v // g for key, v in out.items()}, den // g
+
+
 def affine_apply_L(terms: dict, k: int) -> dict:
     """One application of the slot-integration operator in affine form.
 
@@ -177,27 +220,13 @@ def affine_apply_L(terms: dict, k: int) -> dict:
     gives sum_m a!m!/(a+m+1)! (1-s)^(a+m+1) P_{alpha \\ m} in the other
     variables (s their sum); re-symmetrizing expands (1-s)^c = sum_r
     C(c,r) (1-P_(1))^(c-r) t_i^r and merges t_i^r into the signature.
+    The arithmetic is _apply_L_int's, over the common denominator of terms.
     """
-    fact = math.factorial
-    comb = math.comb
-    out: dict = {}
-    for key, coeff in terms.items():
-        a, alpha = key[0], key[1:]
-        for m, beta in _strip_candidates(alpha, k):
-            c = a + m + 1
-            w = coeff * Q(fact(a) * fact(m), fact(c))
-            free_slots = k - len(beta)
-            for r in range(c + 1):
-                if r == 0:
-                    okey = (c,) + beta
-                    oval = w * free_slots
-                else:
-                    gamma = _sorted_insert(beta, r)
-                    okey = (c - r,) + gamma
-                    oval = w * comb(c, r) * _mult_of(gamma, r)
-                acc = out.get(okey)
-                out[okey] = oval if acc is None else acc + oval
-    return {key: v for key, v in out.items() if v != 0}
+    coeffs = [Q(v) for v in terms.values()]
+    den = math.lcm(*(int(v.denominator) for v in coeffs))
+    ints = {key: int(v.numerator) * (den // int(v.denominator)) for key, v in zip(terms, coeffs)}
+    out, den = _apply_L_int(ints, den, k)
+    return {key: Q(v, den) for key, v in out.items()}
 
 
 def affine_slot_integral(terms: dict, k: int) -> dict:
@@ -231,7 +260,7 @@ def affine_multiply(t1: dict, t2: dict, k: int) -> dict:
             a2, beta = key2[0], key2[1:]
             base = a1 + a2
             c12 = c1 * c2
-            for gamma, c in _struct_constants(alpha, beta, k):
+            for gamma, c in _struct_constants(alpha, beta, min(k, len(alpha) + len(beta))):
                 okey = (base,) + gamma
                 oval = c12 * c
                 acc = out.get(okey)

@@ -17,7 +17,6 @@ holds by construction and is re-checked exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -28,7 +27,8 @@ import numpy as np
 from .rational import Q, rational_str
 from .symmpoly import (
     Signature,
-    affine_apply_L,
+    _apply_L_int,
+    _beta_numerator,
     affine_integral,
     affine_multiply,
     affine_slot_integral,
@@ -443,32 +443,40 @@ class KrylovTable:
 
 
 class _MomentStream:
-    """Grow-on-demand moment sequence for one ambient dimension."""
+    """Grow-on-demand moment sequence for one ambient dimension.
+
+    The state is the current iterate L^j 1 as integer numerators over one
+    denominator.  Every term of L^j 1 has total degree j, so by the Beta
+    identity its integral over R_k is one rational with denominator
+    den * (j+k)!.
+    """
 
     def __init__(self, k: int):
         self.k = k
-        self._state = {(0,): Q(1)}
-        self._moments = [affine_integral(self._state, k)]
-        self._lock = threading.Lock()
+        self._terms, self._den, self._degree = {(0,): 1}, 1, 0
+        self._moments = [self._moment()]
+
+    def _moment(self) -> Q:
+        k = self.k
+        total = sum(c * _beta_numerator(key[0], key[1:], k) for key, c in self._terms.items())
+        return Q(total, self._den * math.factorial(self._degree + k))
 
     def upto(self, count: int):
-        with self._lock:
-            while len(self._moments) < count:
-                self._state = affine_apply_L(self._state, self.k)
-                self._moments.append(affine_integral(self._state, self.k))
-            return list(self._moments[:count])
+        while len(self._moments) < count:
+            self._terms, self._den = _apply_L_int(self._terms, self._den, self.k)
+            self._degree += 1
+            self._moments.append(self._moment())
+        return list(self._moments[:count])
 
 
 _moment_streams: dict = {}
-_moment_streams_lock = threading.Lock()
 
 
 def _stream(k: int) -> _MomentStream:
-    with _moment_streams_lock:
-        st = _moment_streams.get(k)
-        if st is None:
-            st = _moment_streams[k] = _MomentStream(k)
-        return st
+    st = _moment_streams.get(k)
+    if st is None:
+        st = _moment_streams[k] = _MomentStream(k)
+    return st
 
 
 #: iterated images of 1 reach this total degree at most (memory guard)

@@ -228,8 +228,21 @@ class TestResidueSieveFiles:
             ("3 0 six 1\n", "non-integer field"),
             ("3 0 -6 1\n", "needs k >= 1, d >= 0, m >= 0"),
             ("3 0 6 1\n2 1 5\n", "line must be 'n_i r_i' or 'n_i', got 3 fields"),
+            ("3 0 10000000000000 1\n", "diameter 10000000000000 exceeds 64 \\* k = 192"),
+            ("3 0 6 1\n10000000000000 1\n", "prime index n_i must be <= k = 3, got 10000000000000"),
+            ("3 0 6 10000000000000\n", "needs m <= k = 3, got 10000000000000"),
         ],
-        ids=["empty", "three-field-header", "prime-index-zero", "non-integer", "negative-diameter", "three-field-line"],
+        ids=[
+            "empty",
+            "three-field-header",
+            "prime-index-zero",
+            "non-integer",
+            "negative-diameter",
+            "three-field-line",
+            "huge-diameter",
+            "huge-prime-index",
+            "huge-structural-count",
+        ],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"

@@ -7,6 +7,7 @@ import pytest
 from primegaps.rational import Q
 from primegaps.symmpoly import (
     Signature,
+    _struct_constants,
     affine_apply_L,
     affine_integral,
     affine_multiply,
@@ -167,6 +168,19 @@ class TestMultiply:
             for _ in range(3):
                 t = [Q(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(k)]
                 assert evaluate(fg, k, t) == evaluate(f, k, t) * evaluate(g, k, t)
+
+    def test_structure_constants_k_independent(self):
+        # every pair of signatures free of 1s with degree <= 6: the product
+        # computed in min(k, len(alpha) + len(beta)) variables equals the
+        # structure constants enumerated in all k variables
+        sigs = [(), (2,), (3,), (4,), (5,), (6,), (2, 2), (3, 2), (4, 2), (3, 3), (2, 2, 2)]
+        for alpha, beta in itertools.product(sigs, repeat=2):
+            ell = len(alpha) + len(beta)
+            for k in sorted({ell, ell + 1, 10} | ({ell - 1} if ell > 1 else set())):
+                full = _struct_constants.__wrapped__(alpha, beta, k)
+                assert _struct_constants(alpha, beta, min(k, ell)) == full
+                product = affine_multiply({(0,) + alpha: Q(1)}, {(0,) + beta: Q(1)}, k)
+                assert product == {(0,) + gamma: Q(c) for gamma, c in full}
 
 
 class TestIntegration:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from primegaps.bounds import m4eps_check
 from primegaps.rational import Q
+from primegaps.symmpoly import affine_integral
 from primegaps.varprob import (
     BasisElement,
     GramPair,
@@ -180,6 +182,33 @@ class TestSolveAndCertify:
         assert cert.verified is False
 
 
+def fraction_apply_L(terms, k):
+    """Reference L on Fraction coefficients: for each term (1-P_(1))^a
+    P_alpha and each exponent m on the integrated slot (a distinct part of
+    alpha, or 0 when a slot is free), add a!m!/c! (1-s)^c P_beta with
+    c = a+m+1, expanded as sum_r C(c,r) (1-P_(1))^(c-r) t^r."""
+    fact = math.factorial
+    out = {}
+    for key, coeff in terms.items():
+        a, alpha = key[0], key[1:]
+        strips = [
+            (m, alpha[:i] + alpha[i + 1 :]) for i, m in enumerate(alpha) if m not in alpha[:i]
+        ]
+        if len(alpha) < k:
+            strips.append((0, alpha))
+        for m, beta in strips:
+            c = a + m + 1
+            w = coeff * Q(fact(a) * fact(m), fact(c))
+            for r in range(c + 1):
+                if r == 0:
+                    okey, mult = (c,) + beta, k - len(beta)
+                else:
+                    gamma = tuple(sorted(beta + (r,), reverse=True))
+                    okey, mult = (c - r,) + gamma, math.comb(c, r) * gamma.count(r)
+                out[okey] = out.get(okey, Q(0)) + w * mult
+    return {key: v for key, v in out.items() if v != 0}
+
+
 class TestKrylov:
     def test_moment_values(self):
         t = krylov_moments(2, 2)
@@ -229,6 +258,17 @@ class TestKrylov:
             assert cert.C > Q(Fraction(target))
             assert float(cert.C) < k / (k - 1) * math.log(k)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_moments_match_fraction_reference(self, k):
+        # the integer moment stream against a plain Fraction loop: the
+        # slot-integration formula term by term, then affine_integral
+        f = {(0,): Q(1)}
+        expect = [affine_integral(f, k)]
+        for _ in range(23):
+            f = fraction_apply_L(f, k)
+            expect.append(affine_integral(f, k))
+        assert krylov_moments(k, 12).moments == tuple(expect)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             krylov_moments(1, 3)
@@ -275,3 +315,30 @@ class TestCertificateFiles:
         path.write_text("variant plain\nk 2\nd 0\n")
         with pytest.raises(ValueError):
             read_certificate(path)
+
+
+#: pinned SHA-256 of six certificate files: a change to the exact kernels
+#: behind them must reproduce each file byte for byte
+GOLDEN_CERTIFICATES = {
+    "krylov-2-12": "9ba0412d037bef73c99fc04ef2aaebb20bd6500fc18d402b8faf490cc315d17b",
+    "krylov-3-12": "914547ceb66a3bbbbd49d1f7223fb5e7db3be33cefb6ae95ffdbd9b223ed5772",
+    "krylov-4-12": "65c39b4cd14847123ce4ec950691e780bf5c59e47fa1e8a06b93c91835e4b700",
+    "krylov-5-12": "e11810fd85b0d3dba5a35e16ec44acd2ca75fee93b193be132a6a0aa6dedbd40",
+    "eps-50-6": "07dcc93e2b467da02f72b420585ddadebf754d5a27f2715b694f083ecedc1843",
+    "plain-5-8": "f5e487d6d360c3d26ce0d1d2de459ed4cb598b56d8bdf774fab7def8a21f2881",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_CERTIFICATES))
+def test_golden_certificate_digest(tmp_path, stem):
+    kind, k, d = stem.split("-")  # for krylov, d is the Hankel order
+    k, d = int(k), int(d)
+    if kind == "krylov":
+        cert, d, basis = krylov_lower_bound(k, d), 0, "krylov"
+    elif kind == "eps":
+        cert, basis = gram_lower_bound(assemble_eps(k, d, Q(1, 25))), "even"
+    else:
+        cert, basis = gram_lower_bound(assemble_plain(k, d)), "even"
+    path = tmp_path / f"{stem}.cert"
+    write_certificate(path, cert, d=d, basis_kind=basis)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CERTIFICATES[stem]
