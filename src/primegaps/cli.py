@@ -188,7 +188,10 @@ def _cmd_report(args) -> int:
     for path in args.files:
         with open(path) as fh:
             text = fh.read()
-        ok = pipeline.audit_report(text)
+        try:
+            ok = pipeline.audit_report(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         all_ok &= ok
         print(f"{path}: {'valid' if ok else 'INVALID'}")
     return 0 if all_ok else 1

@@ -8,10 +8,10 @@ canonical piece and extended by symmetry.
 
 Everything here is exact rational arithmetic: the two quadratic
 functionals are evaluated by iterated symbolic integration of polynomials
-with affine limits (the limit data transcribed per piece), the marginal
-conditions reduce to bivariate polynomial identities, and partition
-geometry (volumes, membership) is checked from the inequality systems via
-exact vertex enumeration.
+with affine limits (the limit data transcribed per piece), and the marginal
+conditions reduce to bivariate polynomial identities.  Each polytope is also
+rebuilt from its inequalities by exact vertex enumeration and integrated by
+an integer simplex kernel (Polytope3.integrate): volumes and a recompute of I.
 """
 
 from __future__ import annotations
@@ -160,21 +160,6 @@ class Poly3:
         """Definite integral in one variable between polynomial limits."""
         F = self.antiderivative(name)
         return F.substitute(name, upper) - F.substitute(name, lower)
-
-    def compose(self, mx: "Poly3", my: "Poly3", mz: "Poly3") -> "Poly3":
-        """Full substitution (x, y, z) -> (mx, my, mz)."""
-        cache = {}
-
-        def power(p, e):
-            key = (id(p), e)
-            if key not in cache:
-                cache[key] = Poly3.const(1) if e == 0 else power(p, e - 1) * p
-            return cache[key]
-
-        out = Poly3()
-        for (i, j, l), c in self.terms.items():
-            out = out + power(mx, i) * power(my, j) * power(mz, l) * c
-        return out
 
     def __repr__(self):  # pragma: no cover
         if not self.terms:
@@ -369,60 +354,75 @@ class Polytope3:
         return sorted(pts)
 
     def volume(self) -> Q:
-        """Exact volume via face triangulation fanned from an interior point."""
-        verts = self.vertices()
-        if len(verts) < 4:
-            return Q(0)
-        n = len(verts)
-        centroid = tuple(sum(v[i] for v in verts) / n for i in range(3))
-        total = Q(0)
-        for c0, cx, cy, cz in self.inequalities:
-            face = [v for v in verts if c0 + cx * v[0] + cy * v[1] + cz * v[2] == 0]
-            if len(face) < 3:
-                continue
-            ring = _order_face(face, (cx, cy, cz))
-            for i in range(1, len(ring) - 1):
-                d = _det3([
-                    _sub(ring[0], centroid),
-                    _sub(ring[i], centroid),
-                    _sub(ring[i + 1], centroid),
-                ])
-                total += abs(d)
-        return total / 6
+        return self.integrate(Poly3.const(1))
 
     def integrate(self, poly: Poly3) -> Q:
-        """Exact integral of a polynomial over the polytope (tetrahedra +
-        monomial simplex integrals)."""
+        """Exact integral of a polynomial over the polytope.
+
+        Vertices are scaled to integers by the lcm L of their denominators,
+        poly to integer numerators over one denominator den.  The fan from
+        the first vertex over the faces without it gives tetrahedra that are
+        integer affine images of the standard simplex, where u^a v^b w^c
+        integrates to a!b!c!/(a+b+c+3)!."""
         verts = self.vertices()
-        if len(verts) < 4:
+        if len(verts) < 4 or poly.is_zero():
             return Q(0)
-        n = len(verts)
-        centroid = tuple(sum(v[i] for v in verts) / n for i in range(3))
-        total = Q(0)
+        D = poly.degree
+        L = math.lcm(*(int(c.denominator) for v in verts for c in v))
+        den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
+        # poly(X / L) = sum of coeff[key] X^key over den * L^D
+        coeff = {
+            key: int(c.numerator) * (den // int(c.denominator)) * L ** (D - sum(key))
+            for key, c in poly.terms.items()
+        }
+        scaled = {v: tuple(int(c * L) for c in v) for v in verts}
+        apex = verts[0]
+        total = 0
         for c0, cx, cy, cz in self.inequalities:
             face = [v for v in verts if c0 + cx * v[0] + cy * v[1] + cz * v[2] == 0]
-            if len(face) < 3:
+            if len(face) < 3 or apex in face:
                 continue
-            ring = _order_face(face, (cx, cy, cz))
+            ring = [_sub(scaled[v], scaled[apex]) for v in _order_face(face, (cx, cy, cz))]
             for i in range(1, len(ring) - 1):
-                tet = (centroid, ring[0], ring[i], ring[i + 1])
-                e1, e2, e3 = (_sub(tet[j], tet[0]) for j in (1, 2, 3))
-                det = _det3([e1, e2, e3])
-                if det == 0:
-                    continue
-                # map the standard simplex onto the tetrahedron
-                maps = []
-                for axis in range(3):
-                    maps.append(Poly3.affine(tet[0][axis], e1[axis], e2[axis], e3[axis]))
-                composed = poly.compose(*maps)
-                piece = Q(0)
-                for (a, b, c), coeff in composed.terms.items():
-                    piece += coeff * Q(
-                        math.factorial(a) * math.factorial(b) * math.factorial(c),
-                        math.factorial(a + b + c + 3),
-                    )
-                total += abs(det) * piece
-        return total
+                edges = (ring[0], ring[i], ring[i + 1])
+                forms = [(scaled[apex][axis],) + tuple(e[axis] for e in edges) for axis in range(3)]
+                total += abs(_det3(edges)) * _simplex_sum(coeff, forms, D)
+        return Q(total, math.factorial(D + 3) * L ** (D + 3) * den)
+
+
+def _simplex_sum(coeff, forms, D) -> int:
+    """(D+3)! times the standard-simplex integral of sum coeff[i,j,l] X^i Y^j Z^l,
+    where X, Y, Z are the integer affine forms (c0, cu, cv, cw) in (u, v, w)."""
+    powers = []
+    for axis, (c0, cu, cv, cw) in enumerate(forms):
+        form = {(0, 0, 0): c0, (1, 0, 0): cu, (0, 1, 0): cv, (0, 0, 1): cw}
+        powers.append([{(0, 0, 0): 1}])
+        for _ in range(max(key[axis] for key in coeff)):
+            powers[-1].append(_int_mul(powers[-1][-1], form))
+    xp, yp, zp = powers
+    nested: dict = {}  # Horner grouping: sum_i X^i sum_j Y^j sum_l c_ijl Z^l
+    for (i, j, l), c in coeff.items():
+        _int_mul({(0, 0, 0): c}, zp[l], nested.setdefault(i, {}).setdefault(j, {}))
+    composed: dict = {}
+    for i, by_j in nested.items():
+        inner: dict = {}
+        for j, zsum in by_j.items():
+            _int_mul(yp[j], zsum, inner)
+        _int_mul(xp[i], inner, composed)
+    f = math.factorial
+    # a!b!c!(D+3)!/(a+b+c+3)! is an integer whenever a+b+c <= D
+    return sum(v * f(a) * f(b) * f(c) * f(D + 3) // f(a + b + c + 3)
+               for (a, b, c), v in composed.items())
+
+
+def _int_mul(p: dict, q: dict, acc=None) -> dict:
+    """acc + p * q for integer polynomials keyed by exponent triples."""
+    acc = {} if acc is None else acc
+    for (a, b, c), x in p.items():
+        for (d, e, g), y in q.items():
+            key = (a + d, b + e, c + g)
+            acc[key] = acc.get(key, 0) + x * y
+    return acc
 
 
 def _sub(p, q):

@@ -399,17 +399,42 @@ def _parse_kv(line: str) -> dict:
 
 
 def audit_report(text: str) -> bool:
-    """Re-validate every chain line of a report in exact arithmetic."""
+    """Re-validate every chain line of a report in exact arithmetic.
+
+    The layout must be that of emit_report: a `report claims=N` line, then
+    `claim index=i` and `chain index=i` for i = 0 .. N-1.  A different
+    layout, or a missing or unparsable chain field, raises ValueError.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].split()[:1] != ["report"]:
+        raise ValueError("report does not start with a 'report claims=N' line")
+    n = _field(_parse_kv(lines[0]), "claims", int, "report header")
+    if n < 0 or len(lines) != 1 + 2 * n:
+        raise ValueError(
+            f"report claims={n} needs {2 * n} claim and chain lines, found {len(lines) - 1}"
+        )
     ok = True
-    for line in text.splitlines():
-        if not line.startswith("chain "):
-            continue
-        kv = _parse_kv(line)
-        bound = parse_rational(kv["bound"])
-        threshold = parse_rational(kv["threshold"])
-        margin = parse_rational(kv["margin"])
+    for i in range(n):
+        for row, kind in ((2 + 2 * i, "claim"), (3 + 2 * i, "chain")):
+            line = lines[row - 1]
+            index = _field(_parse_kv(line), "index", int, f"line {row}")
+            if line.split()[:1] != [kind] or index != i:
+                raise ValueError(f"line {row}: expected a '{kind} index={i}' line")
+        kv, where = _parse_kv(lines[2 + 2 * i]), f"line {3 + 2 * i}"
+        bound, threshold, margin = (
+            _field(kv, key, parse_rational, where) for key in ("bound", "threshold", "margin")
+        )
+        k, m = (_field(kv, key, int, where) for key in ("k", "m"))
         ok &= bound > threshold
         ok &= bound - threshold == margin
-        k, m = int(kv["k"]), int(kv["m"])
         ok &= k >= m + 1 >= 2
     return ok
+
+
+def _field(kv: dict, key: str, parse, where: str):
+    if key not in kv:
+        raise ValueError(f"{where}: missing field {key}=")
+    try:
+        return parse(kv[key])
+    except (ValueError, ArithmeticError):
+        raise ValueError(f"{where}: field {key}={kv[key]!r} is not parsable") from None

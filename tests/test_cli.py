@@ -1,5 +1,7 @@
 from importlib import resources
 
+import pytest
+
 from primegaps.cli import main
 
 
@@ -170,3 +172,67 @@ class TestChainCommands:
         report.write_text(text)
         code, out = run(capsys, "report", str(report))
         assert code == 1 and "INVALID" in out
+
+
+GOLDEN_REPORT = (
+    "report claims=1\n"
+    "claim index=0 kind=hm m=1 bound=246 k=50 tuple_sha256="
+    "3a3d57f7167ac31bda0330ecc6f02ca71698ef0eb182ab7ba54b9b66ce8ca367\n"
+    "chain index=0 rule=eps k=50 m=1 hypothesis=BV bound=40043/10000 "
+    "threshold=4 margin=43/10000 bound_source=external:published-value "
+    "eps=1/25\n"
+)
+CHAIN_FIELDS = {"bound": "40043/10000", "threshold": "4", "margin": "43/10000", "k": "50", "m": "1"}
+
+
+def edit_chain_line(old, new):
+    head, chain = GOLDEN_REPORT.rsplit("chain ", 1)
+    assert old in chain
+    return head + "chain " + chain.replace(old, new)
+
+
+def audit_file(capsys, tmp_path, text):
+    path = tmp_path / "r.txt"
+    path.write_text(text)
+    code = main(["report", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestReportAudit:
+    @pytest.mark.parametrize("text", [GOLDEN_REPORT, "report claims=0\n"])
+    def test_emitted_reports_valid(self, capsys, tmp_path, text):
+        code, out, _ = audit_file(capsys, tmp_path, text)
+        assert code == 0 and out.endswith(": valid\n")
+
+    @pytest.mark.parametrize("key", sorted(CHAIN_FIELDS))
+    def test_missing_chain_field(self, capsys, tmp_path, key):
+        text = edit_chain_line(f" {key}={CHAIN_FIELDS[key]} ", " ")
+        code, out, err = audit_file(capsys, tmp_path, text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and f"missing field {key}=" in err
+
+    @pytest.mark.parametrize("key", sorted(CHAIN_FIELDS))
+    def test_unparsable_chain_field(self, capsys, tmp_path, key):
+        text = edit_chain_line(f" {key}={CHAIN_FIELDS[key]} ", f" {key}=1/x ")
+        code, out, err = audit_file(capsys, tmp_path, text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"field {key}='1/x' is not parsable" in err
+
+    @pytest.mark.parametrize("text", [
+        "",
+        # a chain line alone, with no header
+        "chain index=0 rule=eps k=50 m=1 hypothesis=BV bound=5/2 threshold=0 margin=5/2\n",
+        # the header counts two claims over one
+        GOLDEN_REPORT.replace("claims=1", "claims=2"),
+        GOLDEN_REPORT.replace("claims=1", "claims=one"),
+        GOLDEN_REPORT.replace("chain index=0", "chain index=1"),
+        # claim and chain lines swapped
+        "".join(GOLDEN_REPORT.splitlines(keepends=True)[i] for i in (0, 2, 1)),
+        GOLDEN_REPORT + "chain index=1 rule=eps k=50 m=1 bound=5/2 threshold=0 margin=5/2\n",
+    ], ids=["empty", "no-header", "count-mismatch", "bad-count", "bad-index", "swapped",
+            "extra-line"])
+    def test_malformed_layout(self, capsys, tmp_path, text):
+        code, out, err = audit_file(capsys, tmp_path, text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")

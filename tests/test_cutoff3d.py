@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from primegaps.cutoff3d import (
     CANONICAL_NAMES,
     PiecewiseCutoff,
     Poly3,
+    Polytope3,
+    _aff,
+    _iterated_integral,
     build_partition,
     builtin_cutoff,
     canonical_polytope,
@@ -47,8 +52,9 @@ class TestPartition:
         assert len({p.name for p in parts}) == 60
 
     def test_volume_identity(self):
-        total = sum((p.volume() for p in build_partition(Q(1, 4))), Q(0))
-        assert total == Q(9, 16)
+        for eps in (Q(1, 4), Q(1, 3)):
+            total = sum((p.volume() for p in build_partition(eps)), Q(0))
+            assert total == Q(9, 16), eps
 
     def test_nonempty_interiors(self):
         for name in CANONICAL_NAMES:
@@ -80,6 +86,46 @@ class TestPartition:
         build_partition(Q(1, 3))
         with pytest.raises(ValueError):
             build_partition(Q(1, 5))
+
+
+class TestSimplexKernel:
+    def test_standard_simplex_monomials(self):
+        rows = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, -1, -1))
+        simplex = Polytope3("simplex", tuple(tuple(Q(c) for c in row) for row in rows))
+        f = math.factorial
+        for a in range(7):
+            for b in range(7 - a):
+                for c in range(7 - a - b):
+                    value = simplex.integrate(Poly3({(a, b, c): 1}))
+                    assert value == Q(f(a) * f(b) * f(c), f(a + b + c + 3)), (a, b, c)
+
+    def test_rational_tetrahedron_against_chain(self):
+        # {x > -1/3, y > 2/7, z > 1/7, x + 2y + 3z < 32/21}
+        rows = ((Q(1, 3), 1, 0, 0), (Q(-2, 7), 0, 1, 0), (Q(-1, 7), 0, 0, 1),
+                (Q(32, 21), -1, -2, -3))
+        tet = Polytope3("tet", tuple(tuple(Q(c) for c in row) for row in rows))
+        assert tet.vertices() == [
+            (Q(-1, 3), Q(2, 7), Q(1, 7)), (Q(-1, 3), Q(2, 7), Q(3, 7)),
+            (Q(-1, 3), Q(5, 7), Q(1, 7)), (Q(11, 21), Q(2, 7), Q(1, 7)),
+        ]
+        poly = Poly3({(4, 0, 0): 3, (1, 2, 1): -5, (0, 1, 3): Q(2, 7), (2, 1, 0): 1,
+                      (0, 0, 1): Q(-1, 3), (0, 0, 0): 2})
+        chain = [
+            ("x", _aff(Q(-1, 3)), _aff(Q(11, 21))),
+            ("y", _aff(Q(2, 7)), _aff(Q(23, 42), Q(-1, 2))),
+            ("z", _aff(Q(1, 7)), _aff(Q(32, 63), Q(-1, 3), Q(-2, 3))),
+        ]
+        assert tet.integrate(poly) == _iterated_integral(poly, chain)
+        assert tet.volume() == _iterated_integral(Poly3.const(1), chain)
+
+    def test_partition_square_integral_is_I(self):
+        f = builtin_cutoff()
+        total = Q(0)
+        for part in build_partition(f.eps):
+            name, word = part.name.split("_")
+            g = piece_polynomial(f, name, word)
+            total += part.integrate(g * g)
+        assert total == I_EXACT
 
 
 class TestExactValues:

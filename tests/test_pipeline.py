@@ -272,6 +272,16 @@ class TestReports:
         assert not audit_report(text.replace("bound=40043/10000", "bound=4"))
         assert not audit_report(text.replace("margin=43/10000", "margin=44/10000"))
 
+    def test_malformed_report_raises(self):
+        text = emit_report([self.chain()])
+        chain = text.splitlines()[2]
+        with pytest.raises(ValueError, match="missing field bound="):
+            audit_report(text.replace(" bound=40043/10000", ""))
+        with pytest.raises(ValueError, match="report claims=N"):
+            audit_report(chain + "\n")
+        with pytest.raises(ValueError, match="report claims=2 needs 4"):
+            audit_report(text.replace("claims=1", "claims=2"))
+
     def test_golden_report(self):
         golden = (
             "report claims=1\n"
