@@ -11,6 +11,7 @@ from primegaps.admissible import decode_gaps, encode_gaps, is_admissible
 from primegaps.sieves import (
     SieveConfig,
     apply_residue_sieve,
+    shifted_greedy_run,
     sieve_eratosthenes,
     sieve_hensley_richards,
     sieve_k_primes_past_k,
@@ -18,7 +19,6 @@ from primegaps.sieves import (
     sieve_shifted_schinzel,
     write_residue_sieve,
 )
-from primegaps.sieves import _shifted_greedy_run
 
 K = 311
 
@@ -43,7 +43,7 @@ blob = gaps.to_bytes()
 print(f"gap encoding: {len(blob)} bytes for {best.k} offsets "
       f"(first gap values {gaps.gaps[:10]})")
 
-run = _shifted_greedy_run(K, SieveConfig(method="shifted-greedy", shift=0))
+run = shifted_greedy_run(K, SieveConfig(method="shifted-greedy", shift=0))
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "sieve.txt"
     write_residue_sieve(path, run)

@@ -4,13 +4,17 @@ A k-tuple of increasing integers is admissible when, for every prime p,
 its elements avoid at least one residue class mod p.  Only primes p <= k
 matter: k residues can never cover all p > k classes.
 
-``is_admissible`` marks the tuple in a boolean bitmap over its diameter and
-asks, per prime p <= k, first whether the absolute class 0 mod p is empty
-(a strided slice of the bitmap), and only if it is not, whether the
-columns of the bitmap folded into rows of p are all occupied.  The
-decremental sieves keep such a bitmap of their moving window and ask the
-same column test.  ``covers_all_classes`` and ``is_admissible_naive``
-enumerate residues directly and serve as the reference.
+``_window_admissible`` marks sorted offsets in a boolean bitmap over their
+diameter and asks, per given prime p, first whether the absolute class 0
+mod p is empty (a strided slice of the bitmap), and only if it is not,
+whether the columns of the bitmap folded into rows of p are all occupied.
+``is_admissible`` runs it over every prime p <= k.  The shifted sieves run
+it inside their loops over the primes they have not sieved yet (a sieved
+prime leaves a class empty by construction) and gate each emitted tuple
+with the full ``is_admissible``.  The decremental sieves keep such a
+bitmap of their moving window and ask the same column test.
+``covers_all_classes`` and ``is_admissible_naive`` enumerate residues
+directly and serve as the reference.
 """
 
 from __future__ import annotations
@@ -210,35 +214,42 @@ def _classes_covered(bits: np.ndarray, start: int, n: int, p: int) -> bool:
     return bool(table.any(axis=0).reshape(-1, p).any(axis=0).all())
 
 
-def is_admissible(t) -> bool:
-    """Exact admissibility test on the tuple's bitmap.
+def _window_admissible(offs: np.ndarray, primes) -> bool:
+    """Bitmap test of the sorted int64 offsets against the given primes only.
 
-    For each prime p <= k the absolute class 0 mod p is probed first: the
-    slice bitmap[(-h_1) % p :: p], O(diameter / p).  Every construction in
-    ``sieves`` empties class 0 for the primes it sieves, so the probe
-    settles most primes.  When class 0 is occupied, the column test
-    ``_classes_covered`` ORs the columns of the bitmap folded into rows of
-    p; the tuple is inadmissible at the first prime whose classes are all
-    covered.  A tuple whose diameter exceeds BITMAP_MAX_SPREAD * k is
-    enumerated residue by residue instead (``covers_all_classes``), in
-    O(k) memory.
+    For each prime p the absolute class 0 mod p is probed first: the slice
+    bitmap[(-h_1) % p :: p], O(diameter / p).  When class 0 is occupied,
+    the column test ``_classes_covered`` ORs the columns of the bitmap
+    folded into rows of p; the offsets fail at the first prime whose
+    classes are all covered.  The caller bounds the diameter.
     """
-    offs = _as_array(t)
-    k = len(offs)
-    ps = primes_upto(k)
-    if len(ps) == 0:
+    if len(primes) == 0:
         return True
-    lo = int(offs.min())
-    diameter = int(offs.max()) - lo
-    if diameter > BITMAP_MAX_SPREAD * k:
-        return not any(covers_all_classes(offs, int(p)) for p in ps)
-    n = diameter + 1
-    bits = _tuple_bitmap(offs, lo, _bitmap_length(n, int(ps[-1])))
-    for p in ps:
+    lo = int(offs[0])
+    n = int(offs[-1]) - lo + 1
+    bits = _tuple_bitmap(offs, lo, _bitmap_length(n, int(primes[-1])))
+    for p in primes:
         p = int(p)
         if bits[(-lo) % p : n : p].any() and _classes_covered(bits, 0, n, p):
             return False
     return True
+
+
+def is_admissible(t) -> bool:
+    """Exact admissibility test: ``_window_admissible`` over every prime
+    p <= k.
+
+    Every construction in ``sieves`` empties class 0 for the primes it
+    sieves, so the class-0 probe settles most primes.  A tuple whose
+    diameter exceeds BITMAP_MAX_SPREAD * k is enumerated residue by residue
+    instead (``covers_all_classes``), in O(k) memory.
+    """
+    offs = np.sort(_as_array(t))
+    k = len(offs)
+    ps = primes_upto(k)
+    if int(offs[-1]) - int(offs[0]) > BITMAP_MAX_SPREAD * k:
+        return not any(covers_all_classes(offs, int(p)) for p in ps)
+    return _window_admissible(offs, ps)
 
 
 def h_exact_small(k: int, dmax: int) -> int:

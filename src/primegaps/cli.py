@@ -25,20 +25,36 @@ from . import admissible, bounds, cutoff3d, pipeline, sieves, varprob
 from .rational import parse_rational, rational_str
 
 
+# the constructions that return a SieveRun, for `tuple find --sieve-out`
+_SIEVE_RUNS = {
+    "shifted-schinzel": sieves.shifted_schinzel_run,
+    "shifted-greedy": sieves.shifted_greedy_run,
+}
+
+
 def _cmd_tuple(args) -> int:
     if args.tuple_cmd == "find":
+        if args.sieve_out and args.method not in _SIEVE_RUNS:
+            raise ValueError(f"--sieve-out needs a shifted method, not {args.method}")
         cfg = sieves.SieveConfig(
             method=args.method,
             shift="search" if args.shift == "search" else int(args.shift),
             batch_size=args.batch_size,
         )
-        t = sieves.find_tuple(args.k, cfg)
+        if args.sieve_out:
+            run = _SIEVE_RUNS[args.method](args.k, cfg)
+            t = run.tuple
+        else:
+            t = sieves.find_tuple(args.k, cfg)
         print(f"method={args.method} k={t.k} diameter={t.diameter}")
         if args.out:
             admissible.write_tuple_file(args.out, t, header=f"method={args.method}")
             print(f"wrote {args.out}")
         else:
             print(" ".join(str(h) for h in t.offsets))
+        if args.sieve_out:
+            sieves.write_residue_sieve(args.sieve_out, run)
+            print(f"wrote {args.sieve_out}")
         return 0
     if args.tuple_cmd == "verify":
         t = admissible.read_tuple_file(args.file)
@@ -209,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     tf.add_argument("--shift", default="search")
     tf.add_argument("--batch-size", type=int, default=1)
     tf.add_argument("--out")
+    tf.add_argument("--sieve-out", help="residue-sieve file (shifted methods only)")
     tv = tsub.add_parser("verify")
     tv.add_argument("file")
     th = tsub.add_parser("hsmall")

@@ -325,10 +325,16 @@ def _permute_inequality(ineq, word):
 
 @dataclass(frozen=True)
 class Polytope3:
-    """Open polytope given by strict affine inequalities c0+cx*x+cy*y+cz*z > 0."""
+    """Open polytope given by strict affine inequalities c0+cx*x+cy*y+cz*z > 0.
+
+    The coefficients are coerced to Q, so int rows give exact vertices."""
 
     name: str
     inequalities: tuple
+
+    def __post_init__(self):
+        rows = tuple(tuple(Q(c) for c in row) for row in self.inequalities)
+        object.__setattr__(self, "inequalities", rows)
 
     def contains(self, point, strict: bool = True) -> bool:
         x, y, z = (Q(v) for v in point)

@@ -403,7 +403,8 @@ def audit_report(text: str) -> bool:
 
     The layout must be that of emit_report: a `report claims=N` line, then
     `claim index=i` and `chain index=i` for i = 0 .. N-1.  A different
-    layout, or a missing or unparsable chain field, raises ValueError.
+    layout, or a missing or unparsable chain field or claim m or k, raises
+    ValueError.  A claim whose m or k differs from its chain's is invalid.
     """
     lines = text.splitlines()
     if not lines or lines[0].split()[:1] != ["report"]:
@@ -425,6 +426,8 @@ def audit_report(text: str) -> bool:
             _field(kv, key, parse_rational, where) for key in ("bound", "threshold", "margin")
         )
         k, m = (_field(kv, key, int, where) for key in ("k", "m"))
+        claim, where = _parse_kv(lines[1 + 2 * i]), f"line {2 + 2 * i}"
+        ok &= (_field(claim, "k", int, where), _field(claim, "m", int, where)) == (k, m)
         ok &= bound > threshold
         ok &= bound - threshold == margin
         ok &= k >= m + 1 >= 2

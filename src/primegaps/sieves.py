@@ -8,8 +8,13 @@ Five constructions, ordered by typical output quality:
   * shifted interval keeping even survivors, with shift search,
   * shifted greedy: minimally occupied residue classes for large primes.
 
-All sieving uses numpy boolean masks over the interval; admissibility of
-every returned tuple is re-verified with the fast tester.
+All sieving uses numpy arrays over the interval.  Inside the Schinzel and
+greedy loops a candidate window is tested only against the primes p <= k
+not sieved yet: 2 and every sieved prime leave a class empty by
+construction, so the test (``admissible._window_admissible``) gives the
+same answer as ``is_admissible``.  Each emitted tuple then passes the full
+``is_admissible`` once, as do the Eratosthenes and Hensley-Richards
+windows.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .admissible import (
     _bitmap_length,
     _classes_covered,
     _tuple_bitmap,
+    _window_admissible,
     is_admissible,
 )
 from .primes import nth_prime_bound, primes_upto
@@ -37,6 +43,8 @@ __all__ = [
     "sieve_hensley_richards",
     "sieve_shifted_schinzel",
     "sieve_shifted_greedy",
+    "shifted_schinzel_run",
+    "shifted_greedy_run",
     "write_residue_sieve",
     "apply_residue_sieve",
 ]
@@ -218,6 +226,21 @@ def _structural_mask(s: int, length: int, odd_primes) -> np.ndarray:
     return mask
 
 
+def _least_sieving_index(s: int, length: int, ps, pi_k: int) -> np.ndarray:
+    """Per value v of [s, s+length): 0 for odd v, else the least i in
+    1..pi_k-1 with ps[i] | v, or pi_k if there is none.  The survivors of
+    sieving 2 and ps[1:m] are the entries >= m, for every m in 1..pi_k."""
+    lsi = np.full(length, pi_k, dtype=np.int32)
+    for i in range(pi_k - 1, 0, -1):  # descending, so the least index lands last
+        p = int(ps[i])
+        r = (-s) % p
+        if (s + r) % 2:
+            r += p
+        lsi[r :: 2 * p] = i  # the even multiples of p
+    lsi[(1 - s) % 2 :: 2] = 0
+    return lsi
+
+
 def _best_window(surv: np.ndarray, k: int):
     """k consecutive survivors minimizing the diameter; None if too few."""
     if len(surv) < k:
@@ -227,41 +250,34 @@ def _best_window(surv: np.ndarray, k: int):
     return surv[i : i + k], int(diffs[i])
 
 
-def _grow_interval(k: int, s: int, odd_primes, growth: float) -> int:
-    """Smallest interval length (geometric growth) with >= k survivors when
-    sieving every listed odd prime."""
-    x = int(k * (math.log(max(k, 3)) + 1.2)) + 16
-    while True:
-        mask = _structural_mask(s, x + 1, odd_primes)
-        if int(mask.sum()) >= k:
-            return x
-        x = int(x * growth) + 2
-
-
 def _schinzel_run(k: int, s: int, ps, pi_k: int, growth: float, x_hint: int) -> SieveRun:
     """Best admissible window of [s, s+x] at the minimal start-prime index.
 
     x is grown geometrically from the hint until the fully sieved interval
     holds at least k survivors (so every sieve level does); the start-prime
-    index is then minimized by bisection on window admissibility.
+    index is then minimized by bisection on window admissibility.  One
+    ``_least_sieving_index`` array gives the survivors of every level m,
+    and the window at level m is tested against ps[m:pi_k] only, since 2
+    and ps[1:m] are sieved.
     """
     x = max(x_hint, 64)
+    span = -1
     while True:
-        mask = _structural_mask(s, x + 1, ps[1:pi_k])
-        if int(mask.sum()) >= k:
+        if x > span:  # an entry depends on its value only, so prefixes serve every x
+            span = 2 * x
+            lsi = _least_sieving_index(s, span + 1, ps, pi_k)
+        if int(np.count_nonzero(lsi[: x + 1] >= pi_k)) >= k:
             break
         x = int(x * growth) + 64
+    lsi = lsi[: x + 1]
 
     def admissible_window(m):
         """Best window when sieving the primes below p_m, if admissible."""
-        mask = _structural_mask(s, x + 1, ps[1:m])
-        win = _best_window(np.flatnonzero(mask).astype(np.int64) + s, k)
-        return win[0] if win is not None and is_admissible(win[0]) else None
+        win = _best_window(np.flatnonzero(lsi >= m).astype(np.int64) + s, k)
+        return win[0] if win is not None and _window_admissible(win[0], ps[m:pi_k]) else None
 
     lo, hi = 1, pi_k
-    best = admissible_window(hi)
-    if best is None:  # pragma: no cover - fully sieved windows are admissible
-        raise ArithmeticError("fully sieved window failed admissibility")
+    best = admissible_window(hi)  # no prime left to test at the top level
     while lo < hi:
         mid = (lo + hi) // 2
         win = admissible_window(mid)
@@ -301,19 +317,28 @@ def _shift_candidates(k: int, cfg: SieveConfig, ps, pi_k: int, m_ref: int, x_hin
     return chosen, stride
 
 
+def _gate(run: SieveRun) -> SieveRun:
+    """The one full admissibility test of an emitted tuple."""
+    if not is_admissible(run.tuple):  # pragma: no cover - the loops test every kept window
+        raise ArithmeticError(f"constructed {run.k}-tuple failed admissibility")
+    return run
+
+
 def sieve_shifted_schinzel(k: int, cfg: SieveConfig | None = None) -> Tuple:
     """Shifted even-survivor sieve; see SieveConfig for the search policy."""
-    return _shifted_schinzel_run(k, cfg).tuple
+    return shifted_schinzel_run(k, cfg).tuple
 
 
-def _shifted_schinzel_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
+def shifted_schinzel_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
+    """The shifted Schinzel tuple with its shift s and start-prime index m,
+    ready for ``write_residue_sieve``."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cfg = cfg or SieveConfig(method="shifted-schinzel")
     ps, pi_k = _primes_with_index(k)
     x_hint = int(k * (math.log(max(k, 3)) + 1.0)) + 64
     if cfg.shift != "search":
-        return _schinzel_run(k, int(cfg.shift), ps, pi_k, cfg.growth, x_hint)
+        return _gate(_schinzel_run(k, int(cfg.shift), ps, pi_k, cfg.growth, x_hint))
     seed = _schinzel_run(k, k, ps, pi_k, cfg.growth, x_hint)
     scored, stride = _shift_candidates(k, cfg, ps, pi_k, seed.m, x_hint)
     best = seed
@@ -326,70 +351,34 @@ def _shifted_schinzel_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
         run = _schinzel_run(k, s, ps, pi_k, cfg.growth, x_hint)
         if run.diameter < best.diameter:
             best = run
-    return best
+    return _gate(best)
 
 
-class _GreedyPass:
-    """One greedy sieve over a fixed interval.
+def _greedy_sieve(k: int, surv: np.ndarray, primes, batch_size: int):
+    """Greedy sieve of the survivors by one class per prime, batch by batch.
 
-    Classes are minimally occupied residues (ties to the smallest value),
-    selected against the survivor set frozen at batch start, so the result
-    is deterministic for a given batch size.
-    Sieving stops at the first batch whose best window is admissible; a
-    snapshot taken at the previous checkpoint lets the stop point be
-    refined without re-running the whole pass.
+    Each prime's class is its least occupied residue (ties to the smallest
+    value), chosen against the survivors at batch start; a batch's classes
+    are removed at once, so the result is deterministic for a given batch
+    size.  Sieving stops after the first batch whose best window is
+    admissible.  That window is tested against the primes not sieved yet
+    only, since each sieved prime leaves its picked class empty.  Returns
+    the window (None if fewer than k survive) and the (prime, class) picks.
     """
-
-    def __init__(self, k, surv, primes, cfg: SieveConfig):
-        self.k = k
-        self.cfg = cfg
-        self.surv = surv
-        self.primes = [int(p) for p in primes]
-        self.picks = []
-
-    def _sieve_batch(self, batch):
-        """Pick each prime's least occupied class against the survivors at
-        batch start, then remove every picked class at once."""
-        surv = self.surv
+    primes = [int(p) for p in primes]
+    picks = []
+    for i in range(0, len(primes), batch_size):
         keep = np.ones(len(surv), dtype=bool)
-        for p in batch:
+        for p in primes[i : i + batch_size]:
             residues = surv % p
             cls = int(np.argmin(np.bincount(residues, minlength=p)))
             keep &= residues != cls
-            self.picks.append((p, cls))
-        self.surv = surv[keep]
-
-    def _window_admissible(self):
-        win = _best_window(self.surv, self.k)
-        return win is not None and is_admissible(win[0])
-
-    def run(self):
-        """Returns the survivor array after the (refined) minimal prefix of
-        batches whose best window is admissible."""
-        nb = self.cfg.batch_size
-        batches = [self.primes[i : i + nb] for i in range(0, len(self.primes), nb)]
-        state = (self.surv, 0, list(self.picks))
-        cadence = max(1, len(batches) // 12)
-        stop = None
-        i = 0
-        while i < len(batches):
-            upto = min(i + cadence, len(batches))
-            for j in range(i, upto):
-                self._sieve_batch(batches[j])
-            if self._window_admissible():
-                stop = (i, upto)
-                break
-            state = (self.surv, upto, list(self.picks))
-            i = upto
-        if stop is not None and stop[1] - stop[0] > 1:
-            # replay from the last clean checkpoint one batch at a time
-            self.surv, i, self.picks = state
-            while i < stop[1]:
-                self._sieve_batch(batches[i])
-                i += 1
-                if self._window_admissible():
-                    break
-        return self.surv
+            picks.append((p, cls))
+        surv = surv[keep]
+        win = _best_window(surv, k)
+        if win is None or _window_admissible(win[0], primes[i + batch_size :]):
+            return win, picks
+    return _best_window(surv, k), picks
 
 
 def _greedy_pass(k: int, s: int, x: int, cfg: SieveConfig, ps, pi_k):
@@ -397,12 +386,8 @@ def _greedy_pass(k: int, s: int, x: int, cfg: SieveConfig, ps, pi_k):
     n_struct = int(np.searchsorted(ps, threshold, side="right"))
     mask = _structural_mask(s, x + 1, ps[1:n_struct])
     surv = np.flatnonzero(mask).astype(np.int64) + s
-    gp = _GreedyPass(k, surv, ps[max(n_struct, 1) : pi_k], cfg)
-    surv = gp.run()
-    win = _best_window(surv, k)
-    if win is None:
-        return None, None, n_struct
-    return win, gp.picks, n_struct
+    win, picks = _greedy_sieve(k, surv, ps[max(n_struct, 1) : pi_k], cfg.batch_size)
+    return win, picks, n_struct
 
 
 def _greedy_run(k: int, s: int, cfg: SieveConfig, ps, pi_k, x_start: int) -> SieveRun:
@@ -417,8 +402,6 @@ def _greedy_run(k: int, s: int, cfg: SieveConfig, ps, pi_k, x_start: int) -> Sie
             x = int(x * cfg.growth) + 64
             win, picks, n_struct = _greedy_pass(k, s, x, cfg, ps, pi_k)
         t = Tuple(tuple(int(v) for v in win[0]))
-        if not is_admissible(t):  # pragma: no cover - checked inside the pass
-            raise ArithmeticError("greedy window failed admissibility")
         entries = tuple((int(np.searchsorted(ps, p)) + 1, cls) for p, cls in picks)
         run = SieveRun(t, k=k, s=s, m=n_struct, classes=entries)
         if best is not None and run.diameter >= best.diameter:
@@ -433,10 +416,12 @@ def _greedy_run(k: int, s: int, cfg: SieveConfig, ps, pi_k, x_start: int) -> Sie
 
 def sieve_shifted_greedy(k: int, cfg: SieveConfig | None = None) -> Tuple:
     """Greedy minimally-occupied-class sieve; see SieveConfig."""
-    return _shifted_greedy_run(k, cfg).tuple
+    return shifted_greedy_run(k, cfg).tuple
 
 
-def _shifted_greedy_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
+def shifted_greedy_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
+    """The shifted greedy tuple with its shift s, structural index m and
+    picked classes, ready for ``write_residue_sieve``."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cfg = cfg or SieveConfig(method="shifted-greedy")
@@ -444,7 +429,7 @@ def _shifted_greedy_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
     logk = math.log(max(k, 3))
     x_hint = int(k * (logk + 1.0)) + 64
     if cfg.shift != "search":
-        return _greedy_run(k, int(cfg.shift), cfg, ps, pi_k, x_hint)
+        return _gate(_greedy_run(k, int(cfg.shift), cfg, ps, pi_k, x_hint))
     seed = _schinzel_run(k, k, ps, pi_k, cfg.growth, x_hint)
     scored, stride = _shift_candidates(k, cfg, ps, pi_k, seed.m, x_hint)
     seeds = [s for _, s in scored] + [0, k, int((k - k / logk) / 2)]
@@ -458,7 +443,7 @@ def _shifted_greedy_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
         run = _greedy_run(k, s, cfg, ps, pi_k, x_hint)
         if run.diameter < best.diameter:
             best = run
-    return best
+    return _gate(best)
 
 
 # ---------------------------------------------------------------------------

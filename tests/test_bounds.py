@@ -122,6 +122,12 @@ class TestBesselLower:
             j = float(mp.sqrt(4 * k * (k - 1) / bessel_lower(k)))
             assert abs(j - jn_zeros(k - 2, 1)[0]) < 1e-9
 
+    def test_matches_besseljzero_at_full_precision(self):
+        with mp.workdps(40):
+            for k in (2, 7, 30):
+                j = mp.besseljzero(k - 2, 1)
+                assert abs(bessel_lower(k) - 4 * k * (k - 1) / (j * j)) < mp.mpf(10) ** -35
+
 
 class TestAsymptoticLower:
     def test_params_validation(self):

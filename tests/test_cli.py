@@ -2,7 +2,9 @@ from importlib import resources
 
 import pytest
 
+from primegaps.admissible import read_tuple_file
 from primegaps.cli import main
+from primegaps.sieves import apply_residue_sieve
 
 
 def data_path(name):
@@ -28,6 +30,23 @@ class TestTupleCommands:
         code, out = run(capsys, "tuple", "find", "--k", "7", "--method", "shifted-greedy",
                         "--shift", "0")
         assert code == 0 and "k=7" in out
+
+    @pytest.mark.parametrize("method", ["shifted-schinzel", "shifted-greedy"])
+    def test_find_sieve_out_roundtrip(self, capsys, tmp_path, method):
+        out_file, sieve_file = tmp_path / "t.txt", tmp_path / "sieve.txt"
+        code, out = run(capsys, "tuple", "find", "--k", "101", "--method", method,
+                        "--out", str(out_file), "--sieve-out", str(sieve_file))
+        assert code == 0 and f"wrote {sieve_file}" in out
+        assert apply_residue_sieve(sieve_file) == read_tuple_file(out_file)
+
+    @pytest.mark.parametrize("method", ["eratosthenes", "k-primes-past-k", "hensley-richards"])
+    def test_find_sieve_out_needs_shifted_method(self, capsys, tmp_path, method):
+        sieve_file = tmp_path / "sieve.txt"
+        code = main(["tuple", "find", "--k", "11", "--method", method,
+                     "--sieve-out", str(sieve_file)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and not sieve_file.exists()
+        assert err.count("\n") == 1 and err.startswith("error:") and method in err
 
     def test_verify_rejects_inadmissible(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -204,6 +223,14 @@ class TestReportAudit:
     def test_emitted_reports_valid(self, capsys, tmp_path, text):
         code, out, _ = audit_file(capsys, tmp_path, text)
         assert code == 0 and out.endswith(": valid\n")
+
+    @pytest.mark.parametrize("old, new", [(" m=1 ", " m=2 "), (" k=50 ", " k=51 ")],
+                             ids=["m", "k"])
+    def test_claim_differs_from_chain(self, capsys, tmp_path, old, new):
+        claim = GOLDEN_REPORT.splitlines()[1]
+        text = GOLDEN_REPORT.replace(claim, claim.replace(old, new))
+        code, out, _ = audit_file(capsys, tmp_path, text)
+        assert code == 1 and out.endswith(": INVALID\n")
 
     @pytest.mark.parametrize("key", sorted(CHAIN_FIELDS))
     def test_missing_chain_field(self, capsys, tmp_path, key):

@@ -99,6 +99,14 @@ class TestSimplexKernel:
                     value = simplex.integrate(Poly3({(a, b, c): 1}))
                     assert value == Q(f(a) * f(b) * f(c), f(a + b + c + 3)), (a, b, c)
 
+    def test_int_coefficients_are_exact(self):
+        rows = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, -1, -1))
+        simplex = Polytope3("simplex", rows)
+        vertices = simplex.vertices()
+        assert vertices == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert all(type(c) is type(Q(0)) for v in vertices for c in v)
+        assert simplex.volume() == Q(1, 6)
+
     def test_rational_tetrahedron_against_chain(self):
         # {x > -1/3, y > 2/7, z > 1/7, x + 2y + 3z < 32/21}
         rows = ((Q(1, 3), 1, 0, 0), (Q(-2, 7), 0, 1, 0), (Q(-1, 7), 0, 0, 1),

@@ -272,6 +272,14 @@ class TestReports:
         assert not audit_report(text.replace("bound=40043/10000", "bound=4"))
         assert not audit_report(text.replace("margin=43/10000", "margin=44/10000"))
 
+    def test_claim_must_match_its_chain(self):
+        text = emit_report([self.chain()])
+        claim = text.splitlines()[1]
+        for old, new in ((" m=1 ", " m=2 "), (" k=50 ", " k=51 ")):
+            assert not audit_report(text.replace(claim, claim.replace(old, new)))
+        with pytest.raises(ValueError, match="line 2: missing field m="):
+            audit_report(text.replace(claim, claim.replace(" m=1 ", " ")))
+
     def test_malformed_report_raises(self):
         text = emit_report([self.chain()])
         chain = text.splitlines()[2]

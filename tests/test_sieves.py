@@ -1,10 +1,15 @@
+import hashlib
+
 import pytest
 
+from primegaps import sieves
 from primegaps.admissible import covers_all_classes, h_exact_small, is_admissible
 from primegaps.sieves import (
     SieveConfig,
     apply_residue_sieve,
     find_tuple,
+    shifted_greedy_run,
+    shifted_schinzel_run,
     sieve_eratosthenes,
     sieve_hensley_richards,
     sieve_k_primes_past_k,
@@ -18,8 +23,6 @@ from primegaps.sieves import (
     _hr_offsets,
     _hr_sides,
     _primes_with_index,
-    _shifted_greedy_run,
-    _shifted_schinzel_run,
 )
 
 from .reference import KPPK_DIAMETERS
@@ -189,19 +192,19 @@ class TestDeterminism:
 
 class TestResidueSieveFiles:
     def test_greedy_roundtrip(self, tmp_path):
-        run = _shifted_greedy_run(311, SieveConfig(method="shifted-greedy", shift=0))
+        run = shifted_greedy_run(311, SieveConfig(method="shifted-greedy", shift=0))
         path = tmp_path / "greedy.txt"
         write_residue_sieve(path, run)
         assert apply_residue_sieve(path).offsets == run.tuple.offsets
 
     def test_schinzel_roundtrip(self, tmp_path):
-        run = _shifted_schinzel_run(101, SieveConfig(method="shifted-schinzel", shift=101))
+        run = shifted_schinzel_run(101, SieveConfig(method="shifted-schinzel", shift=101))
         path = tmp_path / "schinzel.txt"
         write_residue_sieve(path, run)
         assert apply_residue_sieve(path).offsets == run.tuple.offsets
 
     def test_header_and_zero_residue_form(self, tmp_path):
-        run = _shifted_greedy_run(101, SieveConfig(method="shifted-greedy", shift=0))
+        run = shifted_greedy_run(101, SieveConfig(method="shifted-greedy", shift=0))
         path = tmp_path / "s.txt"
         write_residue_sieve(path, run)
         first = path.read_text().splitlines()[0].split()
@@ -209,7 +212,7 @@ class TestResidueSieveFiles:
         assert int(first[2]) == run.tuple.diameter
 
     def test_survivor_count_mismatch_rejected(self, tmp_path):
-        run = _shifted_greedy_run(101, SieveConfig(method="shifted-greedy", shift=0))
+        run = shifted_greedy_run(101, SieveConfig(method="shifted-greedy", shift=0))
         path = tmp_path / "bad.txt"
         write_residue_sieve(path, run)
         lines = path.read_text().splitlines()
@@ -249,3 +252,54 @@ class TestResidueSieveFiles:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             apply_residue_sieve(path)
+
+
+SHIFTED_RUNS = {"shifted-schinzel": shifted_schinzel_run, "shifted-greedy": shifted_greedy_run}
+
+
+class TestInLoopAdmissibility:
+    """The shifted loops test each window against the primes they have not
+    sieved yet; that answer must be is_admissible's on every window."""
+
+    @pytest.mark.parametrize("method", sorted(SHIFTED_RUNS))
+    def test_matches_full_test_on_every_window(self, monkeypatch, method):
+        seen = {}
+        inner = sieves._window_admissible
+
+        def recording(offs, primes):
+            answer = inner(offs, primes)
+            seen.setdefault(offs.tobytes(), (offs.copy(), answer))
+            return answer
+
+        monkeypatch.setattr(sieves, "_window_admissible", recording)
+        for k in range(2, 201):
+            SHIFTED_RUNS[method](k, SieveConfig(method=method))
+        assert sum(answer for _, answer in seen.values()) > 0
+        assert sum(not answer for _, answer in seen.values()) > 0
+        for offs, answer in seen.values():
+            assert answer == is_admissible(offs), offs.tolist()
+
+
+#: SHA-256 of repr((offsets, s, m, classes)) of each SieveRun, as the
+#: constructions wrote them before the in-loop test skipped sieved primes
+GOLDEN_RUNS = {
+    ("shifted-greedy", 101, "search"): "df757c1560504df0c5e74ed805c45ad3cdf46bc6343e28a4f7bff43bb226c056",
+    ("shifted-greedy", 101, 0): "4fcf7043d077e8ddebfac671eed875f13295183cf566ff469b5f476d21f0e4f3",
+    ("shifted-greedy", 311, "search"): "010ae1eada904b89f424c3d960904e189e9331232d2c97e51766bec88afc0824",
+    ("shifted-greedy", 311, 0): "67a1886d2846bd8c94810fc6bdfd88c6d20e7e73335d6360df07803388994b5e",
+    ("shifted-greedy", 1000, "search"): "73034d0711da11c0931e02c1b5e73453d174556633fba129db715006b0b7edac",
+    ("shifted-greedy", 1000, 0): "c2cd503cbafaee92adc0209b38c73e86817e2f00aa8e699df49d78f3d9ab48ce",
+    ("shifted-schinzel", 101, "search"): "aa98375d89603e089ca73d2def59a94d5c4890de70df0f5ed0a5833a76141125",
+    ("shifted-schinzel", 101, 0): "4b880d9038ed11d6b989a93316f422d4f56ab42285f9da85a681f21fe3bf02c5",
+    ("shifted-schinzel", 311, "search"): "5a608622d15e4cee6e20278e5ca556ced829cc3568347251169f4ad1c1fb873d",
+    ("shifted-schinzel", 311, 0): "02dff673f3386e57e254fd99c665bee9b5a12db8a8d17a72a32e55ef7e2320b2",
+    ("shifted-schinzel", 1000, "search"): "e3c4670c0f1c3793a4bdb992f69cd759f8d289dacc12c432479d9d8d7633ad97",
+    ("shifted-schinzel", 1000, 0): "e83bbd7e6baebfa1253506e76122b1de1b48ecdcbe06aae280c9bd90f68105db",
+}
+
+
+@pytest.mark.parametrize("method, k, shift", sorted(GOLDEN_RUNS, key=str))
+def test_golden_sieve_run_digest(method, k, shift):
+    run = SHIFTED_RUNS[method](k, SieveConfig(method=method, shift=shift))
+    record = repr((run.tuple.offsets, run.s, run.m, run.classes))
+    assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_RUNS[(method, k, shift)]
