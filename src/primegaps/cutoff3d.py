@@ -6,16 +6,20 @@ into 60 open polytopes: ten canonical pieces inside the sector
 A symmetric piecewise polynomial is specified by one polynomial per
 canonical piece and extended by symmetry.
 
-Everything here is exact rational arithmetic: the two quadratic
-functionals are evaluated by iterated symbolic integration of polynomials
-with affine limits (the limit data transcribed per piece), and the marginal
-conditions reduce to bivariate polynomial identities.  Each polytope is also
-rebuilt from its inequalities by exact vertex enumeration and integrated by
-an integer simplex kernel (Polytope3.integrate): volumes and a recompute of I.
+Everything here is exact rational arithmetic, and the ten inequality
+systems are the only geometric data.  Each polytope is rebuilt from its
+inequalities by exact vertex enumeration and integrated by an integer simplex
+kernel (Polytope3.integrate): volumes and the square functional I.  The slot
+functional J and the marginal conditions integrate F along z-fibres: the
+breakpoints are the polytope inequalities that involve z, they cut the (x, y)
+regions into convex cells, and on each cell the z-integral of F is one
+bivariate polynomial.  J integrates its square over the cells; on the far
+outer region each distinct one must vanish identically.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,6 +246,7 @@ class PiecewiseCutoff:
 
     def __post_init__(self):
         eps = Q(self.eps)
+        _check_eps(eps)
         pieces = {}
         for name in CANONICAL_NAMES:
             p = self.pieces.get(name, Poly3())
@@ -485,11 +490,15 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _check_eps(e) -> None:
+    if not Q(1, 4) <= e <= Q(1, 3):
+        raise ValueError("the partition is valid for eps in [1/4, 1/3]")
+
+
 def build_partition(eps) -> list:
     """The 60 open polytopes (10 canonical systems x 6 permutations)."""
     e = Q(eps)
-    if not Q(1, 4) <= e <= Q(1, 3):
-        raise ValueError("the partition is valid for eps in [1/4, 1/3]")
+    _check_eps(e)
     systems = _canonical_systems(e)
     out = []
     for name in CANONICAL_NAMES:
@@ -499,202 +508,192 @@ def build_partition(eps) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_polytope(name: str, eps) -> Polytope3:
-    e = Q(eps)
-    systems = _canonical_systems(e)
-    return Polytope3(f"{name}_xyz", tuple(systems[name]))
+    return Polytope3(f"{name}_xyz", tuple(_canonical_systems(Q(eps))[name]))
+
+
+def _locate(e, point):
+    """(name, word) of the open piece name_word containing point, or None.
+
+    The point is sorted into the canonical sector (mid, min, max); the word
+    names the coordinates that land in the x, y and z slots, and the canonical
+    piece is found from the inequality systems."""
+    lo, mid, hi = sorted(zip((Q(v) for v in point), "xyz"))
+    canon = (mid[0], lo[0], hi[0])
+    for name in CANONICAL_NAMES:
+        if canonical_polytope(name, e).contains(canon):
+            return name, mid[1] + lo[1] + hi[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
-# transcribed iterated-integral programs
+# z-fibre programs derived from the partition: over 0 < y < x the fibre
+# 0 < z < 3/2-x-y changes piece only at breakpoints z = b(x, y), one per
+# inequality of the 60 polytopes that involves z.  Affine forms in (x, y) are
+# triples (c0, cx, cy); polygons are convex vertex rings.
 # ---------------------------------------------------------------------------
 
 
-def _aff(c0, cx=0, cy=0, cz=0) -> Poly3:
-    return Poly3.affine(Q(c0), Q(cx), Q(cy), Q(cz))
+def _at(form, x, y):
+    return form[0] + form[1] * x + form[2] * y
 
 
-def _i_blocks(e):
-    """Iterated-integral chains for the squared canonical pieces.
-
-    Each entry: (piece name, [(var, lo, hi), ...]) with outer chains first;
-    the D piece is handled separately (it has no transcribed chain).
-    """
-    half, one = Q(1, 2), Q(1)
-    c = _aff
-    blocks = [
-        ("A", [("x", c(0), c(half - e / 2)), ("y", c(0), c(0, 1)), ("z", c(0, 1), c(one - e, -1))]),
-        ("B", [("z", c(half - e / 2), c(half + e / 2)), ("x", c(one - e, 0, 0, -1), c(0, 0, 0, 1)),
-               ("y", c(0), c(one - e, 0, 0, -1))]),
-        ("B", [("z", c(half + e / 2), c(one - e)), ("x", c(one - e, 0, 0, -1), c(one + e, 0, 0, -1)),
-               ("y", c(0), c(one - e, 0, 0, -1))]),
-        ("C", [("y", c(0), c(half - 3 * e / 2)), ("x", c(0, 0, 1), c(2 * e, 0, 1)),
-               ("z", c(one - e, 0, -1), c(one + e, -1))]),
-        ("C", [("y", c(half - 3 * e / 2), c(half - e)), ("x", c(0, 0, 1), c(one - e, 0, -1)),
-               ("z", c(one - e, 0, -1), c(one + e, -1))]),
-        ("C", [("y", c(half - e), c(half - e / 2)), ("x", c(0, 0, 1), c(one - e, 0, -1)),
-               ("z", c(one - e, 0, -1), c(Q(3, 2), -1, -1))]),
-        ("E", [("z", c(half + e / 2), c(one - e)), ("x", c(one + e, 0, 0, -1), c(0, 0, 0, 1)),
-               ("y", c(0), c(one - e, 0, 0, -1))]),
-        ("S", [("y", c(0), c(half - 3 * e / 2)), ("z", c(one - e, 0, -1), c(half + e)),
-               ("x", c(one + e, 0, 0, -1), c(one - e, 0, -1))]),
-        ("S", [("y", c(half - 3 * e / 2), c(half - e)), ("z", c(2 * e, 0, 1), c(half + e)),
-               ("x", c(one + e, 0, 0, -1), c(one - e, 0, -1))]),
-        ("T", [("z", c(half + e), c(half + 2 * e)), ("x", c(one + e, 0, 0, -1), c(Q(3, 2), 0, 0, -1)),
-               ("y", c(0), c(Q(3, 2), -1, 0, -1))]),
-        ("T", [("z", c(half + 2 * e), c(one + e)), ("x", c(half - e), c(Q(3, 2), 0, 0, -1)),
-               ("y", c(0), c(Q(3, 2), -1, 0, -1))]),
-        ("U", [("x", c(0), c(half - e)), ("y", c(0), c(0, 1)),
-               ("z", c(one + e, -1), c(one + e, 0, -1))]),
-        ("G", [("x", c(0), c(half - e)), ("y", c(0), c(0, 1)),
-               ("z", c(one + e, 0, -1), c(Q(3, 2), -1, -1))]),
-        ("H", [("x", c(half + e / 2), c(one - e)), ("y", c(one - e, -1), c(Q(3, 2), -2)),
-               ("z", c(0, 1), c(Q(3, 2), -1, -1))]),
-        ("H", [("x", c(one - e), c(Q(3, 4))), ("y", c(0), c(Q(3, 2), -2)),
-               ("z", c(0, 1), c(Q(3, 2), -1, -1))]),
-        ("H", [("x", c(half), c(half + e / 2)), ("y", c(one - e, -1), c(half - e)),
-               ("z", c(one + e, -1), c(Q(3, 2), -1, -1))]),
-    ]
-    return blocks
+def _clip(ring, form) -> tuple:
+    """The part of a convex polygon where form >= 0."""
+    vals = [_at(form, *v) for v in ring]
+    out = []
+    for p, q, vp, vq in zip(ring, ring[1:] + ring[:1], vals, vals[1:] + vals[:1]):
+        if vp >= 0:
+            out.append(p)
+        if vp * vq < 0:
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return tuple(out)
 
 
-def _j_blocks(e):
-    """Outer chains and z-segment lists for the eight slot-integral regions.
-
-    Each entry: (outer chain [(var, lo, hi), (var, lo, hi)],
-                 [(piece, word, z_lo, z_hi), ...]).
-    """
-    half, one = Q(1, 2), Q(1)
-    c = _aff
-    x = c(0, 1)
-    zero = c(0)
-    lo_x = c(one - e, -1)      # 1-e-x
-    lo_y = c(one - e, 0, -1)   # 1-e-y
-    hi_x = c(one + e, -1)      # 1+e-x
-    hi_y = c(one + e, 0, -1)   # 1+e-y
-    top = c(Q(3, 2), -1, -1)   # 3/2-x-y
-    zsplit = c(half + e)
-    y = c(0, 0, 1)
-    blocks = [
-        # J1
-        ([("x", c(0), c(half - e)), ("y", zero, x)],
-         [("A", "yzx", zero, y), ("A", "zyx", y, x), ("A", "xyz", x, lo_x),
-          ("B", "xyz", lo_x, lo_y), ("C", "xyz", lo_y, hi_x),
-          ("U", "xyz", hi_x, hi_y), ("G", "xyz", hi_y, top)]),
-        # J2
-        ([("x", c(half - e), c(half - e / 2)), ("y", c(half - e), x)],
-         [("A", "yzx", zero, y), ("A", "zyx", y, x), ("A", "xyz", x, lo_x),
-          ("B", "xyz", lo_x, lo_y), ("C", "xyz", lo_y, top)]),
-        # J3
-        ([("x", c(half - e), c(half - e / 2)), ("y", zero, c(half - e))],
-         [("A", "yzx", zero, y), ("A", "zyx", y, x), ("A", "xyz", x, lo_x),
-          ("B", "xyz", lo_x, lo_y), ("C", "xyz", lo_y, hi_x), ("T", "xyz", hi_x, top)]),
-        # J4
-        ([("x", c(half - e / 2), c(half)), ("y", c(half - e), lo_x)],
-         [("A", "yzx", zero, y), ("A", "zyx", y, lo_x), ("B", "zyx", lo_x, x),
-          ("B", "xyz", x, lo_y), ("C", "xyz", lo_y, top)]),
-        # J5
-        ([("x", c(half - e / 2), c(half)), ("y", zero, c(half - e))],
-         [("A", "yzx", zero, y), ("A", "zyx", y, lo_x), ("B", "zyx", lo_x, x),
-          ("B", "xyz", x, lo_y), ("C", "xyz", lo_y, hi_x), ("T", "xyz", hi_x, top)]),
-        # J6 (two outer cells)
-        ([("x", c(half), c(2 * e)), ("y", zero, lo_x)],
-         [("A", "yzx", zero, y), ("A", "zyx", y, lo_x), ("B", "zyx", lo_x, x),
-          ("B", "xyz", x, lo_y), ("C", "xyz", lo_y, hi_x),
-          ("S", "xyz", hi_x, zsplit), ("T", "xyz", zsplit, top)]),
-        ([("x", c(2 * e), c(half + e / 2)), ("y", c(-2 * e, 1), lo_x)],
-         [("A", "yzx", zero, y), ("A", "zyx", y, lo_x), ("B", "zyx", lo_x, x),
-          ("B", "xyz", x, lo_y), ("C", "xyz", lo_y, hi_x),
-          ("S", "xyz", hi_x, zsplit), ("T", "xyz", zsplit, top)]),
-        # J7
-        ([("x", c(2 * e), c(half + e / 2)), ("y", zero, c(-2 * e, 1))],
-         [("A", "yzx", zero, y), ("A", "zyx", y, lo_x), ("B", "zyx", lo_x, x),
-          ("B", "xyz", x, hi_x), ("E", "xyz", hi_x, lo_y),
-          ("S", "xyz", lo_y, zsplit), ("T", "xyz", zsplit, top)]),
-        # J8
-        ([("x", c(half + e / 2), c(one - e)), ("y", zero, lo_x)],
-         [("A", "yzx", zero, y), ("A", "zyx", y, lo_x), ("B", "zyx", lo_x, hi_x),
-          ("E", "zyx", hi_x, x), ("E", "xyz", x, lo_y),
-          ("S", "xyz", lo_y, zsplit), ("T", "xyz", zsplit, top)]),
-    ]
-    return blocks
+def _fibre_geometry(e):
+    """The breakpoint forms, and the lines that cut the regions into cells:
+    those of the inequalities free of z, and those where two breakpoints meet."""
+    breaks, lines = set(), set()
+    for part in build_partition(e):
+        for c0, cx, cy, cz in part.inequalities:
+            if cz:
+                breaks.add((-c0 / cz, -cx / cz, -cy / cz))
+            else:
+                lines.add((c0, cx, cy))
+    for b1, b2 in itertools.combinations(breaks, 2):
+        lines.add(tuple(u - v for u, v in zip(b1, b2)))
+    # scaled so that equal lines compare equal
+    lines = {tuple(c / (cx or cy) for c in (c0, cx, cy)) for c0, cx, cy in lines if cx or cy}
+    return sorted(breaks), sorted(lines)
 
 
-def _marginal_blocks(e):
-    """Segment lists whose summed z-integrals must vanish identically."""
-    c = _aff
-    top = c(Q(3, 2), -1, -1)
-    hi_x = c(Q(1) + e, -1)
-    lo_x = c(Q(1) - e, -1)
-    lo_y = c(Q(1) - e, 0, -1)
-    y = c(0, 0, 1)
-    zero = c(0)
-    return [
-        ("m1", [("G", "yzx", zero, top)]),
-        ("m2", [("G", "yzx", zero, y), ("G", "zyx", y, top)]),
-        ("m3", [("U", "yzx", zero, hi_x), ("G", "yzx", hi_x, y), ("G", "zyx", y, top)]),
-        ("m4", [("U", "yzx", zero, hi_x), ("G", "yzx", hi_x, top)]),
-        ("m5", [("T", "yzx", zero, top)]),
-        ("m7", [("E", "yzx", zero, lo_x), ("S", "yzx", lo_x, lo_y), ("H", "yzx", lo_y, top)]),
-    ]
+@functools.lru_cache(maxsize=None)
+def _fibre_programs(e) -> tuple:
+    """Cells of the J region {0 < y < x, x+y < 1-e} and of the far outer
+    region {0 < y < x, 1+e < x+y < 3/2}, each with the segments
+    ((name, word, lo, hi), ...) of its fibre, lo and hi breakpoint forms,
+    running from z = 0 to z = 3/2-x-y."""
+    breaks, lines = _fibre_geometry(e)
+    sector = ((Q(0), Q(0)), (Q(3, 2), Q(0)), (Q(3, 4), Q(3, 4)))  # 0 < y < x, x+y < 3/2
+    out = []
+    for region in (_clip(sector, (1 - e, -1, -1)), _clip(sector, (-1 - e, 1, 1))):
+        cells = [region]
+        for form in lines:
+            split = []
+            for ring in cells:
+                vals = [_at(form, *v) for v in ring]
+                if min(vals) < 0 < max(vals):
+                    split += [_clip(ring, form), _clip(ring, tuple(-c for c in form))]
+                else:
+                    split.append(ring)
+            cells = split
+        out.append(tuple((ring, _fibre_segments(e, breaks, ring)) for ring in cells))
+    return tuple(out)
+
+
+def _fibre_segments(e, breaks, ring) -> tuple:
+    """The fibre over a cell, cut at the breakpoints and located at the
+    vertex centroid; adjacent segments of one piece are merged."""
+    x = sum(v[0] for v in ring) / len(ring)
+    y = sum(v[1] for v in ring) / len(ring)
+    zs = sorted((_at(b, x, y), b) for b in breaks if 0 <= _at(b, x, y) <= Q(3, 2) - x - y)
+    segments = []
+    for (z1, b1), (z2, b2) in zip(zs, zs[1:]):
+        where = _locate(e, (x, y, (z1 + z2) / 2))
+        if where is None:
+            raise ValueError("a fibre segment lies in no piece of the partition")
+        if segments and segments[-1][:2] == where:
+            segments[-1] = (*where, segments[-1][2], b2)
+        else:
+            segments.append((*where, b1, b2))
+    return tuple(segments)
+
+
+def _fibre_integrals(f: PiecewiseCutoff):
+    """segments -> g(x, y), the z-integral of F over the fibre program.  The
+    z-antiderivative of each (piece, word), and its value at each breakpoint,
+    is computed once."""
+
+    @functools.lru_cache(maxsize=None)
+    def prim(name, word):
+        return piece_polynomial(f, name, word).antiderivative("z")
+
+    @functools.lru_cache(maxsize=None)
+    def at(name, word, form):
+        return prim(name, word).substitute("z", Poly3.affine(*form))
+
+    def g(segments) -> Poly3:
+        return sum((at(n, w, hi) - at(n, w, lo) for n, w, lo, hi in segments), Poly3())
+
+    return g
+
+
+def _cell_integral(poly: Poly3, ring) -> Q:
+    """Integral of a polynomial in (x, y) over a convex polygon, by x-slabs
+    between consecutive vertex abscissae: in each, one edge bounds y below
+    and one above."""
+    edges = []
+    for p, q in zip(ring, ring[1:] + ring[:1]):
+        if p[0] != q[0]:
+            s = (q[1] - p[1]) / (q[0] - p[0])
+            edges.append((min(p[0], q[0]), max(p[0], q[0]), Poly3.affine(p[1] - s * p[0], s)))
+    xs = sorted({v[0] for v in ring})
+    total = Q(0)
+    for xa, xb in zip(xs, xs[1:]):
+        spans = [edge for lo, hi, edge in edges if lo <= xa and xb <= hi]
+        lower, upper = sorted(spans, key=lambda edge: edge.eval((xa + xb) / 2, 0, 0))
+        total += _iterated_integral(poly, [("x", Poly3.const(xa), Poly3.const(xb)), ("y", lower, upper)])
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the two functionals and the marginal identities
+# ---------------------------------------------------------------------------
 
 
 def integrate_I(f: PiecewiseCutoff) -> Q:
     """Exact integral of F^2 over the whole simplex (6 x canonical sector)."""
-    e = f.eps
-    total = Q(0)
-    for name, chain in _i_blocks(e):
-        p = f.pieces[name]
-        if p.is_zero():
-            continue
-        total += _iterated_integral(p * p, chain)
-    d_piece = f.pieces["D"]
-    if not d_piece.is_zero():
-        total += canonical_polytope("D", e).integrate(d_piece * d_piece)
-    return 6 * total
+    return 6 * sum((integrate_piece_I(f, name) for name in CANONICAL_NAMES), Q(0))
 
 
-def integrate_piece_I(f: PiecewiseCutoff, name: str, via_polytope: bool = False) -> Q:
-    """Canonical-sector integral of one squared piece (both evaluation paths)."""
+def integrate_piece_I(f: PiecewiseCutoff, name: str, via_polytope: bool = True) -> Q:
+    """Canonical-sector integral of one squared piece over its polytope.
+
+    via_polytope selects nothing, as the polytope is the only route; the
+    keyword is kept for perfbench/workloads.py, which passes True."""
+    if not via_polytope:
+        raise ValueError("I is integrated over the polytopes only")
     p = f.pieces[name]
     if p.is_zero():
         return Q(0)
-    if via_polytope or name == "D":
-        return canonical_polytope(name, f.eps).integrate(p * p)
-    total = Q(0)
-    for bname, chain in _i_blocks(f.eps):
-        if bname == name:
-            total += _iterated_integral(p * p, chain)
-    return total
-
-
-def _segment_sum(f: PiecewiseCutoff, segments) -> Poly3:
-    acc = Poly3()
-    for name, word, lo, hi in segments:
-        poly = piece_polynomial(f, name, word)
-        acc = acc + poly.integrate("z", lo, hi)
-    return acc
+    return canonical_polytope(name, f.eps).integrate(p * p)
 
 
 def integrate_J(f: PiecewiseCutoff) -> Q:
-    """Exact value of the slot-integrated quadratic functional."""
+    """Exact value of the slot-integrated quadratic functional:
+    6 x the integral of g^2 over the J region {0 < y < x, x+y < 1-eps}."""
+    g = _fibre_integrals(f)
     total = Q(0)
-    for outer, segments in _j_blocks(f.eps):
-        inner = _segment_sum(f, segments)
-        total += _iterated_integral(inner * inner, outer)
+    for ring, segments in _fibre_programs(f.eps)[0]:
+        inner = g(segments)
+        total += _cell_integral(inner * inner, ring)
     return 6 * total
 
 
 def check_marginals(f: PiecewiseCutoff):
-    """Residual bivariate polynomial for each marginal identity.
+    """Residual g for each distinct fibre program of the far outer region
+    {0 < y < x, 1+eps < x+y < 3/2}, labelled by its pieces in z order.  A
+    label names one program: the fibre meets each convex piece in one interval
+    and passes between two pieces on the plane of their common facet.
 
     An all-zero report means every slot integral vanishes identically on
     the far outer region, as the support condition requires.
     """
-    out = []
-    for label, segments in _marginal_blocks(f.eps):
-        out.append((label, _segment_sum(f, segments)))
-    return out
+    g = _fibre_integrals(f)
+    programs = dict.fromkeys(segments for _, segments in _fibre_programs(f.eps)[1])
+    return [("+".join(f"{name}_{word}" for name, word, _, _ in s), g(s)) for s in programs]
 
 
 def verify_theorem_piece() -> bool:
@@ -718,14 +717,8 @@ def verify_theorem_piece() -> bool:
 
 
 def evaluate(f: PiecewiseCutoff, point):
-    """Pointwise value of the symmetric extension (None on boundaries).
-
-    The point is sorted into the canonical sector (mid, min, max) and the
-    canonical piece containing it is located from the inequality systems.
-    """
-    vals = sorted(Q(v) for v in point)
-    canon = (vals[1], vals[0], vals[2])
-    for name in CANONICAL_NAMES:
-        if canonical_polytope(name, f.eps).contains(canon, strict=True):
-            return f.pieces[name].eval(*canon)
-    return None
+    """Pointwise value of the symmetric extension (None on boundaries)."""
+    where = _locate(f.eps, point)
+    if where is None:
+        return None
+    return piece_polynomial(f, *where).eval(*point)

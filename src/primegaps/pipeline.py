@@ -35,6 +35,7 @@ __all__ = [
     "MarginalEvidence",
     "DHLClaim",
     "HmClaim",
+    "rule_threshold",
     "dhl_from_mk",
     "dhl_from_trunc",
     "dhl_from_eps",
@@ -103,17 +104,31 @@ class Hypothesis:
     def mpz(cls, varpi, delta) -> "Hypothesis":
         return cls("MPZ", varpi=varpi, delta=delta)
 
+    @classmethod
+    def parse(cls, text: str) -> "Hypothesis":
+        """The hypothesis that describe() writes as text."""
+        if text == "BV":
+            return cls.bv()
+        tag, _, rest = text.partition("(")
+        args = rest[:-1].split(",") if rest.endswith(")") else []
+        if tag in ("EH", "GEH") and len(args) == 1:
+            return cls(tag, theta=parse_rational(args[0]))
+        if tag == "MPZ" and len(args) == 2:
+            return cls.mpz(*map(parse_rational, args))
+        raise ValueError(f"unknown hypothesis {text!r}")
+
     def ratio_threshold(self, m: int):
         """Exact threshold that the variational bound must strictly exceed.
 
         For BV the requirement "C > 2m/theta for some theta < 1/2" is
-        equivalent to the strict inequality C > 4m.
+        equivalent to the strict inequality C > 4m; MPZ(varpi, delta) needs
+        C > m/(1/4 + varpi).
         """
         if self.tag == "BV":
             return Q(4 * m)
         if self.tag in ("EH", "GEH"):
             return Q(2 * m) / self.theta
-        raise ValueError("threshold undefined for this hypothesis")
+        return Q(m) / (Q(1, 4) + self.varpi)
 
     def describe(self) -> str:
         if self.tag == "BV":
@@ -206,12 +221,54 @@ def _merged(base: dict, extra) -> dict:
     return base
 
 
+def rule_threshold(rule: str, hyp: Hypothesis, k: int, m: int, eps=None,
+                   nonstrict: bool = False):
+    """Check the gates of an implication rule; return its exact threshold.
+
+    The dhl_from_* constructors and audit_report both call this, so an audit
+    re-derives each chain's threshold and gates from the rule's inputs.
+    Raises ValueError naming the first gate that fails.  nonstrict relaxes
+    the EH and GEH side conditions of the enlarged rule to <=.
+    """
+    if not k >= m + 1 >= 2:
+        raise ValueError("need k >= m+1 >= 2")
+    tag = hyp.tag
+    if rule == "mk":
+        if tag not in ("EH", "BV"):
+            raise ValueError("the plain rule needs EH or BV")
+    elif rule == "trunc":
+        if tag != "MPZ":
+            raise ValueError("the truncated rule needs MPZ")
+        if not 0 < hyp.varpi < Q(1, 4):
+            raise ValueError("gate violated: 0 < varpi < 1/4")
+        if not 0 < hyp.delta < Q(1, 2):
+            raise ValueError("gate violated: 0 < delta < 1/2")
+        if not 600 * hyp.varpi + 180 * hyp.delta < 7:
+            raise ValueError("gate violated: 600*varpi + 180*delta < 7")
+    elif rule in ("eps", "marginal"):
+        if eps is None:
+            raise ValueError(f"the {rule} rule needs eps")
+        if rule == "marginal" and tag != "GEH":
+            raise ValueError("the marginal rule needs GEH")
+        if tag == "BV":  # 1 + eps < 2 <= 1/theta for every theta < 1/2
+            lhs, rhs, side = 1 + eps, Q(2), "1 + eps < 1/theta"
+        elif tag == "EH":
+            lhs, rhs, side = 1 + eps, 1 / hyp.theta, "1 + eps < 1/theta"
+        elif tag == "GEH":
+            lhs, rhs, side = eps, Q(1, k - 1), "eps < 1/(k-1)"
+        else:
+            raise ValueError("the enlarged rule needs EH, BV or GEH")
+        if not (lhs < rhs or (nonstrict and rule == "eps" and tag != "BV" and lhs == rhs)):
+            raise ValueError(f"side condition failed: {side}")
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    return hyp.ratio_threshold(m)
+
+
 def dhl_from_mk(k: int, C, hyp: Hypothesis, m: int, provenance=None) -> DHLClaim:
     """Plain rule: needs EH (or BV) and C > 2m/theta, exactly."""
-    if hyp.tag not in ("EH", "BV"):
-        raise ValueError("the plain rule needs EH or BV")
+    threshold = rule_threshold("mk", hyp, k, m)
     value, source = _bound_value(C, k)
-    threshold = hyp.ratio_threshold(m)
     if not value > threshold:
         raise ValueError(
             f"inequality not satisfied: C = {rational_str(value)} "
@@ -228,21 +285,14 @@ def dhl_from_trunc(k: int, C, varpi, delta, m: int, provenance=None) -> DHLClaim
     Gates (exact): 0 < varpi < 1/4, 0 < delta < 1/2, 600 varpi + 180 delta < 7;
     then C > m/(1/4 + varpi).
     """
-    varpi, delta = Q(varpi), Q(delta)
-    if not 0 < varpi < Q(1, 4):
-        raise ValueError("gate violated: 0 < varpi < 1/4")
-    if not 0 < delta < Q(1, 2):
-        raise ValueError("gate violated: 0 < delta < 1/2")
-    if not 600 * varpi + 180 * delta < 7:
-        raise ValueError("gate violated: 600*varpi + 180*delta < 7")
+    hyp = Hypothesis.mpz(varpi, delta)
+    threshold = rule_threshold("trunc", hyp, k, m)
     value, source = _bound_value(C, k)
-    threshold = Q(m) / (Q(1, 4) + varpi)
     if not value > threshold:
         raise ValueError(
             f"inequality not satisfied: C = {rational_str(value)} "
             f"<= threshold {rational_str(threshold)}"
         )
-    hyp = Hypothesis.mpz(varpi, delta)
     prov = _merged({"bound_source": source}, provenance)
     return DHLClaim(k, m, "trunc", hyp, value, threshold, prov)
 
@@ -257,28 +307,12 @@ def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = Fals
     justified by continuity in eps; default off.
     """
     eps = Q(eps)
-    if hyp.tag == "BV":
-        side_ok = True  # 1 + eps < 2 <= 1/theta for every theta < 1/2
-        if not eps < 1:
-            raise ValueError("side condition failed: 1 + eps < 1/theta")
-    elif hyp.tag == "EH":
-        lhs, rhs = 1 + eps, 1 / hyp.theta
-        side_ok = lhs <= rhs if nonstrict else lhs < rhs
-        if not side_ok:
-            raise ValueError("side condition failed: 1 + eps < 1/theta")
-    elif hyp.tag == "GEH":
-        lhs, rhs = eps, Q(1, k - 1)
-        side_ok = lhs <= rhs if nonstrict else lhs < rhs
-        if not side_ok:
-            raise ValueError("side condition failed: eps < 1/(k-1)")
-    else:
-        raise ValueError("the enlarged rule needs EH, BV or GEH")
+    threshold = rule_threshold("eps", hyp, k, m, eps, nonstrict)
     value, source = _bound_value(C, k, kinds=("eps",))
     if isinstance(C, BoundCertificate) and C.variant.eps != eps:
         raise ValueError(
             f"certificate variant {C.variant} does not match the rule at eps = {rational_str(eps)}"
         )
-    threshold = hyp.ratio_threshold(m)
     if not value > threshold:
         raise ValueError(
             f"inequality not satisfied: C = {rational_str(value)} "
@@ -293,18 +327,14 @@ def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = Fals
 def dhl_from_marginal(k: int, eps, evidence: MarginalEvidence, hyp: Hypothesis, m: int,
                       provenance=None) -> DHLClaim:
     """Marginal rule: GEH plus an exactly verified vanishing-marginal cutoff."""
-    if hyp.tag != "GEH":
-        raise ValueError("the marginal rule needs GEH")
     eps = Q(eps)
+    threshold = rule_threshold("marginal", hyp, k, m, eps)
     if not isinstance(evidence, MarginalEvidence):
         raise ValueError("marginal verification missing")
     if not (evidence.marginals_vanish and evidence.support_ok):
         raise ValueError("marginal verification missing")
     if evidence.k != k or evidence.eps != eps:
         raise ValueError("marginal evidence does not match (k, eps)")
-    if not eps < Q(1, k - 1):
-        raise ValueError("side condition failed: eps < 1/(k-1)")
-    threshold = hyp.ratio_threshold(m)
     if not evidence.ratio > threshold:
         raise ValueError(
             f"inequality not satisfied: ratio = {rational_str(evidence.ratio)} "
@@ -404,7 +434,9 @@ def audit_report(text: str) -> bool:
     The layout must be that of emit_report: a `report claims=N` line, then
     `claim index=i` and `chain index=i` for i = 0 .. N-1.  A different
     layout, or a missing or unparsable chain field or claim m or k, raises
-    ValueError.  A claim whose m or k differs from its chain's is invalid.
+    ValueError.  A claim whose m or k differs from its chain's is invalid, and
+    so is a chain whose threshold is not the one rule_threshold derives from
+    its rule, hypothesis, k, m and eps, or whose rule's gates fail.
     """
     lines = text.splitlines()
     if not lines or lines[0].split()[:1] != ["report"]:
@@ -426,11 +458,18 @@ def audit_report(text: str) -> bool:
             _field(kv, key, parse_rational, where) for key in ("bound", "threshold", "margin")
         )
         k, m = (_field(kv, key, int, where) for key in ("k", "m"))
+        rule = _field(kv, "rule", str, where)
+        hyp = _field(kv, "hypothesis", Hypothesis.parse, where)
+        eps = _field(kv, "eps", parse_rational, where) if rule in ("eps", "marginal") else None
+        nonstrict = kv.get("nonstrict_side_conditions") == "true"
+        try:
+            ok &= rule_threshold(rule, hyp, k, m, eps, nonstrict) == threshold
+        except ValueError:
+            ok = False
         claim, where = _parse_kv(lines[1 + 2 * i]), f"line {2 + 2 * i}"
         ok &= (_field(claim, "k", int, where), _field(claim, "m", int, where)) == (k, m)
         ok &= bound > threshold
         ok &= bound - threshold == margin
-        ok &= k >= m + 1 >= 2
     return ok
 
 

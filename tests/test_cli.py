@@ -232,6 +232,30 @@ class TestReportAudit:
         code, out, _ = audit_file(capsys, tmp_path, text)
         assert code == 1 and out.endswith(": INVALID\n")
 
+    @pytest.mark.parametrize("old, new", [
+        # the margin still adds up, but the eps rule under BV at m=1 needs 4
+        (" bound=40043/10000 threshold=4 margin=43/10000 ", " bound=5/2 threshold=0 margin=5/2 "),
+        (" threshold=4 margin=43/10000 ", " threshold=3 margin=10043/10000 "),
+        # eps = 1/25 is not below 1/(k-1) = 1/49
+        (" hypothesis=BV ", " hypothesis=GEH(1/2) "),
+        (" rule=eps ", " rule=trunc "),
+        (" rule=eps ", " rule=sieve "),
+        (" eps=1/25", " eps=1"),
+    ], ids=["rewritten-threshold", "lowered-threshold", "side-condition", "wrong-rule",
+            "unknown-rule", "eps-gate"])
+    def test_chain_fails_its_rule(self, capsys, tmp_path, old, new):
+        code, out, _ = audit_file(capsys, tmp_path, edit_chain_line(old, new))
+        assert code == 1 and out.endswith(": INVALID\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        (" eps=1/25", "", "missing field eps="),
+        (" hypothesis=BV ", " hypothesis=XYZ(1/2) ", "field hypothesis='XYZ(1/2)' is not parsable"),
+    ], ids=["no-eps", "bad-hypothesis"])
+    def test_rule_input_unreadable(self, capsys, tmp_path, old, new, message):
+        code, out, err = audit_file(capsys, tmp_path, edit_chain_line(old, new))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("key", sorted(CHAIN_FIELDS))
     def test_missing_chain_field(self, capsys, tmp_path, key):
         text = edit_chain_line(f" {key}={CHAIN_FIELDS[key]} ", " ")

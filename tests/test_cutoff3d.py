@@ -8,8 +8,10 @@ from primegaps.cutoff3d import (
     PiecewiseCutoff,
     Poly3,
     Polytope3,
-    _aff,
+    _cell_integral,
+    _fibre_programs,
     _iterated_integral,
+    _locate,
     build_partition,
     builtin_cutoff,
     canonical_polytope,
@@ -26,6 +28,16 @@ from primegaps.rational import Q
 I_EXACT = Q(62082439864241, 507343011840)
 J_EXACT = Q(9933190664926733, 40587440947200)
 RATIO_EXCESS = Q(286648173, 4966595189139280)
+# the built-in pieces at other eps, computed by the per-piece transcribed
+# integration limits that this module used before it derived its programs
+# from the partition (the polytope route gave the same I)
+OTHER_EPS_GOLDENS = {
+    Q(3, 10): (Q(227556533165970881, 1935360000000000),
+               Q(30283655893101186407, 129024000000000000)),
+    Q(1, 3): (Q(241139484289, 2116316160), Q(43171396328587, 190468454400)),
+}
+MARGINAL_LABELS = ["G_yzx", "T_yzx", "U_yzx+G_yzx", "E_yzx+S_yzx+H_yzx", "G_yzx+G_zyx",
+                   "U_yzx+G_yzx+G_zyx"]
 
 
 class TestPoly3:
@@ -118,10 +130,11 @@ class TestSimplexKernel:
         ]
         poly = Poly3({(4, 0, 0): 3, (1, 2, 1): -5, (0, 1, 3): Q(2, 7), (2, 1, 0): 1,
                       (0, 0, 1): Q(-1, 3), (0, 0, 0): 2})
+        aff = Poly3.affine
         chain = [
-            ("x", _aff(Q(-1, 3)), _aff(Q(11, 21))),
-            ("y", _aff(Q(2, 7)), _aff(Q(23, 42), Q(-1, 2))),
-            ("z", _aff(Q(1, 7)), _aff(Q(32, 63), Q(-1, 3), Q(-2, 3))),
+            ("x", aff(Q(-1, 3)), aff(Q(11, 21))),
+            ("y", aff(Q(2, 7)), aff(Q(23, 42), Q(-1, 2))),
+            ("z", aff(Q(1, 7)), aff(Q(32, 63), Q(-1, 3), Q(-2, 3))),
         ]
         assert tet.integrate(poly) == _iterated_integral(poly, chain)
         assert tet.volume() == _iterated_integral(Poly3.const(1), chain)
@@ -154,11 +167,61 @@ class TestExactValues:
     def test_verify_theorem_piece(self):
         assert verify_theorem_piece() is True
 
-    def test_piece_transcription_against_polytope_integration(self):
-        # two fully independent evaluation paths per canonical piece
+    @pytest.mark.parametrize("eps", sorted(OTHER_EPS_GOLDENS), ids=str)
+    def test_other_eps_goldens(self, eps):
+        f = PiecewiseCutoff(builtin_cutoff().pieces, eps)
+        assert (integrate_I(f), integrate_J(f)) == OTHER_EPS_GOLDENS[eps]
+
+    def test_marginal_labels(self):
+        labels = [label for label, _ in check_marginals(builtin_cutoff())]
+        assert labels == MARGINAL_LABELS
+        for eps in (Q(2, 7), Q(1, 3)):
+            labels = [label for label, _ in check_marginals(PiecewiseCutoff({}, eps))]
+            assert len(set(labels)) == len(labels), eps
+
+    def test_polytope_is_the_only_route_for_I(self):
         f = builtin_cutoff()
-        for name in CANONICAL_NAMES:
-            assert integrate_piece_I(f, name) == integrate_piece_I(f, name, via_polytope=True)
+        assert integrate_piece_I(f, "A", via_polytope=True) == integrate_piece_I(f, "A")
+        with pytest.raises(ValueError, match="polytopes only"):
+            integrate_piece_I(f, "A", via_polytope=False)
+
+
+class TestFibrePrograms:
+    @pytest.mark.parametrize("eps", [Q(1, 4), Q(2, 7), Q(1, 3)], ids=str)
+    def test_cells_tile_regions(self, eps):
+        """The cells tile the J region and the far outer region, and over
+        each cell the segments run contiguously from z = 0 to 3/2-x-y."""
+        j_cells, far_cells = _fibre_programs(eps)
+        areas = [(1 - eps) ** 2 / 4, (Q(9, 4) - (1 + eps) ** 2) / 4]
+        for cells, area in zip((j_cells, far_cells), areas):
+            assert sum(_cell_integral(Poly3.const(1), ring) for ring, _ in cells) == area
+            for ring, segments in cells:
+                assert _cell_integral(Poly3.const(1), ring) > 0
+                assert segments[0][2] == (0, 0, 0)
+                assert segments[-1][3] == (Q(3, 2), -1, -1)
+                for (_, _, _, hi), (_, _, lo, _) in zip(segments, segments[1:]):
+                    assert hi == lo
+                # the program holds at the centroid and halfway to each vertex
+                cx = sum(v[0] for v in ring) / len(ring)
+                cy = sum(v[1] for v in ring) / len(ring)
+                for x, y in [(cx, cy)] + [((cx + vx) / 2, (cy + vy) / 2) for vx, vy in ring]:
+                    for name, word, lo, hi in segments:
+                        z_lo, z_hi = (b[0] + b[1] * x + b[2] * y for b in (lo, hi))
+                        assert z_lo < z_hi
+                        assert _locate(eps, (x, y, (z_lo + z_hi) / 2)) == (name, word)
+
+    def test_cell_counts(self):
+        j_cells, far_cells = _fibre_programs(Q(1, 4))
+        assert (len(j_cells), len(far_cells)) == (8, 13)
+
+    def test_locator_matches_partition(self):
+        parts = build_partition(Q(1, 4))
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            pt = tuple(Q(int(v), 10**4) for v in rng.integers(0, 15_000, 3))
+            hits = [p.name for p in parts if p.contains(pt)]
+            where = _locate(Q(1, 4), pt)
+            assert hits == ([] if where is None else ["_".join(where)]), pt
 
 
 class TestDegenerateCutoffs:
@@ -182,8 +245,14 @@ class TestDegenerateCutoffs:
     def test_perturbed_piece_breaks_marginal(self):
         g = builtin_cutoff().with_piece("H", Poly3({(0, 0, 1): 9}))
         residuals = dict(check_marginals(g))
-        assert not residuals["m7"].is_zero()
-        assert residuals["m1"].is_zero()  # untouched identities stay intact
+        broken = [label for label, res in residuals.items() if not res.is_zero()]
+        assert broken == ["E_yzx+S_yzx+H_yzx"]  # untouched identities stay intact
+
+    @pytest.mark.parametrize("eps", [Q(1, 2), Q(1, 10), Q(1, 4) - Q(1, 10**9)], ids=str)
+    def test_eps_outside_partition_refused(self, eps):
+        # the same one-line error as build_partition's
+        with pytest.raises(ValueError, match=r"^the partition is valid for eps in \[1/4, 1/3\]$"):
+            PiecewiseCutoff(builtin_cutoff().pieces, eps)
 
     def test_marginals_fail_at_other_eps(self):
         # the built-in coefficients are tuned to eps = 1/4
@@ -227,8 +296,9 @@ class TestSymmetry:
 def _classify_eval(f, pts):
     """Vectorized float evaluation of the symmetric extension at pts (n,3).
 
-    Independent of the transcribed integration programs: points are sorted
-    into the canonical sector and located via the inequality chains.
+    Independent of the fibre programs and of the exact locator: points are
+    sorted into the canonical sector and located by float masks written from
+    the inequality chains.
     """
     eps = float(f.eps)
     lo, hi = 1 - eps, 1 + eps

@@ -15,6 +15,7 @@ from primegaps.pipeline import (
     dhl_from_trunc,
     emit_report,
     hm_from_dhl,
+    rule_threshold,
     trunc_params_from_bound,
     tuple_digest,
 )
@@ -44,6 +45,50 @@ class TestHypothesis:
         assert Hypothesis.bv().describe() == "BV"
         assert Hypothesis.eh(Q(1, 2)).describe() == "EH(1/2)"
         assert Hypothesis.mpz(Q(1, 100), Q(1, 50)).describe() == "MPZ(1/100,1/50)"
+
+    def test_parse_inverts_describe(self):
+        for hyp in (Hypothesis.bv(), Hypothesis.eh(Q(1, 2)), Hypothesis.geh_full(),
+                    Hypothesis.mpz(Q(1, 100), Q(1, 50))):
+            assert Hypothesis.parse(hyp.describe()) == hyp
+        for text in ("BV(1/2)", "EH", "EH(1/2", "GEH(1/2,1/3)", "MPZ(1/100)", "XYZ(1)"):
+            with pytest.raises(ValueError):
+                Hypothesis.parse(text)
+
+
+class TestRuleThreshold:
+    def test_thresholds_by_rule(self):
+        assert rule_threshold("mk", Hypothesis.eh(Q(1, 2)), 10, 2) == 8
+        assert rule_threshold("trunc", Hypothesis.mpz(Q(1, 200), Q(1, 100)), 10, 1) == Q(200, 51)
+        assert rule_threshold("eps", Hypothesis.bv(), 50, 1, Q(1, 25)) == 4
+        assert rule_threshold("marginal", Hypothesis.geh(Q(1, 2)), 3, 1, Q(1, 4)) == 4
+
+    @pytest.mark.parametrize("args, message", [
+        (("mk", Hypothesis.geh_full(), 10, 1), "EH or BV"),
+        (("trunc", Hypothesis.bv(), 10, 1), "needs MPZ"),
+        (("trunc", Hypothesis.mpz(Q(1, 100), Q(1, 30)), 10, 1), "600"),
+        (("eps", Hypothesis.bv(), 10, 1), "needs eps"),
+        (("eps", Hypothesis.mpz(Q(1, 100), Q(1, 50)), 10, 1, Q(1, 25)), "EH, BV or GEH"),
+        (("eps", Hypothesis.bv(), 10, 1, Q(1)), "side condition"),
+        (("marginal", Hypothesis.eh_full(), 3, 1, Q(1, 4)), "needs GEH"),
+        (("mk", Hypothesis.bv(), 2, 2), "k >= m"),
+        (("plain", Hypothesis.bv(), 10, 1), "unknown rule"),
+    ])
+    def test_gates(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            rule_threshold(*args)
+
+    def test_nonstrict_relaxes_eps_rule_only(self):
+        hyp = Hypothesis.geh(Q(1, 2))
+        assert rule_threshold("eps", hyp, 51, 1, Q(1, 50), nonstrict=True) == 4
+        with pytest.raises(ValueError, match="side condition"):
+            rule_threshold("marginal", hyp, 51, 1, Q(1, 50), nonstrict=True)
+
+    def test_nonstrict_chain_audits(self):
+        bound = ExternalBound(Q(5), "x")
+        claim = dhl_from_eps(51, Q(1, 50), bound, Hypothesis.geh(Q(1, 2)), 1, nonstrict=True)
+        text = emit_report([claim])
+        assert audit_report(text)
+        assert not audit_report(text.replace(" nonstrict_side_conditions=true", ""))
 
 
 def verified_cert(k=2):
