@@ -510,7 +510,9 @@ def build_partition(eps) -> list:
 
 @functools.lru_cache(maxsize=None)
 def canonical_polytope(name: str, eps) -> Polytope3:
-    return Polytope3(f"{name}_xyz", tuple(_canonical_systems(Q(eps))[name]))
+    e = Q(eps)
+    _check_eps(e)
+    return Polytope3(f"{name}_xyz", tuple(_canonical_systems(e)[name]))
 
 
 def _locate(e, point):

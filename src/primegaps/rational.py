@@ -1,19 +1,15 @@
 """Exact rational arithmetic helpers.
 
-All certificate-grade arithmetic in this package is exact.  gmpy2.mpq is
-used when available (it is several times faster than fractions.Fraction on
-the factorial-scale numbers that show up in moment matrices); the stdlib
-Fraction is a drop-in fallback.
+All certificate-grade arithmetic in this package is exact, in the stdlib
+Fraction; the hot loops (moments, structure constants) run on integer
+numerators over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q  # type: ignore
-except ImportError:  # pragma: no cover
-    Q = Fraction
+Q = Fraction
 
 
 def parse_rational(text: str):
@@ -27,7 +23,7 @@ def parse_rational(text: str):
         num, den = s.split("/", 1)
         return Q(int(num), int(den))
     if "." in s or "e" in s.lower():
-        return Q(Fraction(s))
+        return Q(s)
     return Q(int(s))
 
 

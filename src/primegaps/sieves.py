@@ -57,26 +57,29 @@ METHODS = (
     "shifted-greedy",
 )
 
+#: factor by which a too-short interval grows (plus 64) until k survive
+GROWTH = 1.05
+#: the greedy sieve removes 0 mod each prime up to this multiple of
+#: sqrt(k log k), then one least-occupied class for each larger prime up to k
+GREEDY_MULTIPLIER = 2.0
+#: how many spread-out anchor shifts the shift search refines
+REFINE_TOP = 6
+
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Knobs for the shifted sieves.
+    """Settings of the shifted sieves.
 
     shift: integer start of the interval, or "search" for a coarse scan of
-    [-x/2, x/2] (stride max(1, x//1000) unless overridden) refined locally
-    around the best hits.  batch_size controls greedy class selection:
-    classes within a batch are chosen against the survivor set frozen at
-    batch start, so results are deterministic for a given batch size.
+    [-x/2, x/2] (stride max(1, x//1000)) refined locally around the best
+    REFINE_TOP hits.  batch_size controls greedy class selection: classes
+    within a batch are chosen against the survivor set frozen at batch
+    start, so results are deterministic for a given batch size.
     """
 
     method: str = "shifted-schinzel"
     shift: object = "search"
-    shift_range: tuple | None = None
-    shift_stride: int | None = None
     batch_size: int = 1
-    greedy_multiplier: float = 2.0
-    growth: float = 1.05
-    refine_top: int = 6
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -250,7 +253,7 @@ def _best_window(surv: np.ndarray, k: int):
     return surv[i : i + k], int(diffs[i])
 
 
-def _schinzel_run(k: int, s: int, ps, pi_k: int, growth: float, x_hint: int) -> SieveRun:
+def _schinzel_run(k: int, s: int, ps, pi_k: int, x_hint: int) -> SieveRun:
     """Best admissible window of [s, s+x] at the minimal start-prime index.
 
     x is grown geometrically from the hint until the fully sieved interval
@@ -268,7 +271,7 @@ def _schinzel_run(k: int, s: int, ps, pi_k: int, growth: float, x_hint: int) -> 
             lsi = _least_sieving_index(s, span + 1, ps, pi_k)
         if int(np.count_nonzero(lsi[: x + 1] >= pi_k)) >= k:
             break
-        x = int(x * growth) + 64
+        x = int(x * GROWTH) + 64
     lsi = lsi[: x + 1]
 
     def admissible_window(m):
@@ -289,13 +292,10 @@ def _schinzel_run(k: int, s: int, ps, pi_k: int, growth: float, x_hint: int) -> 
     return SieveRun(Tuple(tuple(int(v) for v in best)), k=k, s=s, m=hi)
 
 
-def _shift_candidates(k: int, cfg: SieveConfig, ps, pi_k: int, m_ref: int, x_hint: int):
+def _shift_candidates(k: int, ps, m_ref: int, x_hint: int):
     """Rank anchor shifts by the anchored-window diameter at a reference
     sieve level (every anchor in the range is scored via one global sieve)."""
-    if cfg.shift_range is not None:
-        lo, hi = cfg.shift_range
-    else:
-        lo, hi = -(x_hint // 2), x_hint // 2
+    lo, hi = -(x_hint // 2), x_hint // 2
     pad = x_hint + 64
     mask = _structural_mask(lo, hi - lo + pad, ps[1:m_ref])
     surv = np.flatnonzero(mask).astype(np.int64) + lo
@@ -305,16 +305,15 @@ def _shift_candidates(k: int, cfg: SieveConfig, ps, pi_k: int, m_ref: int, x_hin
     anchors = surv[: len(surv) - k + 1]
     keep = anchors <= hi
     order = np.argsort(diams[keep], kind="stable")
-    scored = [(int(diams[keep][i]), int(anchors[keep][i])) for i in order[: 4 * cfg.refine_top]]
+    scored = [(int(diams[keep][i]), int(anchors[keep][i])) for i in order[: 4 * REFINE_TOP]]
     # spread the candidates: drop anchors within half a window of a better one
     chosen = []
     for d, s in scored:
         if all(abs(s - c) > x_hint // 8 for _, c in chosen):
             chosen.append((d, s))
-        if len(chosen) >= cfg.refine_top:
+        if len(chosen) >= REFINE_TOP:
             break
-    stride = cfg.shift_stride or max(1, x_hint // 1000)
-    return chosen, stride
+    return chosen, max(1, x_hint // 1000)
 
 
 def _gate(run: SieveRun) -> SieveRun:
@@ -338,17 +337,17 @@ def shifted_schinzel_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
     ps, pi_k = _primes_with_index(k)
     x_hint = int(k * (math.log(max(k, 3)) + 1.0)) + 64
     if cfg.shift != "search":
-        return _gate(_schinzel_run(k, int(cfg.shift), ps, pi_k, cfg.growth, x_hint))
-    seed = _schinzel_run(k, k, ps, pi_k, cfg.growth, x_hint)
-    scored, stride = _shift_candidates(k, cfg, ps, pi_k, seed.m, x_hint)
+        return _gate(_schinzel_run(k, int(cfg.shift), ps, pi_k, x_hint))
+    seed = _schinzel_run(k, k, ps, pi_k, x_hint)
+    scored, stride = _shift_candidates(k, ps, seed.m, x_hint)
     best = seed
     for _, s in scored:
-        run = _schinzel_run(k, s, ps, pi_k, cfg.growth, x_hint)
+        run = _schinzel_run(k, s, ps, pi_k, x_hint)
         if run.diameter < best.diameter:
             best = run
     fine = max(1, stride // 10)
     for s in range(best.s - stride, best.s + stride + 1, fine):
-        run = _schinzel_run(k, s, ps, pi_k, cfg.growth, x_hint)
+        run = _schinzel_run(k, s, ps, pi_k, x_hint)
         if run.diameter < best.diameter:
             best = run
     return _gate(best)
@@ -381,26 +380,26 @@ def _greedy_sieve(k: int, surv: np.ndarray, primes, batch_size: int):
     return _best_window(surv, k), picks
 
 
-def _greedy_pass(k: int, s: int, x: int, cfg: SieveConfig, ps, pi_k):
-    threshold = cfg.greedy_multiplier * math.sqrt(k * math.log(max(k, 3)))
+def _greedy_pass(k: int, s: int, x: int, batch_size: int, ps, pi_k):
+    threshold = GREEDY_MULTIPLIER * math.sqrt(k * math.log(max(k, 3)))
     n_struct = int(np.searchsorted(ps, threshold, side="right"))
     mask = _structural_mask(s, x + 1, ps[1:n_struct])
     surv = np.flatnonzero(mask).astype(np.int64) + s
-    win, picks = _greedy_sieve(k, surv, ps[max(n_struct, 1) : pi_k], cfg.batch_size)
+    win, picks = _greedy_sieve(k, surv, ps[max(n_struct, 1) : pi_k], batch_size)
     return win, picks, n_struct
 
 
-def _greedy_run(k: int, s: int, cfg: SieveConfig, ps, pi_k, x_start: int) -> SieveRun:
+def _greedy_run(k: int, s: int, batch_size: int, ps, pi_k, x_start: int) -> SieveRun:
     """Greedy sieve at a fixed shift, tightening the interval toward the
     achieved diameter (smaller intervals focus the class choices on the
     window that matters, which measurably narrows the result)."""
     x = x_start
     best = None
     for _ in range(4):
-        win, picks, n_struct = _greedy_pass(k, s, x, cfg, ps, pi_k)
+        win, picks, n_struct = _greedy_pass(k, s, x, batch_size, ps, pi_k)
         while win is None:  # interval too tight for k survivors
-            x = int(x * cfg.growth) + 64
-            win, picks, n_struct = _greedy_pass(k, s, x, cfg, ps, pi_k)
+            x = int(x * GROWTH) + 64
+            win, picks, n_struct = _greedy_pass(k, s, x, batch_size, ps, pi_k)
         t = Tuple(tuple(int(v) for v in win[0]))
         entries = tuple((int(np.searchsorted(ps, p)) + 1, cls) for p, cls in picks)
         run = SieveRun(t, k=k, s=s, m=n_struct, classes=entries)
@@ -429,18 +428,18 @@ def shifted_greedy_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
     logk = math.log(max(k, 3))
     x_hint = int(k * (logk + 1.0)) + 64
     if cfg.shift != "search":
-        return _gate(_greedy_run(k, int(cfg.shift), cfg, ps, pi_k, x_hint))
-    seed = _schinzel_run(k, k, ps, pi_k, cfg.growth, x_hint)
-    scored, stride = _shift_candidates(k, cfg, ps, pi_k, seed.m, x_hint)
+        return _gate(_greedy_run(k, int(cfg.shift), cfg.batch_size, ps, pi_k, x_hint))
+    seed = _schinzel_run(k, k, ps, pi_k, x_hint)
+    scored, stride = _shift_candidates(k, ps, seed.m, x_hint)
     seeds = [s for _, s in scored] + [0, k, int((k - k / logk) / 2)]
     best = None
     for s in dict.fromkeys(seeds):
-        run = _greedy_run(k, s, cfg, ps, pi_k, x_hint)
+        run = _greedy_run(k, s, cfg.batch_size, ps, pi_k, x_hint)
         if best is None or run.diameter < best.diameter:
             best = run
     fine = max(1, stride // 4)
     for s in (best.s - fine, best.s + fine):
-        run = _greedy_run(k, s, cfg, ps, pi_k, x_hint)
+        run = _greedy_run(k, s, cfg.batch_size, ps, pi_k, x_hint)
         if run.diameter < best.diameter:
             best = run
     return _gate(best)

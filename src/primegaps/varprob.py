@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
-import mpmath as mp
 import numpy as np
 
-from .rational import Q, rational_str
+from .rational import Q, parse_rational, rational_str
 from .symmpoly import (
     Signature,
     _apply_L_int,
@@ -102,7 +100,7 @@ class BasisElement:
 class GramPair:
     """Pair of exact symmetric rational matrices (M1, M2) over a basis."""
 
-    __slots__ = ("variant", "basis", "M1", "M2", "_ldl")
+    __slots__ = ("variant", "basis", "M1", "M2", "_m1_factor")
 
     def __init__(self, variant: Variant, basis, M1, M2):
         self.variant = variant
@@ -117,64 +115,81 @@ class GramPair:
                 for j in range(i):
                     if M[i][j] != M[j][i]:
                         raise ValueError("matrices must be exactly symmetric")
-        self._ldl = None
+        self._m1_factor = None
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
     def m1_ldl(self):
-        """Exact unit-lower-triangular LDL^T factorization of M1.
+        """Exact LDL^T factorization (L, d) of M1; see _ldl for the layout.
 
         Raises ValueError when M1 is not positive definite; doubles as the
-        exact positive-definiteness check.
+        exact positive-definiteness check.  An assembled pair carries the
+        factor of its assembly, so M1 is factored once.
         """
-        if self._ldl is None:
-            self._ldl = _ldl(self.M1, self.n)
-        return self._ldl
+        if self._m1_factor is None:
+            keep, L, d = _ldl(self.M1, self.n)
+            if len(keep) < self.n:
+                raise ValueError("M1 not positive definite")
+            self._m1_factor = L, d
+        return self._m1_factor
 
 
 def _ldl(A, n):
-    L = [[Q(0)] * n for _ in range(n)]
-    d = [Q(0)] * n
-    for j in range(n):
-        s = A[j][j]
-        for t in range(j):
-            s -= L[j][t] * L[j][t] * d[t]
-        if s <= 0:
-            raise ValueError("M1 not positive definite")
-        d[j] = s
-        L[j][j] = Q(1)
-        for i in range(j + 1, n):
-            s = A[i][j]
-            for t in range(j):
-                s -= L[i][t] * L[j][t] * d[t]
-            L[i][j] = s / d[j]
-    return L, d
+    """Exact LDL^T of the columns of A that are independent, greedy in order.
+
+    Returns (keep, L, d): keep lists the kept column indices; row i of L
+    holds the below-diagonal entries L[i][0..i-1] of the unit lower
+    triangular factor over the kept columns, and d the positive pivots.
+    Pivots are exact rationals, so a column whose pivot is not positive is
+    skipped: for a positive semidefinite A it lies in the span of the kept
+    ones.  (Past degree k the affine basis family is genuinely dependent.)
+    """
+    keep: list = []
+    L: list = []
+    d: list = []
+    for c in range(n):
+        row = A[c]
+        coeffs = []
+        for t, kt in enumerate(keep):
+            s = row[kt]
+            Lt = L[t]
+            for u in range(t):
+                s -= coeffs[u] * Lt[u] * d[u]
+            coeffs.append(s / d[t])
+        pivot = row[c]
+        for t in range(len(keep)):
+            pivot -= coeffs[t] * coeffs[t] * d[t]
+        if pivot > 0:
+            keep.append(c)
+            L.append(coeffs)
+            d.append(pivot)
+    return keep, L, d
 
 
-def _forward_solve(L, B, n):
+def _forward_solve(L, B):
     """Solve L X = B for unit lower triangular L (B is a list of rows)."""
     X = [list(row) for row in B]
-    for i in range(n):
-        for t in range(i):
-            lit = L[i][t]
+    for i, Li in enumerate(L):
+        Xi = X[i]
+        for t, lit in enumerate(Li):
             if lit != 0:
                 Xt = X[t]
-                Xi = X[i]
                 for j in range(len(Xi)):
                     Xi[j] = Xi[j] - lit * Xt[j]
     return X
 
 
 def _reduced_form(pair: GramPair):
-    """R = L^-1 M2 L^-T and the LDL data of M1, all exact."""
+    """R = L^-1 M2 L^-T and the LDL data of M1, all exact.
+
+    The second solve, L^-1 (L^-1 M2)^T, is already R: M2 is symmetric.
+    """
     n = pair.n
     L, d = pair.m1_ldl()
-    X = _forward_solve(L, pair.M2, n)
-    XT = [[X[j][i] for j in range(n)] for i in range(n)]
-    RT = _forward_solve(L, XT, n)
-    R = [[RT[j][i] for j in range(n)] for i in range(n)]
+    X = _forward_solve(L, pair.M2)
+    R = _forward_solve(L, [[X[j][i] for j in range(n)] for i in range(n)])
     return L, d, R
 
 
@@ -185,18 +200,11 @@ def _inv_sqrt_rational(q) -> Q:
     return Q(isqrt(den * scale * scale // num), scale)
 
 
-def _q_to_mpf(q):
-    return mp.mpf(int(q.numerator)) / mp.mpf(int(q.denominator))
-
-
-def _reduced_matrix_float(R, d, n) -> np.ndarray:
+def _reduced_matrix_float(R, d, n) -> tuple:
+    """D^-1/2 R D^-1/2 in float64, each entry rounded once from the exact value."""
     invs = [_inv_sqrt_rational(x) for x in d]
-    with mp.workdps(60):
-        S = np.array(
-            [[float(_q_to_mpf(R[i][j] * invs[i] * invs[j])) for j in range(n)] for i in range(n)],
-            dtype=float,
-        )
-    return (S + S.T) / 2.0, invs
+    S = np.array([[float(R[i][j] * invs[i] * invs[j]) for j in range(n)] for i in range(n)])
+    return S, invs
 
 
 def solve_generalized(pair: GramPair) -> tuple:
@@ -211,12 +219,13 @@ def solve_generalized(pair: GramPair) -> tuple:
     L, d, R = _reduced_form(pair)
     S, invs = _reduced_matrix_float(R, d, n)
     _, V = np.linalg.eigh(S)
-    y = [Q(Fraction(float(x))) * inv for x, inv in zip(V[:, -1], invs)]
-    return tuple(_back_solve_transpose(L, y, n))
+    y = [Q(float(x)) * inv for x, inv in zip(V[:, -1], invs)]
+    return tuple(_back_solve_transpose(L, y))
 
 
-def _back_solve_transpose(L, y, n):
+def _back_solve_transpose(L, y):
     """Solve L^T a = y for unit lower triangular L (exact)."""
+    n = len(y)
     a = list(y)
     for i in range(n - 1, -1, -1):
         s = a[i]
@@ -316,33 +325,6 @@ def build_basis(k: int, d: int, offset=Q(1), even_only: bool = True):
     return elems
 
 
-def _independent_prefix(M1, n):
-    """Indices of a maximal independent subset, greedy in basis order.
-
-    Gram pivots are exact rationals, so dependence is detected exactly: a
-    candidate whose LDL pivot vanishes lies in the span of the kept ones.
-    (For d > k the affine family is genuinely dependent.)
-    """
-    keep: list = []
-    L_rows: list = []  # rows of L restricted to kept columns
-    d: list = []
-    for c in range(n):
-        coeffs = []
-        s_diag = M1[c][c]
-        for t, kt in enumerate(keep):
-            s = M1[c][kt]
-            for u in range(t):
-                s -= coeffs[u] * L_rows[t][u] * d[u]
-            coeffs.append(s / d[t])
-        for t in range(len(keep)):
-            s_diag -= coeffs[t] * coeffs[t] * d[t]
-        if s_diag > 0:
-            keep.append(c)
-            L_rows.append(coeffs)
-            d.append(s_diag)
-    return keep
-
-
 def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scale, m2_scale):
     basis = build_basis(k, d, offset, even_only)
     terms = [{(b.a,) + tuple(b.alpha): Q(1)} for b in basis]
@@ -354,7 +336,7 @@ def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scal
                 affine_multiply(terms[i], terms[j], k), k, offset=offset, scale=m1_scale
             )
             M1[i][j] = M1[j][i] = m1
-    keep = _independent_prefix(M1, n)
+    keep, L, ld = _ldl(M1, n)
     basis = [basis[i] for i in keep]
     terms = [terms[i] for i in keep]
     M1 = [[M1[i][j] for j in keep] for i in keep]
@@ -367,7 +349,9 @@ def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scal
                 affine_multiply(slot[i], slot[j], k - 1), k - 1, offset=offset, scale=m2_scale
             )
             M2[i][j] = M2[j][i] = m2
-    return GramPair(variant, basis, M1, M2)
+    pair = GramPair(variant, basis, M1, M2)
+    pair._m1_factor = L, ld
+    return pair
 
 
 def assemble_plain(k: int, d: int, even_only: bool = True) -> GramPair:
@@ -532,8 +516,6 @@ def write_certificate(path, cert: BoundCertificate, d: int, basis_kind: str = "e
 
 def read_certificate(path):
     """Parse a certificate file; returns (variant, d, basis_kind, C, a)."""
-    from .rational import parse_rational
-
     fields = {}
     coeffs = {}
     with open(path) as fh:
@@ -573,9 +555,9 @@ def verify_certificate_file(path):
     """
     variant, d, basis_kind, C, a = read_certificate(path)
     if basis_kind == "krylov":
-        pair = hankel_pair(krylov_moments(variant.k, len(a)), len(a))
         if variant.kind != "plain":
             raise ValueError("krylov certificates are plain-variant only")
+        pair = hankel_pair(krylov_moments(variant.k, len(a)), len(a))
     elif variant.kind == "plain":
         pair = assemble_plain(variant.k, d, even_only=(basis_kind != "full"))
     else:

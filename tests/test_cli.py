@@ -102,6 +102,18 @@ class TestBoundCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2 and len(err) == 1 and "missing the k line" in err[0]
 
+    def test_verify_cert_eps_krylov_refused_before_moments(self, capsys, tmp_path, monkeypatch):
+        from primegaps import varprob
+
+        calls = []
+        monkeypatch.setattr(varprob, "krylov_moments", lambda *args: calls.append(args))
+        cert = tmp_path / "c.txt"
+        cert.write_text("variant eps\nk 3000\nd 0\neps 1/4\nbasis krylov\nC = 1\na[0] = 1\n")
+        code = main(["verify-cert", str(cert)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error:")
+        assert "plain-variant only" in err[0] and calls == []
+
     def test_basis(self, capsys):
         code, out = run(capsys, "mk", "basis", "--k", "3", "--d", "2")
         assert code == 0 and "plain(3)" in out

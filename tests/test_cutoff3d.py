@@ -251,8 +251,12 @@ class TestDegenerateCutoffs:
     @pytest.mark.parametrize("eps", [Q(1, 2), Q(1, 10), Q(1, 4) - Q(1, 10**9)], ids=str)
     def test_eps_outside_partition_refused(self, eps):
         # the same one-line error as build_partition's
-        with pytest.raises(ValueError, match=r"^the partition is valid for eps in \[1/4, 1/3\]$"):
-            PiecewiseCutoff(builtin_cutoff().pieces, eps)
+        for make in (
+            lambda: PiecewiseCutoff(builtin_cutoff().pieces, eps),
+            lambda: canonical_polytope("S", eps),  # at eps = 1/2 its volume would be 0
+        ):
+            with pytest.raises(ValueError, match=r"^the partition is valid for eps in \[1/4, 1/3\]$"):
+                make()
 
     def test_marginals_fail_at_other_eps(self):
         # the built-in coefficients are tuned to eps = 1/4

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from primegaps import varprob
 from primegaps.bounds import m4eps_check
 from primegaps.rational import Q
 from primegaps.symmpoly import affine_integral
@@ -12,8 +13,10 @@ from primegaps.varprob import (
     GramPair,
     KrylovTable,
     Variant,
+    _ldl,
     assemble_eps,
     assemble_plain,
+    build_basis,
     certify,
     gram_lower_bound,
     hankel_pair,
@@ -68,6 +71,29 @@ class TestAssemblePlain:
         for k, d in ((2, 4), (3, 4), (4, 2)):
             L, diag = assemble_plain(k, d).m1_ldl()
             assert all(x > 0 for x in diag)
+
+    def test_dependent_candidate_dropped(self):
+        # at d > k the affine family is dependent: (1 - P_1)^4 is the one
+        # candidate of the ten that lies in the span of the others
+        g = assemble_plain(2, 4)
+        assert len(build_basis(2, 4)) == 10 and g.n == 9
+        assert [(b.a, tuple(b.alpha)) for b in g.basis] == [
+            (0, ()), (1, ()), (0, (2,)), (2, ()), (1, (2,)), (3, ()), (0, (2, 2)), (0, (4,)),
+            (2, (2,)),
+        ]
+        L, diag = g.m1_ldl()
+        assert len(L) == len(diag) == 9 and all(x > 0 for x in diag)
+
+    def test_assembly_factor_reused(self, monkeypatch):
+        calls = []
+
+        def counting_ldl(A, n):
+            calls.append(n)
+            return _ldl(A, n)
+
+        monkeypatch.setattr(varprob, "_ldl", counting_ldl)
+        cert = gram_lower_bound(assemble_plain(5, 8))
+        assert cert.verified and calls == [len(build_basis(5, 8))]
 
     def test_monotone_in_degree(self):
         prev = None
@@ -140,12 +166,14 @@ class TestSolveAndCertify:
 
     def test_not_positive_definite(self):
         basis = (BasisElement(0, ()), BasisElement(1, ()))
-        bad = [[Q(1), Q(2)], [Q(2), Q(1)]]
-        pair = GramPair(Variant("plain", 2), basis, bad, bad)
-        with pytest.raises(ValueError, match="not positive definite"):
-            solve_generalized(pair)
-        with pytest.raises(ValueError, match="not positive definite"):
-            gram_lower_bound(pair)
+        # indefinite, then singular: a hand-built pair keeps every column,
+        # so a dependent one is refused, not dropped
+        for bad in ([[Q(1), Q(2)], [Q(2), Q(1)]], [[Q(1), Q(1)], [Q(1), Q(1)]]):
+            pair = GramPair(Variant("plain", 2), basis, bad, bad)
+            with pytest.raises(ValueError, match="not positive definite"):
+                solve_generalized(pair)
+            with pytest.raises(ValueError, match="not positive definite"):
+                gram_lower_bound(pair)
 
     @pytest.mark.parametrize(
         "make",
