@@ -131,26 +131,60 @@ def _beta_numerator(a: int, alpha: tuple, k: int) -> int:
     return out
 
 
-def _affine_term_integral(k: int, a: int, alpha: tuple, offset=Q(1), scale=Q(1)) -> Q:
-    """Exact int over scale*R_k of (offset - P_(1))^a * P_alpha.
+class _TermTable:
+    """Integer numerators of the term integrals over one scaled simplex.
 
-    Substituting t = scale*u gives (offset-scale) + scale*(1-P_(1)(u)) for
-    the affine factor, which is expanded binomially and integrated with the
-    Beta identity.
+    int_{scale*R_k} (offset - P_(1))^a P_alpha, a term of total degree
+    N = a + |alpha|, is numerator(a, alpha) / denominator(N).  Substituting
+    t = scale*u gives shift + scale*(1 - P_(1)(u)) for the affine factor,
+    shift = offset - scale; with shift = P/D and scale = U/D over one
+    denominator D, expanding binomially and applying the Beta identity to
+    each power gives
+
+        numerator = B U^(|alpha|+k) sum_j a!/(a-j)! (N+k)!/(|alpha|+k+j)! P^(a-j) U^j
+        denominator = D^(N+k) (N+k)!
+
+    with B = _beta_numerator(0, alpha, k).  Each numerator is computed once.
     """
-    base = _beta_numerator(0, alpha, k)
-    if base == 0:
-        return Q(0)
-    offset, scale = Q(offset), Q(scale)
-    deg = sum(alpha)
-    shift = offset - scale
-    total = Q(0)
-    for j in range(a + 1):
-        if shift == 0 and j < a:
-            continue
-        coeff = Q(math.comb(a, j)) * shift ** (a - j) * scale**j
-        total += coeff * Q(math.factorial(j) * base, math.factorial(deg + k + j))
-    return total * scale ** (deg + k)
+
+    def __init__(self, k: int, offset=Q(1), scale=Q(1)):
+        scale = Q(scale)
+        shift = Q(offset) - scale
+        self.k = k
+        self.D = math.lcm(shift.denominator, scale.denominator)
+        self.P = shift.numerator * (self.D // shift.denominator)
+        self.U = scale.numerator * (self.D // scale.denominator)
+        self._terms: dict = {}
+        self._products: dict = {}
+
+    def denominator(self, N: int) -> int:
+        return self.D ** (N + self.k) * math.factorial(N + self.k)
+
+    def numerator(self, a: int, alpha: tuple) -> int:
+        key = (a, alpha)
+        out = self._terms.get(key)
+        if out is None:
+            k, P, U = self.k, self.P, self.U
+            top = a + sum(alpha) + k
+            if P:
+                perm = math.perm
+                total = sum(perm(a, j) * perm(top, a - j) * P ** (a - j) * U**j for j in range(a + 1))
+                out = _beta_numerator(0, alpha, k) * U ** (top - a) * total
+            else:  # only the j = a term survives
+                out = _beta_numerator(a, alpha, k) * U**top
+            self._terms[key] = out
+        return out
+
+    def product_numerator(self, alpha: tuple, beta: tuple, a: int) -> int:
+        """Numerator of int (offset - P_(1))^a P_alpha P_beta, over
+        denominator(a + |alpha| + |beta|): the structure constants of
+        P_alpha P_beta against the term numerators."""
+        key = (alpha, beta, a) if alpha <= beta else (beta, alpha, a)
+        out = self._products.get(key)
+        if out is None:
+            consts = _struct_constants(alpha, beta, min(self.k, len(alpha) + len(beta)))
+            out = self._products[key] = sum(c * self.numerator(a, gamma) for gamma, c in consts)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +263,22 @@ def affine_apply_L(terms: dict, k: int) -> dict:
     return {key: Q(v, den) for key, v in out.items()}
 
 
+def _slot_terms(a: int, alpha: tuple, k: int) -> list:
+    """(c, beta, w) of the slot integral of (offset - P_(1))^a P_alpha.
+
+    Integrating one slot over its full fiber gives sum_m a!m!/(a+m+1)!
+    (offset - P_(1))^(a+m+1) P_{alpha \\ m} in k-1 variables; w is that
+    weight times (a + |alpha| + 1)!, an integer since a+m+1 <= a+|alpha|+1.
+    """
+    fact = math.factorial
+    top = fact(a + sum(alpha) + 1)
+    return [
+        (a + m + 1, beta, top // fact(a + m + 1) * fact(a) * fact(m))
+        for m, beta in _strip_candidates(alpha, k)
+        if len(beta) <= k - 1
+    ]
+
+
 def affine_slot_integral(terms: dict, k: int) -> dict:
     """Integrate one slot over the full fiber, landing in k-1 variables.
 
@@ -236,16 +286,13 @@ def affine_slot_integral(terms: dict, k: int) -> dict:
     (c - s) - t, so the same a!m!/(a+m+1)! rule applies and the offset is
     unchanged.  Requires k >= 2.
     """
-    fact = math.factorial
     out: dict = {}
     for key, coeff in terms.items():
         a, alpha = key[0], key[1:]
-        for m, beta in _strip_candidates(alpha, k):
-            if len(beta) > k - 1:
-                continue
-            c = a + m + 1
+        top = math.factorial(a + sum(alpha) + 1)
+        for c, beta, w in _slot_terms(a, alpha, k):
             okey = (c,) + beta
-            oval = coeff * Q(fact(a) * fact(m), fact(c))
+            oval = coeff * Q(w, top)
             acc = out.get(okey)
             out[okey] = oval if acc is None else acc + oval
     return {key: v for key, v in out.items() if v != 0}
@@ -270,7 +317,9 @@ def affine_multiply(t1: dict, t2: dict, k: int) -> dict:
 
 def affine_integral(terms: dict, k: int, offset=Q(1), scale=Q(1)) -> Q:
     """Exact int over scale*R_k of an affine-form polynomial with offset."""
+    table = _TermTable(k, offset, scale)
     total = Q(0)
     for key, coeff in terms.items():
-        total += coeff * _affine_term_integral(k, key[0], key[1:], Q(offset), Q(scale))
+        a, alpha = key[0], key[1:]
+        total += coeff * Q(table.numerator(a, alpha), table.denominator(a + sum(alpha)))
     return total

@@ -23,14 +23,7 @@ from math import isqrt
 import numpy as np
 
 from .rational import Q, parse_rational, rational_str
-from .symmpoly import (
-    Signature,
-    _apply_L_int,
-    _beta_numerator,
-    affine_integral,
-    affine_multiply,
-    affine_slot_integral,
-)
+from .symmpoly import Signature, _apply_L_int, _beta_numerator, _slot_terms, _TermTable
 
 __all__ = [
     "Variant",
@@ -100,7 +93,7 @@ class BasisElement:
 class GramPair:
     """Pair of exact symmetric rational matrices (M1, M2) over a basis."""
 
-    __slots__ = ("variant", "basis", "M1", "M2", "_m1_factor")
+    __slots__ = ("variant", "basis", "M1", "M2", "_m1_factor", "_integer_forms")
 
     def __init__(self, variant: Variant, basis, M1, M2):
         self.variant = variant
@@ -116,6 +109,7 @@ class GramPair:
                     if M[i][j] != M[j][i]:
                         raise ValueError("matrices must be exactly symmetric")
         self._m1_factor = None
+        self._integer_forms = None
 
     @property
     def n(self) -> int:
@@ -134,6 +128,18 @@ class GramPair:
                 raise ValueError("M1 not positive definite")
             self._m1_factor = L, d
         return self._m1_factor
+
+    def integer_forms(self):
+        """((den1, N1), (den2, N2)): M = N / den with N integer rows, den the
+        least common denominator of the entries of M."""
+        if self._integer_forms is None:
+            self._integer_forms = tuple(_over_common_denominator(M) for M in (self.M1, self.M2))
+        return self._integer_forms
+
+
+def _over_common_denominator(M):
+    den = math.lcm(*(x.denominator for row in M for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in M]
 
 
 def _ldl(A, n):
@@ -249,28 +255,27 @@ class BoundCertificate:
         object.__setattr__(self, "C", Q(self.C))
 
 
-def _quadratic_form(M, a, n):
-    total = Q(0)
-    for i in range(n):
-        ai = a[i]
-        if ai == 0:
-            continue
-        row = M[i]
-        acc = Q(0)
-        for j in range(n):
-            aj = a[j]
-            if aj != 0:
-                acc += row[j] * aj
-        total += ai * acc
-    return total
-
-
 def _quadratic_forms(pair: GramPair, a):
-    """Exact (a^T M1 a, a^T M2 a)."""
+    """Exact (a^T M1 a, a^T M2 a), summed in integers.
+
+    a is put over the lcm l of its denominators, a = A / l, and each M over
+    its common denominator, M = N / den, so a^T M a = A^T N A / (den l^2).
+    """
     n = pair.n
     if len(a) != n:
         raise ValueError("coefficient vector length must match the basis")
-    return _quadratic_form(pair.M1, a, n), _quadratic_form(pair.M2, a, n)
+    a = [Q(x) for x in a]
+    lcm = math.lcm(*(x.denominator for x in a))
+    A = [x.numerator * (lcm // x.denominator) for x in a]
+    support = [i for i in range(n) if A[i]]
+    out = []
+    for den, N in pair.integer_forms():
+        total = 0
+        for i in support:
+            row = N[i]
+            total += A[i] * sum(row[j] * A[j] for j in support)
+        out.append(Q(total, den * lcm * lcm))
+    return tuple(out)
 
 
 def _check(pair: GramPair, a, C, forms=None):
@@ -326,29 +331,41 @@ def build_basis(k: int, d: int, offset=Q(1), even_only: bool = True):
 
 
 def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scale, m2_scale):
+    """M1 and M2 by signature blocks, each entry one integer numerator.
+
+    For b_i = (offset - P_(1))^a_i P_alpha_i, M1[i][j] depends only on
+    (alpha_i, alpha_j, a_i + a_j), and each slot image is a short sum of
+    integer-weighted terms, so every entry is a sum of tabulated integers
+    (symmpoly._TermTable) over one denominator fixed by the degrees.
+    """
     basis = build_basis(k, d, offset, even_only)
-    terms = [{(b.a,) + tuple(b.alpha): Q(1)} for b in basis]
     n = len(basis)
+    fact = math.factorial
+    t1 = _TermTable(k, offset, m1_scale)
     M1 = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
+    for i, bi in enumerate(basis):
         for j in range(i, n):
-            m1 = affine_integral(
-                affine_multiply(terms[i], terms[j], k), k, offset=offset, scale=m1_scale
-            )
-            M1[i][j] = M1[j][i] = m1
+            bj = basis[j]
+            num = t1.product_numerator(bi.alpha, bj.alpha, bi.a + bj.a)
+            M1[i][j] = M1[j][i] = Q(num, t1.denominator(bi.degree + bj.degree))
     keep, L, ld = _ldl(M1, n)
     basis = [basis[i] for i in keep]
-    terms = [terms[i] for i in keep]
     M1 = [[M1[i][j] for j in keep] for i in keep]
-    slot = [affine_slot_integral(t, k) for t in terms]
+    # the slot image of b_i is sum_(c, beta, w) w/(deg_i + 1)! (offset - P_(1))^c P_beta
+    t2 = _TermTable(k - 1, offset, m2_scale)
+    slots = [_slot_terms(b.a, b.alpha, k) for b in basis]
     m = len(keep)
     M2 = [[Q(0)] * m for _ in range(m)]
-    for i in range(m):
+    for i, bi in enumerate(basis):
         for j in range(i, m):
-            m2 = k * affine_integral(
-                affine_multiply(slot[i], slot[j], k - 1), k - 1, offset=offset, scale=m2_scale
+            bj = basis[j]
+            num = sum(
+                w * w2 * t2.product_numerator(beta, beta2, c + c2)
+                for c, beta, w in slots[i]
+                for c2, beta2, w2 in slots[j]
             )
-            M2[i][j] = M2[j][i] = m2
+            den = fact(bi.degree + 1) * fact(bj.degree + 1) * t2.denominator(bi.degree + bj.degree + 2)
+            M2[i][j] = M2[j][i] = Q(k * num, den)
     pair = GramPair(variant, basis, M1, M2)
     pair._m1_factor = L, ld
     return pair
@@ -500,8 +517,25 @@ def krylov_lower_bound(k: int, n: int) -> BoundCertificate:
 # ---------------------------------------------------------------------------
 
 
+#: the bases a certificate can name: even or full signatures, or Krylov
+BASIS_KINDS = ("even", "full", "krylov")
+
+
+def _check_basis_kind(basis_kind) -> None:
+    if basis_kind not in BASIS_KINDS:
+        raise ValueError(f"certificate field basis={basis_kind!r} is not one of {', '.join(BASIS_KINDS)}")
+
+
+def _parse_field(name: str, text: str, parse):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"certificate field {name}={text.strip()!r} is not parsable") from None
+
+
 def write_certificate(path, cert: BoundCertificate, d: int, basis_kind: str = "even") -> None:
     """Text format: variant, k, d, optional eps, basis kind, C, then a[i]."""
+    _check_basis_kind(basis_kind)
     with open(path, "w") as fh:
         fh.write(f"variant {cert.variant.kind}\n")
         fh.write(f"k {cert.variant.k}\n")
@@ -515,7 +549,11 @@ def write_certificate(path, cert: BoundCertificate, d: int, basis_kind: str = "e
 
 
 def read_certificate(path):
-    """Parse a certificate file; returns (variant, d, basis_kind, C, a)."""
+    """Parse a certificate file; returns (variant, d, basis_kind, C, a).
+
+    Raises a one-line ValueError naming the field that is missing, not
+    parsable or (for basis) not one of BASIS_KINDS.
+    """
     fields = {}
     coeffs = {}
     with open(path) as fh:
@@ -524,10 +562,11 @@ def read_certificate(path):
             if not line:
                 continue
             if line.startswith("a[") and "=" in line:
-                idx = int(line[2 : line.index("]")])
-                coeffs[idx] = parse_rational(line.split("=", 1)[1])
+                name, value = (part.strip() for part in line.split("=", 1))
+                idx = _parse_field(name, name[2:-1] if name.endswith("]") else name, int)
+                coeffs[idx] = _parse_field(name, value, parse_rational)
             elif line.startswith("C") and "=" in line:
-                fields["C"] = parse_rational(line.split("=", 1)[1])
+                fields["C"] = _parse_field("C", line.split("=", 1)[1], parse_rational)
             else:
                 key, _, value = line.partition(" ")
                 fields[key] = value.strip()
@@ -538,12 +577,13 @@ def read_certificate(path):
         raise ValueError(f"certificate file is missing the {', '.join(missing)} line")
     if sorted(coeffs) != list(range(len(coeffs))):
         raise ValueError(f"coefficient indices must be a[0] .. a[{len(coeffs) - 1}]")
-    k = int(fields["k"])
-    d = int(fields["d"])
+    k = _parse_field("k", fields["k"], int)
+    d = _parse_field("d", fields["d"], int)
     kind = fields["variant"]
-    eps = parse_rational(fields["eps"]) if "eps" in fields else None
+    eps = _parse_field("eps", fields["eps"], parse_rational) if "eps" in fields else None
     variant = Variant(kind, k, eps)
     basis_kind = fields.get("basis", "even")
+    _check_basis_kind(basis_kind)
     a = tuple(coeffs[i] for i in range(len(coeffs)))
     return variant, d, basis_kind, fields["C"], a
 

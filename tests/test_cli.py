@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import pytest
@@ -113,6 +114,26 @@ class TestBoundCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2 and len(err) == 1 and err[0].startswith("error:")
         assert "plain-variant only" in err[0] and calls == []
+
+    @pytest.mark.parametrize(
+        "pattern,repl,message",
+        [
+            (r"^basis even$", "basis weird", "field basis='weird' is not one of even, full, krylov"),
+            (r"^C = .*$", "C = 1/0", "field C='1/0' is not parsable"),
+            (r"^a\[0\] = .*$", "a[0] = 1/0", "field a[0]='1/0' is not parsable"),
+            (r"^k 3$", "k abc", "field k='abc' is not parsable"),
+        ],
+        ids=["unknown-basis", "C-zero-denominator", "a0-zero-denominator", "k-not-integer"],
+    )
+    def test_verify_cert_malformed_field(self, capsys, tmp_path, pattern, repl, message):
+        cert = tmp_path / "c.txt"
+        run(capsys, "mk", "basis", "--k", "3", "--d", "2", "--out", str(cert))
+        text, count = re.subn(pattern, repl, cert.read_text(), flags=re.M)
+        assert count == 1
+        cert.write_text(text)
+        code = main(["verify-cert", str(cert)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and err == [f"error: certificate {message}"]
 
     def test_basis(self, capsys):
         code, out = run(capsys, "mk", "basis", "--k", "3", "--d", "2")

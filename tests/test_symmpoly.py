@@ -120,6 +120,30 @@ class TestBetaIntegral:
                     )
                     assert affine_integral({(a,) + alpha: Q(1)}, k) == expect
 
+    @pytest.mark.parametrize(
+        "offset,scale",
+        [(Q(26, 25), Q(26, 25)), (Q(26, 25), Q(24, 25)), (Q(3, 2), Q(1, 3)), (Q(1), Q(2, 3)),
+         (Q(0), Q(1, 2))],
+        ids=["eps-m1", "eps-m2", "wide", "shrunk", "zero-offset"],
+    )
+    def test_offset_and_scale_against_iterated_oracle(self, offset, scale):
+        # over scale*R_k, (offset - P_(1))^a = (shift + scale (1 - P_(1)(u)))^a
+        # with shift = offset - scale: expand binomially, integrate each power
+        # with the iterated oracle, and scale the volume element
+        shift = offset - scale
+        for k in range(1, 4):
+            for a in range(4):
+                for alpha in ((), (1,), (2,), (2, 1), (3, 2), (2, 2, 1)):
+                    if len(alpha) > k:
+                        continue
+                    vecs = set(itertools.permutations(alpha + (0,) * (k - len(alpha))))
+                    expect = scale ** (sum(alpha) + k) * sum(
+                        (math.comb(a, j) * shift ** (a - j) * scale**j * simplex_monomial_oracle(j, v)
+                         for j in range(a + 1) for v in vecs),
+                        Q(0),
+                    )
+                    assert affine_integral({(a,) + alpha: Q(1)}, k, offset, scale) == expect
+
     def test_against_sympy_spot_checks(self):
         sympy = pytest.importorskip("sympy")
         t1, t2 = sympy.symbols("t1 t2", nonnegative=True)

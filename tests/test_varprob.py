@@ -1,19 +1,23 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps import varprob
 from primegaps.bounds import m4eps_check
 from primegaps.rational import Q
-from primegaps.symmpoly import affine_integral
+from primegaps.symmpoly import affine_integral, affine_multiply, affine_slot_integral
 from primegaps.varprob import (
     BasisElement,
     GramPair,
     KrylovTable,
     Variant,
     _ldl,
+    _quadratic_forms,
     assemble_eps,
     assemble_plain,
     build_basis,
@@ -149,6 +153,99 @@ class TestAssembleEps:
         for k, d, eps in ((2, 4, Q(1, 4)), (3, 4, Q(1, 10))):
             cert = gram_lower_bound(assemble_eps(k, d, eps))
             assert float(cert.C) < k / (k - 1) * math.log(2 * k - 1)
+
+
+#: (kind, k, d, eps, even_only) of the pairs checked entry by entry
+EXACT_ASSEMBLY_CASES = [
+    ("eps", 50, 6, Q(1, 25), True),
+    ("plain", 5, 8, None, True),
+    ("eps", 50, 10, Q(1, 25), True),
+    ("plain", 2, 4, None, True),  # drops a dependent candidate
+    ("plain", 3, 5, None, False),
+    ("plain", 4, 6, None, True),
+    ("plain", 2, 7, None, False),
+    ("eps", 5, 4, Q(1, 3), True),
+    ("eps", 4, 5, Q(1, 4), False),
+    ("eps", 3, 6, Q(1, 2), True),
+]
+
+
+def reference_matrices(pair, offset, m1_scale, m2_scale):
+    """M1 and M2 over the pair's kept basis, entry by entry in Fraction: the
+    product of the two basis terms (or of their slot images), integrated."""
+    k, n = pair.variant.k, pair.n
+    terms = [{(b.a,) + tuple(b.alpha): Q(1)} for b in pair.basis]
+    slots = [affine_slot_integral(t, k) for t in terms]
+    M1 = [[None] * n for _ in range(n)]
+    M2 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M1[i][j] = M1[j][i] = affine_integral(
+                affine_multiply(terms[i], terms[j], k), k, offset, m1_scale
+            )
+            M2[i][j] = M2[j][i] = k * affine_integral(
+                affine_multiply(slots[i], slots[j], k - 1), k - 1, offset, m2_scale
+            )
+    return tuple(map(tuple, M1)), tuple(map(tuple, M2))
+
+
+@pytest.mark.parametrize(
+    "kind,k,d,eps,even_only",
+    EXACT_ASSEMBLY_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}{'' if c[4] else '-full'}" for c in EXACT_ASSEMBLY_CASES],
+)
+def test_assembly_matches_fraction_reference(kind, k, d, eps, even_only):
+    if kind == "eps":
+        pair = assemble_eps(k, d, eps, even_only=even_only)
+        scales = (1 + eps, 1 + eps, 1 - eps)
+    else:
+        pair = assemble_plain(k, d, even_only=even_only)
+        scales = (Q(1), Q(1), Q(1))
+    M1, M2 = reference_matrices(pair, *scales)
+    assert pair.M1 == M1
+    assert pair.M2 == M2
+
+
+#: pairwise coprime denominators (Mersenne primes)
+_LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+_rationals = st.one_of(
+    st.just(0),
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**6),
+    st.builds(Q, st.integers(-(10**40), 10**40), st.sampled_from(_LARGE_PRIMES)),
+)
+_FORMS_PAIRS = {
+    "gram-plain-3-4": functools.cache(lambda: assemble_plain(3, 4)),
+    "hankel-3-6": functools.cache(lambda: hankel_pair(krylov_moments(3, 6), 6)),
+}
+
+
+def fraction_forms(pair, a):
+    n = pair.n
+    return tuple(
+        sum((Q(a[i]) * M[i][j] * Q(a[j]) for i in range(n) for j in range(n)), Q(0))
+        for M in (pair.M1, pair.M2)
+    )
+
+
+@pytest.mark.parametrize("which", sorted(_FORMS_PAIRS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_forms_match_fraction_loop(which, data):
+    pair = _FORMS_PAIRS[which]()
+    a = data.draw(st.lists(_rationals, min_size=pair.n, max_size=pair.n))
+    assert _quadratic_forms(pair, a) == fraction_forms(pair, a)
+
+
+@pytest.mark.parametrize("which", sorted(_FORMS_PAIRS))
+def test_integer_forms_edge_vectors(which):
+    pair = _FORMS_PAIRS[which]()
+    n = pair.n
+    assert _quadratic_forms(pair, [0] * n) == (0, 0)
+    for a in ([Q(-1, p) for p in (_LARGE_PRIMES * n)[:n]], [Q(i - 2, 3**i) for i in range(n)]):
+        assert _quadratic_forms(pair, a) == fraction_forms(pair, a)
+    with pytest.raises(ValueError, match="length"):
+        _quadratic_forms(pair, [1] * (n + 1))
 
 
 class TestSolveAndCertify:
@@ -337,6 +434,17 @@ class TestCertificateFiles:
         path.write_text(text)
         re_cert, margin = verify_certificate_file(path)
         assert not re_cert.verified
+
+    def test_unknown_basis_kind_refused(self, tmp_path):
+        cert = gram_lower_bound(assemble_plain(2, 0))
+        path = tmp_path / "cert.txt"
+        with pytest.raises(ValueError, match="basis='weird'"):
+            write_certificate(path, cert, d=0, basis_kind="weird")
+        assert not path.exists()
+        write_certificate(path, cert, d=0)
+        path.write_text(path.read_text().replace("basis even", "basis weird"))
+        with pytest.raises(ValueError, match="basis='weird' is not one of even, full, krylov"):
+            read_certificate(path)
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "cert.txt"
