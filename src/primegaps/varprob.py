@@ -9,9 +9,12 @@ so that a vector a with
 
 certifies a lower bound C for the corresponding variational quantity
 (plain simplex variant, or the enlarged/shrunk epsilon variant).  Every
-bound, Gram or Krylov, takes one path: floating point proposes a, and C is
-the exact Rayleigh quotient of a rounded strictly down, so the inequality
-holds by construction and is re-checked exactly.
+bound, Gram or Krylov, takes one path: an integer fixed-point solve with a
+float64 eigensolver proposes an integer vector a, and C is its exact
+Rayleigh quotient rounded strictly down, so the inequality holds by
+construction and is re-checked exactly.  No rational factorization is
+needed: the proposal is advisory, and assembly drops dependent basis
+candidates by a factorization modulo a prime.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -93,7 +97,7 @@ class BasisElement:
 class GramPair:
     """Pair of exact symmetric rational matrices (M1, M2) over a basis."""
 
-    __slots__ = ("variant", "basis", "M1", "M2", "_m1_factor", "_integer_forms")
+    __slots__ = ("variant", "basis", "M1", "M2", "_integer_forms")
 
     def __init__(self, variant: Variant, basis, M1, M2):
         self.variant = variant
@@ -108,26 +112,11 @@ class GramPair:
                 for j in range(i):
                     if M[i][j] != M[j][i]:
                         raise ValueError("matrices must be exactly symmetric")
-        self._m1_factor = None
         self._integer_forms = None
 
     @property
     def n(self) -> int:
         return len(self.basis)
-
-    def m1_ldl(self):
-        """Exact LDL^T factorization (L, d) of M1; see _ldl for the layout.
-
-        Raises ValueError when M1 is not positive definite; doubles as the
-        exact positive-definiteness check.  An assembled pair carries the
-        factor of its assembly, so M1 is factored once.
-        """
-        if self._m1_factor is None:
-            keep, L, d = _ldl(self.M1, self.n)
-            if len(keep) < self.n:
-                raise ValueError("M1 not positive definite")
-            self._m1_factor = L, d
-        return self._m1_factor
 
     def integer_forms(self):
         """((den1, N1), (den2, N2)): M = N / den with N integer rows, den the
@@ -142,103 +131,110 @@ def _over_common_denominator(M):
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in M]
 
 
-def _ldl(A, n):
-    """Exact LDL^T of the columns of A that are independent, greedy in order.
+#: the proposal's first fixed point: a real v is carried as floor(v * 2^F),
+#: F = PROPOSAL_BITS, doubled while a pivot of M1 keeps fewer than PIVOT_BITS
+PROPOSAL_BITS = 128
+PIVOT_BITS = 64
 
-    Returns (keep, L, d): keep lists the kept column indices; row i of L
-    holds the below-diagonal entries L[i][0..i-1] of the unit lower
-    triangular factor over the kept columns, and d the positive pivots.
-    Pivots are exact rationals, so a column whose pivot is not positive is
-    skipped: for a positive semidefinite A it lies in the span of the kept
-    ones.  (Past degree k the affine basis family is genuinely dependent.)
+
+def _jacobi_scaled(N1, N2, F: int):
+    """M1 and M2 scaled by S = diag(M1)^-1/2, at 2^-F fixed point, and S.
+
+    Returns (A, B, s, e): A = S N1 S has unit diagonal; B = S N2 S up to a
+    power of two that puts its largest entry near 1 (N1, N2 are the integer
+    forms, so the scales of M1 and M2 drop out); S[i] = s[i] * 2^-e[i].
     """
-    keep: list = []
+    n = len(N1)
+    s, e = [], []
+    for i in range(n):
+        x = N1[i][i]
+        ei = F + 32 + (x.bit_length() + 1) // 2  # s[i] has about F + 32 bits
+        s.append(isqrt((1 << 2 * ei) // x))
+        e.append(ei)
+    A = [[(N1[i][j] * s[i] * s[j]) >> (e[i] + e[j] - F) for j in range(n)] for i in range(n)]
+    P = [[N2[i][j] * s[i] * s[j] for j in range(n)] for i in range(n)]
+    top = max(P[i][j].bit_length() - e[i] - e[j] for i in range(n) for j in range(n))
+    B = [[_shift(P[i][j], F - top - e[i] - e[j]) for j in range(n)] for i in range(n)]
+    return A, B, s, e
+
+
+def _shift(x: int, bits: int) -> int:
+    return x << bits if bits >= 0 else x >> -bits
+
+
+def _fixed_ldl(A, F: int):
+    """A = L D L^T at 2^-F fixed point; row i of L holds L[i][0..i-1], d the
+    pivots.  None when a pivot keeps fewer than PIVOT_BITS bits."""
     L: list = []
     d: list = []
-    for c in range(n):
-        row = A[c]
-        coeffs = []
-        for t, kt in enumerate(keep):
-            s = row[kt]
-            Lt = L[t]
-            for u in range(t):
-                s -= coeffs[u] * Lt[u] * d[u]
-            coeffs.append(s / d[t])
-        pivot = row[c]
-        for t in range(len(keep)):
-            pivot -= coeffs[t] * coeffs[t] * d[t]
-        if pivot > 0:
-            keep.append(c)
-            L.append(coeffs)
-            d.append(pivot)
-    return keep, L, d
+    for i, Ai in enumerate(A):
+        W = []  # W[t] = L[i][t] * d[t]
+        for j in range(i):
+            W.append(((Ai[j] << F) - sum(map(mul, W, L[j]))) >> F)
+        Li = [(w << F) // dj for w, dj in zip(W, d)]
+        pivot = ((Ai[i] << F) - sum(map(mul, W, Li))) >> F
+        if pivot < 1 << PIVOT_BITS:
+            return None
+        L.append(Li)
+        d.append(pivot)
+    return L, d
 
 
-def _forward_solve(L, B):
-    """Solve L X = B for unit lower triangular L (B is a list of rows)."""
-    X = [list(row) for row in B]
-    for i, Li in enumerate(L):
-        Xi = X[i]
-        for t, lit in enumerate(Li):
-            if lit != 0:
-                Xt = X[t]
-                for j in range(len(Xi)):
-                    Xi[j] = Xi[j] - lit * Xt[j]
-    return X
-
-
-def _reduced_form(pair: GramPair):
-    """R = L^-1 M2 L^-T and the LDL data of M1, all exact.
-
-    The second solve, L^-1 (L^-1 M2)^T, is already R: M2 is symmetric.
-    """
-    n = pair.n
-    L, d = pair.m1_ldl()
-    X = _forward_solve(L, pair.M2)
-    R = _forward_solve(L, [[X[j][i] for j in range(n)] for i in range(n)])
-    return L, d, R
-
-
-def _inv_sqrt_rational(q) -> Q:
-    """Rational approximation of 1/sqrt(q) to ~38 digits, exact arithmetic."""
-    scale = 10**38
-    num, den = int(q.numerator), int(q.denominator)
-    return Q(isqrt(den * scale * scale // num), scale)
-
-
-def _reduced_matrix_float(R, d, n) -> tuple:
-    """D^-1/2 R D^-1/2 in float64, each entry rounded once from the exact value."""
-    invs = [_inv_sqrt_rational(x) for x in d]
-    S = np.array([[float(R[i][j] * invs[i] * invs[j]) for j in range(n)] for i in range(n)])
-    return S, invs
+def _fixed_forward_solve(L, b, F: int):
+    """x with L x = b for the unit lower triangular L at 2^-F fixed point."""
+    x: list = []
+    for Li, bi in zip(L, b):
+        x.append(bi - (sum(map(mul, Li, x)) >> F))
+    return x
 
 
 def solve_generalized(pair: GramPair) -> tuple:
-    """Exact proposal a for the largest generalized eigenvalue of (M2, M1).
+    """Integer proposal a for the largest generalized eigenvalue of (M2, M1).
 
-    M1 = L D L^T is factored exactly and M2 reduced to R = L^-1 M2 L^-T;
-    float64 solves the symmetric problem D^-1/2 R D^-1/2, and its top
-    eigenvector v is mapped back by the exact back-solve
-    L^T a = D^-1/2 v.  The proposal is advisory: certification is exact.
+    All in Python ints at 2^-F fixed point: M1 and M2 are scaled by
+    diag(M1)^-1/2, the scaled M1 is factored L D L^T and M2 reduced to
+    R = L^-1 M2 L^-T by two forward solves.  float64 solves the symmetric
+    problem D^-1/2 R D^-1/2, and its top eigenvector v is mapped back by
+    the back-solve L^T z = D^-1/2 v.  a is z scaled back to M1's basis and
+    rounded to integers whose smallest nonzero entry keeps 64 bits.
+
+    F starts at PROPOSAL_BITS and doubles while a pivot keeps fewer than
+    PIVOT_BITS bits; an integer positive definite M1 has every scaled pivot
+    above 2^-b, b the total bit length of its diagonal, so past F = b +
+    PROPOSAL_BITS a short pivot raises ValueError("M1 not positive
+    definite").  The proposal is advisory: certification is exact.
     """
+    (_, N1), (_, N2) = pair.integer_forms()
     n = pair.n
-    L, d, R = _reduced_form(pair)
-    S, invs = _reduced_matrix_float(R, d, n)
+    if any(N1[i][i] <= 0 for i in range(n)):
+        raise ValueError("M1 not positive definite")
+    cap = sum(N1[i][i].bit_length() for i in range(n)) + PROPOSAL_BITS
+    F = PROPOSAL_BITS
+    while True:
+        A, B, s, e = _jacobi_scaled(N1, N2, F)
+        factor = _fixed_ldl(A, F)
+        if factor is not None:
+            break
+        if F >= cap:
+            raise ValueError("M1 not positive definite")
+        F *= 2
+    L, d = factor
+    X = [_fixed_forward_solve(L, col, F) for col in B]  # columns of L^-1 B
+    R = [_fixed_forward_solve(L, row, F) for row in zip(*X)]  # B is symmetric
+    S = np.array([[x / isqrt(di * dj) for x, dj in zip(row, d)] for row, di in zip(R, d)])
     _, V = np.linalg.eigh(S)
-    y = [Q(float(x)) * inv for x, inv in zip(V[:, -1], invs)]
-    return tuple(_back_solve_transpose(L, y))
-
-
-def _back_solve_transpose(L, y):
-    """Solve L^T a = y for unit lower triangular L (exact)."""
-    n = len(y)
-    a = list(y)
+    z = []
+    for v, di in zip(V[:, -1].tolist(), d):
+        num, den = v.as_integer_ratio()
+        z.append((num << 2 * F) // (den * isqrt(di << F)))
     for i in range(n - 1, -1, -1):
-        s = a[i]
-        for j in range(i + 1, n):
-            s -= L[j][i] * a[j]
-        a[i] = s
-    return a
+        z[i] -= sum(L[j][i] * z[j] for j in range(i + 1, n)) >> F
+    top = max(e)
+    a = [zi * si << (top - ei) for zi, si, ei in zip(z, s, e)]
+    drop = min(abs(x).bit_length() for x in a if x) - 64
+    if drop > 0:
+        a = [(x + (1 << (drop - 1))) >> drop for x in a]
+    return tuple(Q(x) for x in a)
 
 
 @dataclass(frozen=True)
@@ -330,6 +326,38 @@ def build_basis(k: int, d: int, offset=Q(1), even_only: bool = True):
     return elems
 
 
+#: the prime of the independence scan
+SCAN_PRIME = 2**61 - 1
+
+
+def _independent_columns(M):
+    """Greedy symmetric LDL^T of the rational matrix M modulo SCAN_PRIME.
+
+    Returns the kept column indices, in order: a column is kept when its
+    pivot is nonzero mod p, so every kept principal minor is nonzero mod p
+    and hence over Q, and the kept columns are independent.  A dependent
+    column has pivot 0 over Q and so mod p; an independent one dropped by
+    chance (a pivot divisible by p) only shrinks the basis.  A denominator
+    divisible by p raises ValueError.
+    """
+    p = SCAN_PRIME
+    A = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in M]
+    keep: list = []
+    L: list = []  # L[t][u], u < t, over the kept columns
+    dinv: list = []
+    for c, row in enumerate(A):
+        w = []  # w[t] = L[c][t] * d[t]
+        for t, kt in enumerate(keep):
+            w.append((row[kt] - sum(map(mul, w, L[t]))) % p)
+        lc = [x * y % p for x, y in zip(w, dinv)]
+        pivot = (row[c] - sum(map(mul, w, lc))) % p
+        if pivot:
+            keep.append(c)
+            L.append(lc)
+            dinv.append(pow(pivot, -1, p))
+    return keep
+
+
 def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scale, m2_scale):
     """M1 and M2 by signature blocks, each entry one integer numerator.
 
@@ -348,7 +376,7 @@ def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scal
             bj = basis[j]
             num = t1.product_numerator(bi.alpha, bj.alpha, bi.a + bj.a)
             M1[i][j] = M1[j][i] = Q(num, t1.denominator(bi.degree + bj.degree))
-    keep, L, ld = _ldl(M1, n)
+    keep = _independent_columns(M1)
     basis = [basis[i] for i in keep]
     M1 = [[M1[i][j] for j in keep] for i in keep]
     # the slot image of b_i is sum_(c, beta, w) w/(deg_i + 1)! (offset - P_(1))^c P_beta
@@ -366,9 +394,7 @@ def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scal
             )
             den = fact(bi.degree + 1) * fact(bj.degree + 1) * t2.denominator(bi.degree + bj.degree + 2)
             M2[i][j] = M2[j][i] = Q(k * num, den)
-    pair = GramPair(variant, basis, M1, M2)
-    pair._m1_factor = L, ld
-    return pair
+    return GramPair(variant, basis, M1, M2)
 
 
 def assemble_plain(k: int, d: int, even_only: bool = True) -> GramPair:

@@ -2,6 +2,7 @@
 table values used as targets."""
 
 from importlib import resources
+from pathlib import Path
 
 from primegaps.admissible import Tuple, read_tuple_file
 
@@ -47,5 +48,42 @@ ASYMPTOTIC_ROWS = (
     (3473955908, "1.0079318", "0.7490925", "19.30374872"),
 )
 
+#: certificate files written before the proposal was rounded to integers,
+#: with wide rational coefficients; they must keep verifying
+EARLIER_CERTIFICATES = Path(__file__).parent / "data"
+
 # selected published lower bounds from the Krylov method
 KRYLOV_TARGETS = {2: "1.38592", 3: "1.64643", 4: "1.84539", 5: "2.00713"}
+
+
+def exact_ldl(A, n):
+    """Exact LDL^T of the columns of A that are independent, greedy in order.
+
+    The oracle for exact positive definiteness and for the assembly's mod-p
+    independence scan.  Returns (keep, L, d): keep lists the kept
+    column indices; row i of L holds the below-diagonal entries L[i][0..i-1]
+    of the unit lower triangular factor over the kept columns, and d the
+    positive pivots.  Pivots are exact rationals, so a column whose pivot is
+    not positive is skipped: for a positive semidefinite A it lies in the
+    span of the kept ones.
+    """
+    keep: list = []
+    L: list = []
+    d: list = []
+    for c in range(n):
+        row = A[c]
+        coeffs = []
+        for t, kt in enumerate(keep):
+            s = row[kt]
+            Lt = L[t]
+            for u in range(t):
+                s -= coeffs[u] * Lt[u] * d[u]
+            coeffs.append(s / d[t])
+        pivot = row[c]
+        for t in range(len(keep)):
+            pivot -= coeffs[t] * coeffs[t] * d[t]
+        if pivot > 0:
+            keep.append(c)
+            L.append(coeffs)
+            d.append(pivot)
+    return keep, L, d

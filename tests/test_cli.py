@@ -7,6 +7,8 @@ from primegaps.admissible import read_tuple_file
 from primegaps.cli import main
 from primegaps.sieves import apply_residue_sieve
 
+from .reference import EARLIER_CERTIFICATES
+
 
 def data_path(name):
     return str(resources.files("primegaps").joinpath("data", name))
@@ -84,6 +86,12 @@ class TestBoundCommands:
         assert code == 0 and "verified" in out
         code, out = run(capsys, "verify-cert", str(cert))
         assert code == 0 and "verified" in out
+
+    @pytest.mark.parametrize("path", sorted(EARLIER_CERTIFICATES.glob("*.cert")), ids=lambda p: p.stem)
+    def test_verify_cert_earlier_certificates(self, capsys, path):
+        # files written with wide rational coefficients still verify
+        code, out = run(capsys, "verify-cert", str(path))
+        assert code == 0 and out.rstrip().endswith(" verified")
 
     def test_verify_cert_noncontiguous_indices(self, capsys, tmp_path):
         cert = tmp_path / "c.txt"

@@ -3,7 +3,9 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,6 @@ from primegaps.varprob import (
     GramPair,
     KrylovTable,
     Variant,
-    _ldl,
     _quadratic_forms,
     assemble_eps,
     assemble_plain,
@@ -32,7 +33,7 @@ from primegaps.varprob import (
     write_certificate,
 )
 
-from .reference import KRYLOV_TARGETS
+from .reference import EARLIER_CERTIFICATES, KRYLOV_TARGETS, exact_ldl
 
 
 class TestTypes:
@@ -73,8 +74,9 @@ class TestAssemblePlain:
 
     def test_m1_positive_definite(self):
         for k, d in ((2, 4), (3, 4), (4, 2)):
-            L, diag = assemble_plain(k, d).m1_ldl()
-            assert all(x > 0 for x in diag)
+            pair = assemble_plain(k, d)
+            keep, L, diag = exact_ldl(pair.M1, pair.n)
+            assert len(keep) == pair.n and all(x > 0 for x in diag)
 
     def test_dependent_candidate_dropped(self):
         # at d > k the affine family is dependent: (1 - P_1)^4 is the one
@@ -85,19 +87,17 @@ class TestAssemblePlain:
             (0, ()), (1, ()), (0, (2,)), (2, ()), (1, (2,)), (3, ()), (0, (2, 2)), (0, (4,)),
             (2, (2,)),
         ]
-        L, diag = g.m1_ldl()
-        assert len(L) == len(diag) == 9 and all(x > 0 for x in diag)
+        keep, L, diag = exact_ldl(g.M1, g.n)
+        assert len(keep) == len(L) == len(diag) == 9 and all(x > 0 for x in diag)
 
-    def test_assembly_factor_reused(self, monkeypatch):
-        calls = []
-
-        def counting_ldl(A, n):
-            calls.append(n)
-            return _ldl(A, n)
-
-        monkeypatch.setattr(varprob, "_ldl", counting_ldl)
+    def test_proposal_is_narrow_integer_vector(self):
+        # the proposal is rounded to its span plus 64 bits: the smallest
+        # nonzero coefficient keeps 64 bits and nothing is wider than needed
         cert = gram_lower_bound(assemble_plain(5, 8))
-        assert cert.verified and calls == [len(build_basis(5, 8))]
+        assert cert.verified and all(x.denominator == 1 for x in cert.a)
+        bits = [abs(x.numerator).bit_length() for x in cert.a if x]
+        span = max(bits) - min(bits)
+        assert max(bits) <= span + 65
 
     def test_monotone_in_degree(self):
         prev = None
@@ -189,11 +189,10 @@ def reference_matrices(pair, offset, m1_scale, m2_scale):
     return tuple(map(tuple, M1)), tuple(map(tuple, M2))
 
 
-@pytest.mark.parametrize(
-    "kind,k,d,eps,even_only",
-    EXACT_ASSEMBLY_CASES,
-    ids=[f"{c[0]}-{c[1]}-{c[2]}{'' if c[4] else '-full'}" for c in EXACT_ASSEMBLY_CASES],
-)
+EXACT_ASSEMBLY_IDS = [f"{c[0]}-{c[1]}-{c[2]}{'' if c[4] else '-full'}" for c in EXACT_ASSEMBLY_CASES]
+
+
+@pytest.mark.parametrize("kind,k,d,eps,even_only", EXACT_ASSEMBLY_CASES, ids=EXACT_ASSEMBLY_IDS)
 def test_assembly_matches_fraction_reference(kind, k, d, eps, even_only):
     if kind == "eps":
         pair = assemble_eps(k, d, eps, even_only=even_only)
@@ -204,6 +203,28 @@ def test_assembly_matches_fraction_reference(kind, k, d, eps, even_only):
     M1, M2 = reference_matrices(pair, *scales)
     assert pair.M1 == M1
     assert pair.M2 == M2
+
+
+@pytest.mark.parametrize("kind,k,d,eps,even_only", EXACT_ASSEMBLY_CASES, ids=EXACT_ASSEMBLY_IDS)
+def test_independence_scan_matches_exact_ldl(kind, k, d, eps, even_only):
+    # M1 over every candidate, entry by entry in Fraction; the mod-p scan
+    # must keep the columns the exact LDL^T keeps (plain-2-4, plain-3-5-full
+    # and plain-2-7-full drop dependent candidates)
+    offset = 1 + eps if kind == "eps" else Q(1)
+    candidates = build_basis(k, d, offset, even_only)
+    terms = [{(b.a,) + tuple(b.alpha): Q(1)} for b in candidates]
+    n = len(terms)
+    M1 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M1[i][j] = M1[j][i] = affine_integral(affine_multiply(terms[i], terms[j], k), k, offset, offset)
+    keep = exact_ldl(M1, n)[0]
+    assert varprob._independent_columns(M1) == keep
+    if kind == "eps":
+        pair = assemble_eps(k, d, eps, even_only=even_only)
+    else:
+        pair = assemble_plain(k, d, even_only=even_only)
+    assert list(pair.basis) == [candidates[i] for i in keep]
 
 
 #: pairwise coprime denominators (Mersenne primes)
@@ -271,6 +292,24 @@ class TestSolveAndCertify:
                 solve_generalized(pair)
             with pytest.raises(ValueError, match="not positive definite"):
                 gram_lower_bound(pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_proposal_reaches_top_eigenvalue(self, data):
+        # small SPD integer pairs B^T B + I: the exact Rayleigh quotient of
+        # the proposal against scipy's top generalized eigenvalue
+        n = data.draw(st.integers(1, 6))
+        entries = st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+        M1, M2 = (
+            [[sum(B[t][i] * B[t][j] for t in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+            for B in (data.draw(entries), data.draw(entries))
+        )
+        pair = GramPair(Variant("plain", 2), [BasisElement(0, ())] * n, M1, M2)
+        a = solve_generalized(pair)
+        assert all(x.denominator == 1 for x in a)
+        t1, t2 = _quadratic_forms(pair, a)
+        top = scipy.linalg.eigh(np.array(M2, float), np.array(M1, float), eigvals_only=True)[-1]
+        assert abs(float(t2 / t1) - top) <= 1e-9 * top
 
     @pytest.mark.parametrize(
         "make",
@@ -355,11 +394,10 @@ class TestKrylov:
     def test_hankel_matrices_positive_definite(self):
         for k in (2, 3, 5):
             pair = hankel_pair(krylov_moments(k, 6), 6)
-            _, d1 = pair.m1_ldl()
-            assert all(x > 0 for x in d1)
-            m2pair = GramPair(pair.variant, pair.basis, pair.M2, pair.M2)
-            _, d2 = m2pair.m1_ldl()
-            assert all(x > 0 for x in d2)
+            keep1, _, d1 = exact_ldl(pair.M1, 6)
+            assert len(keep1) == 6 and all(x > 0 for x in d1)
+            keep2, _, d2 = exact_ldl(pair.M2, 6)
+            assert len(keep2) == 6 and all(x > 0 for x in d2)
 
     def test_n1_is_moment_ratio(self):
         cert = krylov_lower_bound(2, 1)
@@ -375,6 +413,13 @@ class TestKrylov:
                 if prev is not None:
                     assert c.C >= prev - Q(1, 10**10)
                 prev = c.C
+
+    @pytest.mark.parametrize("n", [24, 30])
+    def test_high_order_widens_fixed_point(self, n):
+        # past order 20 a pivot of the Hankel M1 keeps fewer than 64 of the
+        # first 128 fixed-point bits, so the proposal must widen to certify
+        cert = krylov_lower_bound(2, n)
+        assert cert.verified and cert.C >= Q(692966637999, 5 * 10**11)
 
     def test_reaches_published_targets(self):
         for k, target in KRYLOV_TARGETS.items():
@@ -453,28 +498,51 @@ class TestCertificateFiles:
             read_certificate(path)
 
 
-#: pinned SHA-256 of six certificate files: a change to the exact kernels
-#: behind them must reproduce each file byte for byte
+#: pinned SHA-256 of six certificate files: a change to the proposal or the
+#: exact kernels behind them must reproduce each file byte for byte
 GOLDEN_CERTIFICATES = {
-    "krylov-2-12": "9ba0412d037bef73c99fc04ef2aaebb20bd6500fc18d402b8faf490cc315d17b",
-    "krylov-3-12": "914547ceb66a3bbbbd49d1f7223fb5e7db3be33cefb6ae95ffdbd9b223ed5772",
-    "krylov-4-12": "65c39b4cd14847123ce4ec950691e780bf5c59e47fa1e8a06b93c91835e4b700",
-    "krylov-5-12": "e11810fd85b0d3dba5a35e16ec44acd2ca75fee93b193be132a6a0aa6dedbd40",
-    "eps-50-6": "07dcc93e2b467da02f72b420585ddadebf754d5a27f2715b694f083ecedc1843",
-    "plain-5-8": "f5e487d6d360c3d26ce0d1d2de459ed4cb598b56d8bdf774fab7def8a21f2881",
+    "krylov-2-12": "5db5b875ffc23a326dd151c5ec730fc8bde81772119bb8b2c363cc53ecc405c3",
+    "krylov-3-12": "5901b0f16283ea27381a13cac8fa31427e059d584b78a653e6aaa1641e9300b9",
+    "krylov-4-12": "de1958d945b768163324fc7d7d6cdb0ed96dff2d7dd8fb3b7ee1b78817efec22",
+    "krylov-5-12": "e602dfd9842b3544eed4f5cd6890e9016eaaf095ce8d09a33458aa9c24e74619",
+    "eps-50-6": "ae3031519394cbaa38ddd066335a205022361c3a288c798f5078b20439ea5c6f",
+    "plain-5-8": "d278afc42333a4a0f14f7ad29ca0f5f2cd0190e1fc4cc38d2d479549d9210e65",
 }
+
+
+@functools.cache
+def golden_certificate(stem):
+    """(certificate, d, basis kind) of a golden stem; d is the Hankel order
+    in the stem of a Krylov one and 0 in its file."""
+    kind, k, d = stem.split("-")
+    k, d = int(k), int(d)
+    if kind == "krylov":
+        return krylov_lower_bound(k, d), 0, "krylov"
+    if kind == "eps":
+        return gram_lower_bound(assemble_eps(k, d, Q(1, 25))), d, "even"
+    return gram_lower_bound(assemble_plain(k, d)), d, "even"
 
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_CERTIFICATES))
 def test_golden_certificate_digest(tmp_path, stem):
-    kind, k, d = stem.split("-")  # for krylov, d is the Hankel order
-    k, d = int(k), int(d)
-    if kind == "krylov":
-        cert, d, basis = krylov_lower_bound(k, d), 0, "krylov"
-    elif kind == "eps":
-        cert, basis = gram_lower_bound(assemble_eps(k, d, Q(1, 25))), "even"
-    else:
-        cert, basis = gram_lower_bound(assemble_plain(k, d)), "even"
+    cert, d, basis = golden_certificate(stem)
     path = tmp_path / f"{stem}.cert"
     write_certificate(path, cert, d=d, basis_kind=basis)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CERTIFICATES[stem]
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_CERTIFICATES))
+def test_golden_certificate_not_below_earlier(stem):
+    cert = golden_certificate(stem)[0]
+    assert cert.verified
+    assert cert.C >= read_certificate(EARLIER_CERTIFICATES / f"{stem}.cert")[3]
+
+
+def test_eps_50_10_certificate(tmp_path):
+    # n = 71: the width the proposal is rounded to must not cost C
+    cert = gram_lower_bound(assemble_eps(50, 10, Q(1, 25)))
+    assert cert.verified and cert.C >= Q(3818911265873, 10**12)
+    path = tmp_path / "eps-50-10.cert"
+    write_certificate(path, cert, d=10)
+    re_cert, margin = verify_certificate_file(path)
+    assert re_cert.verified and margin > 0 and re_cert.C == cert.C
