@@ -13,6 +13,7 @@ estimate so it remains a true lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -141,14 +142,61 @@ def mkeps_upper(k: int, eps, a=None):
         return mp.mpf(k) / (av * (k - 1)) * mp.log(inner)
 
 
+def _bessel_pair(nu: int, x, bits: int):
+    """J_nu(x) and J_{nu-1}(x) for nu >= 1 and x > 0, from one power series.
+
+    With Y = x^2/4 the terms t_0 = (x/2)^nu/nu!, t_m = -t_{m-1} Y/(m (nu+m))
+    give J_nu = sum t_m and J_{nu-1} = (2/x) sum (nu+m) t_m.  The terms are
+    Python ints t_m 2^F, each a floor division of the one before, so each
+    step is off by less than one unit, carried forward by the ratio of later
+    to earlier terms.  F = bits + 64 + ceil(log2 max(1, tau) +
+    log2 max(1, 1/t_0)), with tau = max |t_m| estimated by lgamma at the
+    peak term: the first part pays for the cancellation below the largest
+    term, the second keeps t_0 to bits + 64 bits when it falls below 1.
+    The sum stops at the first zero term whose ratio Y/(m (nu+m)) is at
+    most 1/2, after N <= x + F terms.  For N <= 2^30 the sums, before
+    rounding to working precision, are within
+
+        |error of J_nu|     <= 2^-bits min(1, tau),
+        |error of J_{nu-1}| <= 2^-bits min(1, tau) 2 (nu + N)/x.
+    """
+    _, man, exp, _ = x._mpf_  # x = man 2^exp
+    log2_half_x = math.log2(man) + exp - 1
+
+    def log2_term(m):
+        return (nu + 2 * m) * log2_half_x - (math.lgamma(m + 1) + math.lgamma(nu + m + 1)) / math.log(2)
+
+    xf = float(x)
+    peak = int(xf * xf / (math.sqrt(nu * nu + xf * xf) + nu) / 2)  # m (nu+m) = Y
+    log2_tau = max(log2_term(m) for m in (max(peak - 1, 0), peak, peak + 1))
+    F = bits + 64 + math.ceil(max(0.0, log2_tau) + max(0.0, -log2_term(0)))
+
+    num, den = man**nu, math.factorial(nu)
+    shift = (exp - 1) * nu + F
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    term = num // den
+    # Y = y / 2^q with y an integer
+    y, q = man * man << max(0, 2 * exp - 2), max(0, 2 - 2 * exp)
+    total = weighted = m = 0
+    while term or 2 * y > (m * (nu + m) << q):
+        total += term
+        weighted += (nu + m) * term
+        m += 1
+        term = -((term * y) >> q) // (m * (nu + m))
+    return mp.ldexp(mp.mpf(total), -F), mp.ldexp(mp.mpf(weighted), 1 - F) / x
+
+
 def _bessel_first_zero(nu: int):
     """First positive zero of J_nu: large-order asymptotic seed + Newton.
 
-    Each Newton step evaluates J_nu and J_{nu-1} (J_1 when nu = 0) and takes
-    the derivative from the recurrence J'_nu = J_{nu-1} - (nu/x) J_nu
-    (J'_0 = -J_1).  mp.besseljzero gives the same zeros but is far slower
-    at large order (0.96 s against 0.014 s at nu = 198, DPS = 40), and
-    bessel_lower is evaluated for every k up to 200.
+    Each Newton step takes J_nu and J_{nu-1} (J_0 and J_1 when nu = 0) from
+    one shared power series, _bessel_pair, with bits = 2 prec: J_nu is then
+    within 2^-(2 prec) min(1, tau) of its value, tau the series' largest
+    term.  The derivative comes from the recurrence
+    J'_nu = J_{nu-1} - (nu/x) J_nu (J'_0 = -J_1).
     """
     with mp.workdps(DPS):
         if nu == 0:
@@ -162,11 +210,12 @@ def _bessel_first_zero(nu: int):
                 - mp.mpf("0.00397") / v - mp.mpf("0.0908") / (v * c * c) \
                 + mp.mpf("0.043") / (v * v * c)
         for _ in range(60):
-            jv = mp.besselj(nu, x)
             if nu == 0:
-                dj = -mp.besselj(1, x)
+                j1, jv = _bessel_pair(1, x, 2 * mp.mp.prec)
+                dj = -j1
             else:
-                dj = mp.besselj(nu - 1, x) - nu * jv / x
+                jv, jm1 = _bessel_pair(nu, x, 2 * mp.mp.prec)
+                dj = jm1 - nu * jv / x
             step = jv / dj
             x -= step
             if abs(step) < mp.mpf(10) ** (-DPS + 4):

@@ -338,7 +338,8 @@ def main(argv=None) -> int:
             return _cmd_report(args)
         raise AssertionError
     except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, whatever the message's own line breaks
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,16 @@
+import hashlib
 import math
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primegaps.bounds import (
+    DPS,
     AsymptoticParams,
+    _bessel_first_zero,
+    _bessel_pair,
     asymptotic_lower,
     bessel_lower,
     m2_eps,
@@ -123,10 +129,66 @@ class TestBesselLower:
             assert abs(j - jn_zeros(k - 2, 1)[0]) < 1e-9
 
     def test_matches_besseljzero_at_full_precision(self):
+        # k = 100 and 200: the series cancels most at the largest orders
         with mp.workdps(40):
-            for k in (2, 7, 30):
+            for k in (2, 7, 30, 100, 200):
                 j = mp.besseljzero(k - 2, 1)
                 assert abs(bessel_lower(k) - 4 * k * (k - 1) / (j * j)) < mp.mpf(10) ** -35
+
+    def test_golden_digest(self):
+        # repr round-trips at DPS digits, so the digest pins every value
+        # for k = 2..200 exactly
+        with mp.workdps(DPS):
+            text = "\n".join(repr(bessel_lower(k)) for k in range(2, 201))
+        assert hashlib.sha256(text.encode()).hexdigest() == BESSEL_LOWER_DIGEST
+
+    def test_large_order_zero(self):
+        # k = 7472: the library Bessel function needs more than its default
+        # precision cap here, so it is only the oracle
+        k = 7472
+        with mp.workdps(40):
+            j = _bessel_first_zero(k - 2)
+            assert abs(mp.besselj(k - 2, j, maxprec=40000)) < mp.mpf(10) ** -35
+            h = mp.mpf(10) ** -30
+            below = mp.besselj(k - 2, j - h, maxprec=40000)
+            above = mp.besselj(k - 2, j + h, maxprec=40000)
+            assert below * above < 0
+        assert bessel_lower(k) < 4
+
+
+BESSEL_LOWER_DIGEST = "953b8b7312c013af26a2a5c024616315057e0d5f4c24b95515a8e8c200726d2f"
+PAIR_BITS = 150
+
+
+def _series_scale(nu, x):
+    """Largest term tau and first term t_0 of the J_nu power series at x."""
+    y = x * x / 4
+    tau = t0 = (x / 2) ** nu / mp.factorial(nu)
+    m = 1
+    while y > m * (nu + m):
+        tau *= y / (m * (nu + m))
+        m += 1
+    return tau, t0
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.integers(1, 300), frac=st.floats(min_value=1e-9, max_value=1.0))
+@example(nu=300, frac=1e-9)
+@example(nu=300, frac=0.01)
+@example(nu=1, frac=1.0)
+@example(nu=198, frac=0.45)
+def test_bessel_pair_error_bound(nu, frac):
+    # x in (0, 2 nu + 50]; small frac puts x far below nu, where t_0 is tiny
+    with mp.workdps(60):
+        x = mp.mpf(frac) * (2 * nu + 50)
+        jv, jm1 = _bessel_pair(nu, x, PAIR_BITS)
+        tau, t0 = _series_scale(nu, x)
+        bound = mp.ldexp(min(1, tau), -PAIR_BITS)
+        # N <= x + F by the docstring, and
+        # F <= bits + 66 + log2 max(1, tau) + log2 max(1, 1/t_0)
+        n_terms = x + PAIR_BITS + 66 + max(0, mp.log(tau, 2)) + max(0, -mp.log(t0, 2))
+        assert abs(jv - mp.besselj(nu, x)) <= bound
+        assert abs(jm1 - mp.besselj(nu - 1, x)) <= bound * 2 * (nu + n_terms) / x
 
 
 class TestAsymptoticLower:

@@ -170,6 +170,22 @@ class TestBoundCommands:
         code = main(["m2eps", "--eps", "7/2"])
         assert code == 2
 
+    def test_multiline_error_is_one_line(self, capsys, monkeypatch):
+        def fail(k):
+            raise ValueError("hypsum() failed to converge to the requested 7223 bits\n"
+                             "  of accuracy\nusing a working precision of 40000 bits.")
+
+        monkeypatch.setattr("primegaps.cli.bounds.bessel_lower", fail)
+        code = main(["bessel", "--k", "6"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: hypsum() failed")
+        assert "7223 bits of accuracy using" in err
+
+    def test_bessel_large_order(self, capsys):
+        code, out = run(capsys, "bessel", "--k", "7472")
+        assert code == 0 and out == "3.96296588843572\n"
+
 
 class TestCutoffCommands:
     def test_verify(self, capsys):
