@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from .cutoff3d import Poly3, _simplex_integral
 from .rational import Q
 
 __all__ = [
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 DPS = 40
+
+
+def _mpf(x):
+    """x at the working precision; an exact rational by one division."""
+    return mp.mpf(x.numerator) / mp.mpf(x.denominator) if hasattr(x, "numerator") else mp.mpf(x)
 
 
 def mk_upper(k: int):
@@ -77,7 +83,7 @@ def m2_eps(eps):
     (m2_exact(), 2).
     """
     with mp.workdps(DPS):
-        e = mp.mpf(eps.numerator) / mp.mpf(eps.denominator) if hasattr(eps, "numerator") else mp.mpf(eps)
+        e = _mpf(eps)
         if not 0 < e < 1:
             raise ValueError("eps must lie in (0, 1)")
         if e >= mp.mpf(1) / 3:
@@ -130,12 +136,10 @@ def mkeps_upper(k: int, eps, a=None):
     if k < 2:
         raise ValueError("k must be >= 2")
     with mp.workdps(DPS):
-        e = mp.mpf(eps.numerator) / mp.mpf(eps.denominator) if hasattr(eps, "numerator") else mp.mpf(eps)
+        e = _mpf(eps)
         if not 0 < e < 1:
             raise ValueError("eps must lie in (0, 1)")
-        av = mp.mpf(1) if a is None else (
-            mp.mpf(a.numerator) / mp.mpf(a.denominator) if hasattr(a, "numerator") else mp.mpf(a)
-        )
+        av = mp.mpf(1) if a is None else _mpf(a)
         if not 1 / (1 + e) < av < 1 / (1 - e):
             raise ValueError("a must lie in (1/(1+eps), 1/(1-eps))")
         inner = k + (av * (1 + e) - 1) * (k - 1) / (1 - av * (1 - e))
@@ -371,45 +375,23 @@ def asymptotic_lower(p: AsymptoticParams) -> AsymptoticReport:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p, q):
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_eval_integral(p, upper):
-    """int_0^upper of the polynomial with coefficient list p (exact)."""
-    total = Q(0)
-    power = Q(upper)
-    for i, a in enumerate(p):
-        total += a * power / (i + 1)
-        power *= Q(upper)
-    return total
-
-
 def m4eps_check(eps, alpha):
     """Exact rational (I, J, ratio_ok) for the linear four-variable cutoff
     (1 - alpha * sum(t)) on the enlarged simplex.
 
     I has the displayed sextic closed form; J integrates the squared inner
     slot integral against the outer shrunk region, a one-dimensional
-    polynomial integral evaluated exactly.  ratio_ok tests 4J/I > 2.00558
-    as an exact rational comparison.
+    polynomial integral evaluated exactly by the integer simplex kernel on
+    the segment [0, 1 - eps].  ratio_ok tests 4J/I > 2.00558 as an exact
+    rational comparison.
     """
     eps, alpha = Q(eps), Q(alpha)
     if not 0 < eps < Q(1, 2):
         raise ValueError("eps must lie in (0, 1/2)")
     w = 1 + eps
     I = alpha * alpha * w**6 / 36 - alpha * w**5 / 15 + w**4 / 24
-    # J integrand: (w - u)^2 (1 - alpha (w + u)/2)^2 u^2 / 2
-    p1 = [w, Q(-1)]                       # w - u
-    p2 = [1 - alpha * w / 2, -alpha / 2]  # 1 - alpha(w+u)/2
-    integrand = _poly_mul(_poly_mul(p1, p1), _poly_mul(p2, p2))
-    integrand = _poly_mul(integrand, [Q(0), Q(0), Q(1, 2)])  # * u^2/2
-    J = _poly_eval_integral(integrand, 1 - eps)
+    # J integrand: (w - u)^2 (1 - alpha (w + u)/2)^2 u^2 / 2, with u as x
+    factor = Poly3.affine(w, -1) * Poly3.affine(1 - alpha * w / 2, -alpha / 2)
+    J = _simplex_integral(factor * factor * Poly3({(2, 0, 0): Q(1, 2)}), [((Q(0),), (1 - eps,))])
     ratio_ok = 4 * J > Q(200558, 100000) * I
     return I, J, ratio_ok

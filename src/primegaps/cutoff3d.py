@@ -8,13 +8,15 @@ canonical piece and extended by symmetry.
 
 Everything here is exact rational arithmetic, and the ten inequality
 systems are the only geometric data.  Each polytope is rebuilt from its
-inequalities by exact vertex enumeration and integrated by an integer simplex
-kernel (Polytope3.integrate): volumes and the square functional I.  The slot
+inequalities by exact vertex enumeration.  One integer simplex kernel
+(_simplex_integral) does every exact integral: Polytope3.integrate fans a
+polytope into tetrahedra for volumes and the square functional I.  The slot
 functional J and the marginal conditions integrate F along z-fibres: the
 breakpoints are the polytope inequalities that involve z, they cut the (x, y)
 regions into convex cells, and on each cell the z-integral of F is one
-bivariate polynomial.  J integrates its square over the cells; on the far
-outer region each distinct one must vanish identically.
+bivariate polynomial.  J integrates its square over the cells, each fanned
+into triangles; on the far outer region each distinct one must vanish
+identically.
 """
 
 from __future__ import annotations
@@ -160,11 +162,6 @@ class Poly3:
             out[tuple(new)] = c / new[axis]
         return Poly3(out)
 
-    def integrate(self, name: str, lower: "Poly3", upper: "Poly3") -> "Poly3":
-        """Definite integral in one variable between polynomial limits."""
-        F = self.antiderivative(name)
-        return F.substitute(name, upper) - F.substitute(name, lower)
-
     def __repr__(self):  # pragma: no cover
         if not self.terms:
             return "0"
@@ -173,19 +170,6 @@ class Poly3:
             mono = "".join(f"{v}^{e}" if e > 1 else (v if e else "") for v, e in zip("xyz", key))
             bits.append(f"{self.terms[key]}{'*' + mono if mono else ''}")
         return " + ".join(bits)
-
-
-def _iterated_integral(integrand: Poly3, chain) -> Q:
-    """Integrate innermost-first along [(var, lo, hi), ...] (outer first).
-
-    Outermost limits must be constants; the result is an exact rational.
-    """
-    acc = integrand
-    for var, lo, hi in reversed(chain):
-        acc = acc.integrate(var, lo, hi)
-    if not acc.is_zero() and set(acc.terms) != {(0, 0, 0)}:
-        raise ValueError("integration chain left free variables")
-    return acc.terms.get((0, 0, 0), Q(0))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +339,7 @@ class Polytope3:
         pts = set()
         for i1, i2, i3 in itertools.combinations(range(len(ineqs)), 3):
             rows = [ineqs[i1], ineqs[i2], ineqs[i3]]
-            det = _det3([r[1:] for r in rows])
+            det = _det([r[1:] for r in rows])
             if det == 0:
                 continue
             rhs = [-r[0] for r in rows]
@@ -368,48 +352,63 @@ class Polytope3:
         return self.integrate(Poly3.const(1))
 
     def integrate(self, poly: Poly3) -> Q:
-        """Exact integral of a polynomial over the polytope.
-
-        Vertices are scaled to integers by the lcm L of their denominators,
-        poly to integer numerators over one denominator den.  The fan from
-        the first vertex over the faces without it gives tetrahedra that are
-        integer affine images of the standard simplex, where u^a v^b w^c
-        integrates to a!b!c!/(a+b+c+3)!."""
+        """Exact integral of a polynomial over the polytope: the fan from the
+        first vertex over the faces without it gives tetrahedra, and the
+        integer simplex kernel (_simplex_integral) integrates poly over them."""
         verts = self.vertices()
-        if len(verts) < 4 or poly.is_zero():
+        if len(verts) < 4:
             return Q(0)
-        D = poly.degree
-        L = math.lcm(*(int(c.denominator) for v in verts for c in v))
-        den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
-        # poly(X / L) = sum of coeff[key] X^key over den * L^D
-        coeff = {
-            key: int(c.numerator) * (den // int(c.denominator)) * L ** (D - sum(key))
-            for key, c in poly.terms.items()
-        }
-        scaled = {v: tuple(int(c * L) for c in v) for v in verts}
         apex = verts[0]
-        total = 0
+        tetrahedra = []
         for c0, cx, cy, cz in self.inequalities:
             face = [v for v in verts if c0 + cx * v[0] + cy * v[1] + cz * v[2] == 0]
             if len(face) < 3 or apex in face:
                 continue
-            ring = [_sub(scaled[v], scaled[apex]) for v in _order_face(face, (cx, cy, cz))]
-            for i in range(1, len(ring) - 1):
-                edges = (ring[0], ring[i], ring[i + 1])
-                forms = [(scaled[apex][axis],) + tuple(e[axis] for e in edges) for axis in range(3)]
-                total += abs(_det3(edges)) * _simplex_sum(coeff, forms, D)
-        return Q(total, math.factorial(D + 3) * L ** (D + 3) * den)
+            ring = _order_face(face, (cx, cy, cz))
+            tetrahedra += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+        return _simplex_integral(poly, tetrahedra)
+
+
+def _simplex_integral(poly: Poly3, simplices) -> Q:
+    """Exact integral of a polynomial over a union of n-simplices, n = 1, 2, 3.
+
+    Each simplex is given by its n + 1 vertices with n rational coordinates,
+    and poly may involve only the first n variables.  Vertices are scaled to
+    integers by the lcm L of their denominators, poly to integer numerators
+    over one denominator den.  Each simplex is then an integer affine image
+    of the standard one, where u^a v^b w^c integrates to a!b!c!/(a+b+c+n)!,
+    and the Jacobian is the determinant of its n edges."""
+    if not simplices or poly.is_zero():
+        return Q(0)
+    n = len(simplices[0]) - 1
+    D = poly.degree
+    L = math.lcm(*(int(c.denominator) for s in simplices for v in s for c in v))
+    den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
+    # poly(X / L) = sum of coeff[key] X^key over den * L^D
+    coeff = {
+        key: int(c.numerator) * (den // int(c.denominator)) * L ** (D - sum(key))
+        for key, c in poly.terms.items()
+    }
+    total = 0
+    for simplex in simplices:
+        apex, *rest = [[int(c * L) for c in v] for v in simplex]
+        edges = [[c - a for c, a in zip(v, apex)] for v in rest]
+        forms = [(apex[axis], *(e[axis] for e in edges)) for axis in range(n)]
+        total += abs(_det(edges)) * _simplex_sum(coeff, forms, D)
+    return Q(total, math.factorial(D + n) * L ** (D + n) * den)
 
 
 def _simplex_sum(coeff, forms, D) -> int:
-    """(D+3)! times the standard-simplex integral of sum coeff[i,j,l] X^i Y^j Z^l,
-    where X, Y, Z are the integer affine forms (c0, cu, cv, cw) in (u, v, w)."""
-    powers = []
-    for axis, (c0, cu, cv, cw) in enumerate(forms):
-        form = {(0, 0, 0): c0, (1, 0, 0): cu, (0, 1, 0): cv, (0, 0, 1): cw}
-        powers.append([{(0, 0, 0): 1}])
+    """(D+n)! times the standard n-simplex integral of sum coeff[i,j,l] X^i Y^j Z^l,
+    where the n <= 3 integer affine forms (c0, c1, .., cn) in (u, v, w) give
+    X, Y, Z in turn; the variables past the first n do not occur."""
+    n = len(forms)
+    units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)][: n + 1]
+    powers = [[{(0, 0, 0): 1}] for _ in range(3)]
+    for axis, form in enumerate(forms):
+        form = dict(zip(units, form))
         for _ in range(max(key[axis] for key in coeff)):
-            powers[-1].append(_int_mul(powers[-1][-1], form))
+            powers[axis].append(_int_mul(powers[axis][-1], form))
     xp, yp, zp = powers
     nested: dict = {}  # Horner grouping: sum_i X^i sum_j Y^j sum_l c_ijl Z^l
     for (i, j, l), c in coeff.items():
@@ -421,8 +420,8 @@ def _simplex_sum(coeff, forms, D) -> int:
             _int_mul(yp[j], zsum, inner)
         _int_mul(xp[i], inner, composed)
     f = math.factorial
-    # a!b!c!(D+3)!/(a+b+c+3)! is an integer whenever a+b+c <= D
-    return sum(v * f(a) * f(b) * f(c) * f(D + 3) // f(a + b + c + 3)
+    # a!b!c!(D+n)!/(a+b+c+n)! is an integer whenever a+b+c <= D
+    return sum(v * f(a) * f(b) * f(c) * f(D + n) // f(a + b + c + n)
                for (a, b, c), v in composed.items())
 
 
@@ -440,9 +439,15 @@ def _sub(p, q):
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def _det(rows):
+    """Determinant of a 1x1, 2x2 or 3x3 matrix."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return rows[0][0]
 
 
 def _cramer3(A, rhs, det):
@@ -450,7 +455,7 @@ def _cramer3(A, rhs, det):
     out = []
     for i in range(3):
         M = [list(cols[j]) if j != i else list(rhs) for j in range(3)]
-        out.append(_det3(list(zip(*M))) / det)
+        out.append(_det(list(zip(*M))) / det)
     return tuple(out)
 
 
@@ -633,21 +638,9 @@ def _fibre_integrals(f: PiecewiseCutoff):
 
 
 def _cell_integral(poly: Poly3, ring) -> Q:
-    """Integral of a polynomial in (x, y) over a convex polygon, by x-slabs
-    between consecutive vertex abscissae: in each, one edge bounds y below
-    and one above."""
-    edges = []
-    for p, q in zip(ring, ring[1:] + ring[:1]):
-        if p[0] != q[0]:
-            s = (q[1] - p[1]) / (q[0] - p[0])
-            edges.append((min(p[0], q[0]), max(p[0], q[0]), Poly3.affine(p[1] - s * p[0], s)))
-    xs = sorted({v[0] for v in ring})
-    total = Q(0)
-    for xa, xb in zip(xs, xs[1:]):
-        spans = [edge for lo, hi, edge in edges if lo <= xa and xb <= hi]
-        lower, upper = sorted(spans, key=lambda edge: edge.eval((xa + xb) / 2, 0, 0))
-        total += _iterated_integral(poly, [("x", Poly3.const(xa), Poly3.const(xb)), ("y", lower, upper)])
-    return total
+    """Integral of a polynomial in (x, y) over a convex polygon, fanned from
+    its first vertex into triangles for the integer simplex kernel."""
+    return _simplex_integral(poly, [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)])
 
 
 # ---------------------------------------------------------------------------

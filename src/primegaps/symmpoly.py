@@ -70,9 +70,10 @@ def _perm_count(alpha: tuple, k: int) -> int:
 def _distinct_perms(alpha: tuple, k: int) -> tuple:
     """All distinct length-k exponent vectors with signature alpha."""
     vec = list(alpha) + [0] * (k - len(alpha))
-    out, seen = [], set()
+    out = []
     # affine_multiply asks for at most len(alpha) + len(beta) variables, so k
-    # stays small and a set-filtered recursion is fine
+    # stays small; skipping a value already placed at a position yields each
+    # distinct vector once
     def rec(prefix, remaining):
         if not remaining:
             out.append(tuple(prefix))
@@ -85,9 +86,7 @@ def _distinct_perms(alpha: tuple, k: int) -> tuple:
             rec(prefix + [v], remaining[:i] + remaining[i + 1 :])
 
     rec([], vec)
-    for v in out:
-        seen.add(v)
-    return tuple(sorted(seen))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
 """Shared reference data for the tests: known optimal tuples and published
-table values used as targets."""
+table values used as targets, and the slow exact oracles that the program's
+integer kernels are checked against."""
 
 from importlib import resources
 from pathlib import Path
 
 from primegaps.admissible import Tuple, read_tuple_file
+from primegaps.cutoff3d import Poly3
+from primegaps.rational import Q
 
 
 def _data_tuple(name: str) -> Tuple:
@@ -87,3 +90,37 @@ def exact_ldl(A, n):
             L.append(coeffs)
             d.append(pivot)
     return keep, L, d
+
+
+def iterated_integral(integrand: Poly3, chain) -> Q:
+    """Integrate innermost-first along [(var, lo, hi), ...] (outer first).
+
+    The oracle for the integer simplex kernel: each step takes the
+    antiderivative in one variable and substitutes the polynomial limits.
+    Outermost limits must be constants; the result is an exact rational.
+    """
+    acc = integrand
+    for var, lo, hi in reversed(chain):
+        F = acc.antiderivative(var)
+        acc = F.substitute(var, hi) - F.substitute(var, lo)
+    if not acc.is_zero() and set(acc.terms) != {(0, 0, 0)}:
+        raise ValueError("integration chain left free variables")
+    return acc.terms.get((0, 0, 0), Q(0))
+
+
+def slab_polygon_integral(poly: Poly3, ring) -> Q:
+    """Integral of a polynomial in (x, y) over a convex polygon, by x-slabs
+    between consecutive vertex abscissae: in each, one edge bounds y below
+    and one above.  The polygon oracle for the triangle fan."""
+    edges = []
+    for p, q in zip(ring, ring[1:] + ring[:1]):
+        if p[0] != q[0]:
+            s = (q[1] - p[1]) / (q[0] - p[0])
+            edges.append((min(p[0], q[0]), max(p[0], q[0]), Poly3.affine(p[1] - s * p[0], s)))
+    xs = sorted({v[0] for v in ring})
+    total = Q(0)
+    for xa, xb in zip(xs, xs[1:]):
+        spans = [edge for lo, hi, edge in edges if lo <= xa and xb <= hi]
+        lower, upper = sorted(spans, key=lambda edge: edge.eval((xa + xb) / 2, 0, 0))
+        total += iterated_integral(poly, [("x", Poly3.const(xa), Poly3.const(xb)), ("y", lower, upper)])
+    return total

@@ -247,6 +247,7 @@ class TestM4Eps:
         # d=1 Gram assembly in test_varprob)
         I, J, _ = m4eps_check(Q(21, 125), Q(98, 125))
         assert I == Q(3905303554116646, 536441802978515625)
+        assert J == Q(407937243662261248, 111758708953857421875)
         assert 4 * J / I > 2
 
     def test_exact_ratio_vs_published_constant(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps.cutoff3d import (
     CANONICAL_NAMES,
@@ -9,9 +11,10 @@ from primegaps.cutoff3d import (
     Poly3,
     Polytope3,
     _cell_integral,
+    _clip,
     _fibre_programs,
-    _iterated_integral,
     _locate,
+    _simplex_integral,
     build_partition,
     builtin_cutoff,
     canonical_polytope,
@@ -24,6 +27,8 @@ from primegaps.cutoff3d import (
     verify_theorem_piece,
 )
 from primegaps.rational import Q
+
+from .reference import iterated_integral, slab_polygon_integral
 
 I_EXACT = Q(62082439864241, 507343011840)
 J_EXACT = Q(9933190664926733, 40587440947200)
@@ -48,8 +53,8 @@ class TestPoly3:
 
     def test_integrate_with_affine_limits(self):
         # int_0^{1-x} z dz = (1-x)^2/2
-        z = Poly3.var("z")
-        out = z.integrate("z", Poly3.const(0), Poly3.affine(1, -1))
+        F = Poly3.var("z").antiderivative("z")
+        out = F.substitute("z", Poly3.affine(1, -1)) - F.substitute("z", Poly3.const(0))
         assert out == Poly3({(0, 0, 0): Q(1, 2), (1, 0, 0): -1, (2, 0, 0): Q(1, 2)})
 
     def test_permute(self):
@@ -136,8 +141,25 @@ class TestSimplexKernel:
             ("y", aff(Q(2, 7)), aff(Q(23, 42), Q(-1, 2))),
             ("z", aff(Q(1, 7)), aff(Q(32, 63), Q(-1, 3), Q(-2, 3))),
         ]
-        assert tet.integrate(poly) == _iterated_integral(poly, chain)
-        assert tet.volume() == _iterated_integral(Poly3.const(1), chain)
+        assert tet.integrate(poly) == iterated_integral(poly, chain)
+        assert tet.volume() == iterated_integral(Poly3.const(1), chain)
+
+    def test_standard_segment_monomials(self):
+        # x^a over [0, 1] is a!/(a+1)!, whichever way the segment runs
+        f = math.factorial
+        for a in range(9):
+            for segment in (((Q(0),), (Q(1),)), ((Q(1),), (Q(0),))):
+                assert _simplex_integral(Poly3({(a, 0, 0): 1}), [segment]) == Q(f(a), f(a + 1)), a
+
+    def test_standard_triangle_monomials(self):
+        # x^a y^b over the standard triangle is a!b!/(a+b+2)!, in either orientation
+        f = math.factorial
+        ccw = ((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1)))
+        for a in range(7):
+            for b in range(7 - a):
+                for triangle in (ccw, ccw[::-1]):
+                    value = _simplex_integral(Poly3({(a, b, 0): 1}), [triangle])
+                    assert value == Q(f(a) * f(b), f(a + b + 2)), (a, b)
 
     def test_partition_square_integral_is_I(self):
         f = builtin_cutoff()
@@ -147,6 +169,40 @@ class TestSimplexKernel:
             g = piece_polynomial(f, name, word)
             total += part.integrate(g * g)
         assert total == I_EXACT
+
+
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _sector_cells(draw):
+    """A convex cell of the sector {0 < y < x, x+y < 3/2}, clipped 1 to 3
+    times by a random rational line through a random interior point."""
+    ring = ((Q(0), Q(0)), (Q(3, 2), Q(0)), (Q(3, 4), Q(3, 4)))
+    for _ in range(draw(st.integers(1, 3))):
+        weights = [draw(st.integers(1, 9)) for _ in ring]
+        px, py = (sum(w * v[i] for w, v in zip(weights, ring)) / sum(weights) for i in (0, 1))
+        cx, cy = draw(_RATIONAL.filter(bool)), draw(_RATIONAL)
+        ring = _clip(ring, (-cx * px - cy * py, cx, cy))
+    return ring
+
+
+@st.composite
+def _bivariate_polys(draw):
+    """A random rational polynomial in (x, y) of total degree at most 6."""
+    keys = [(a, b, 0) for a in range(7) for b in range(7 - a)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8, unique=True))
+    return Poly3({key: draw(_RATIONAL) for key in chosen})
+
+
+class TestCellIntegral:
+    @settings(max_examples=60, deadline=None)
+    @given(ring=_sector_cells(), poly=_bivariate_polys())
+    def test_triangle_fan_matches_slab_oracle(self, ring, poly):
+        expected = slab_polygon_integral(poly, ring)
+        assert _cell_integral(poly, ring) == expected
+        # the integral does not depend on the orientation of the ring
+        assert _cell_integral(poly, ring[::-1]) == expected
 
 
 class TestExactValues:
