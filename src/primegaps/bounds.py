@@ -79,8 +79,9 @@ def m2_eps(eps):
     """Exact optimum of the enlarged two-variable problem.
 
     Closed form (e(1+eps) - 2 eps)/(e-1) for eps >= 1/3; for smaller eps the
-    largest root of the transcendental eigenvalue equation, bracketed inside
-    (m2_exact(), 2).
+    largest root of the transcendental eigenvalue equation: a walk down from
+    2 brackets it inside (m2_exact(), 2), and mpmath's Anderson solver
+    refines the bracket.
     """
     with mp.workdps(DPS):
         e = _mpf(eps)
@@ -94,38 +95,15 @@ def m2_eps(eps):
         # largest root: walk down from 2 to the first sign change
         steps = 400
         prev_x, prev_f = hi, f(hi)
-        root_bracket = None
         for i in range(1, steps + 1):
             x = hi - (hi - lo) * i / steps
             fx = f(x)
             if fx == 0:
                 return x
             if mp.sign(fx) != mp.sign(prev_f):
-                root_bracket = (x, prev_x)
-                break
+                return mp.findroot(f, (x, prev_x), solver="anderson")
             prev_x, prev_f = x, fx
-        if root_bracket is None:
-            raise ArithmeticError("no eigenvalue root found in bracket")
-        a, b = root_bracket
-        for _ in range(200):  # bisection, then Newton polish
-            mid = (a + b) / 2
-            fm = f(mid)
-            if fm == 0:
-                break
-            if mp.sign(fm) == mp.sign(f(a)):
-                a = mid
-            else:
-                b = mid
-            if b - a < mp.mpf(10) ** (-DPS + 5):
-                break
-        lam = (a + b) / 2
-        h = mp.mpf(10) ** (-12)
-        for _ in range(8):
-            d = (f(lam + h) - f(lam - h)) / (2 * h)
-            if d == 0:
-                break
-            lam -= f(lam) / d
-        return lam
+        raise ArithmeticError("no eigenvalue root found in bracket")
 
 
 def mkeps_upper(k: int, eps, a=None):

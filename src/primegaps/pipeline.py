@@ -13,15 +13,17 @@ hypothesis they require):
   * marginal rule: an exactly verified piecewise cutoff with vanishing
     marginals under GEH.
 
-Every comparison is exact rational arithmetic; claims built from
-unverified certificates are rejected outright.  DHL[k, m+1] plus an
-admissible k-tuple yields an upper bound for the m-th gap quantity equal
-to the tuple diameter.
+All four rules share one derivation, and a report audit rebuilds each
+chain through it and re-renders the line byte for byte.  Every comparison is
+exact rational arithmetic; unverified certificates are rejected outright.
+DHL[k, m+1] plus an admissible k-tuple bounds the m-th gap quantity by the
+tuple diameter.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from .admissible import Tuple, is_admissible
@@ -164,19 +166,8 @@ class MarginalEvidence:
         object.__setattr__(self, "ratio", Q(self.ratio))
 
 
-def _bound_value(C, k: int, kinds=("plain",)):
-    """Exact bound value from a certificate or external constant."""
-    if isinstance(C, BoundCertificate):
-        if not C.verified:
-            raise ValueError("certificate is not verified")
-        if C.variant.kind not in kinds or C.variant.k != k:
-            raise ValueError(
-                f"certificate variant {C.variant} does not match the rule for k={k}"
-            )
-        return Q(C.C), "certificate"
-    if isinstance(C, ExternalBound):
-        return Q(C.C), f"external:{C.source}"
-    raise TypeError("C must be a BoundCertificate or ExternalBound")
+#: the fields of every report chain line, in order; provenance keys are the others
+_CHAIN_FIELDS = ("index", "rule", "k", "m", "hypothesis", "bound", "threshold", "margin")
 
 
 @dataclass(frozen=True)
@@ -198,6 +189,12 @@ class DHLClaim:
         object.__setattr__(self, "threshold", Q(self.threshold))
         if not self.bound > self.threshold:
             raise ValueError("bound does not exceed the threshold")
+        # provenance must read back from a report line (see _parse_kv)
+        provenance = {str(key): str(value) for key, value in self.provenance.items()}
+        for key, value in provenance.items():
+            if not re.fullmatch("[a-z0-9_]+", key) or key in _CHAIN_FIELDS or value.split() != [value]:
+                raise ValueError(f"provenance {key}={value!r} would not read back from a report")
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def margin(self):
@@ -215,17 +212,11 @@ class HmClaim:
     tuple_sha256: str = ""
 
 
-def _merged(base: dict, extra) -> dict:
-    if extra:
-        base.update({str(key): str(value) for key, value in extra.items()})
-    return base
-
-
 def rule_threshold(rule: str, hyp: Hypothesis, k: int, m: int, eps=None,
                    nonstrict: bool = False):
     """Check the gates of an implication rule; return its exact threshold.
 
-    The dhl_from_* constructors and audit_report both call this, so an audit
+    The dhl_from_* derivation and audit_report both call this, so an audit
     re-derives each chain's threshold and gates from the rule's inputs.
     Raises ValueError naming the first gate that fails.  nonstrict relaxes
     the EH and GEH side conditions of the enlarged rule to <=.
@@ -265,18 +256,52 @@ def rule_threshold(rule: str, hyp: Hypothesis, k: int, m: int, eps=None,
     return hyp.ratio_threshold(m)
 
 
-def dhl_from_mk(k: int, C, hyp: Hypothesis, m: int, provenance=None) -> DHLClaim:
-    """Plain rule: needs EH (or BV) and C > 2m/theta, exactly."""
-    threshold = rule_threshold("mk", hyp, k, m)
-    value, source = _bound_value(C, k)
+def _bound_value(evidence, rule: str, k: int, eps):
+    """Exact bound value the evidence supports for the rule, and its source."""
+    if rule == "marginal":
+        if not (isinstance(evidence, MarginalEvidence)
+                and evidence.marginals_vanish and evidence.support_ok):
+            raise ValueError("marginal verification missing")
+        if evidence.k != k or evidence.eps != eps:
+            raise ValueError("marginal evidence does not match (k, eps)")
+        return evidence.ratio, "cutoff-verification"
+    if isinstance(evidence, BoundCertificate):
+        variant = evidence.variant
+        if not evidence.verified:
+            raise ValueError("certificate is not verified")
+        if variant.kind != ("eps" if rule == "eps" else "plain") or variant.k != k:
+            raise ValueError(f"certificate variant {variant} does not match the rule for k={k}")
+        if rule == "eps" and variant.eps != eps:
+            raise ValueError(
+                f"certificate variant {variant} does not match the rule at eps = {rational_str(eps)}"
+            )
+        return Q(evidence.C), "certificate"
+    if isinstance(evidence, ExternalBound):
+        return evidence.C, f"external:{evidence.source}"
+    raise TypeError("C must be a BoundCertificate or ExternalBound")
+
+
+def _derive(rule: str, k: int, m: int, hyp: Hypothesis, evidence, eps=None,
+            nonstrict: bool = False, provenance=None) -> DHLClaim:
+    """The one derivation of a DHLClaim from evidence, for every rule."""
+    threshold = rule_threshold(rule, hyp, k, m, eps, nonstrict)
+    value, source = _bound_value(evidence, rule, k, eps)
     if not value > threshold:
         raise ValueError(
             f"inequality not satisfied: C = {rational_str(value)} "
-            f"<= threshold {rational_str(threshold)} "
-            f"(margin {rational_str(value - threshold)})"
+            f"<= threshold {rational_str(threshold)}"
         )
-    prov = _merged({"bound_source": source}, provenance)
-    return DHLClaim(k, m, "mk", hyp, value, threshold, prov)
+    prov = dict(provenance or {}, bound_source=source)
+    if eps is not None:
+        prov["eps"] = rational_str(eps)
+    if nonstrict:
+        prov["nonstrict_side_conditions"] = "true"
+    return DHLClaim(k, m, rule, hyp, value, threshold, prov)
+
+
+def dhl_from_mk(k: int, C, hyp: Hypothesis, m: int, provenance=None) -> DHLClaim:
+    """Plain rule: needs EH (or BV) and C > 2m/theta, exactly."""
+    return _derive("mk", k, m, hyp, C, provenance=provenance)
 
 
 def dhl_from_trunc(k: int, C, varpi, delta, m: int, provenance=None) -> DHLClaim:
@@ -285,16 +310,7 @@ def dhl_from_trunc(k: int, C, varpi, delta, m: int, provenance=None) -> DHLClaim
     Gates (exact): 0 < varpi < 1/4, 0 < delta < 1/2, 600 varpi + 180 delta < 7;
     then C > m/(1/4 + varpi).
     """
-    hyp = Hypothesis.mpz(varpi, delta)
-    threshold = rule_threshold("trunc", hyp, k, m)
-    value, source = _bound_value(C, k)
-    if not value > threshold:
-        raise ValueError(
-            f"inequality not satisfied: C = {rational_str(value)} "
-            f"<= threshold {rational_str(threshold)}"
-        )
-    prov = _merged({"bound_source": source}, provenance)
-    return DHLClaim(k, m, "trunc", hyp, value, threshold, prov)
+    return _derive("trunc", k, m, Hypothesis.mpz(varpi, delta), C, provenance=provenance)
 
 
 def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = False,
@@ -306,42 +322,13 @@ def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = Fals
     nonstrict relaxes the side conditions (only) to non-strict comparisons,
     justified by continuity in eps; default off.
     """
-    eps = Q(eps)
-    threshold = rule_threshold("eps", hyp, k, m, eps, nonstrict)
-    value, source = _bound_value(C, k, kinds=("eps",))
-    if isinstance(C, BoundCertificate) and C.variant.eps != eps:
-        raise ValueError(
-            f"certificate variant {C.variant} does not match the rule at eps = {rational_str(eps)}"
-        )
-    if not value > threshold:
-        raise ValueError(
-            f"inequality not satisfied: C = {rational_str(value)} "
-            f"<= threshold {rational_str(threshold)}"
-        )
-    prov = _merged({"bound_source": source, "eps": rational_str(eps)}, provenance)
-    if nonstrict:
-        prov["nonstrict_side_conditions"] = "true"
-    return DHLClaim(k, m, "eps", hyp, value, threshold, prov)
+    return _derive("eps", k, m, hyp, C, Q(eps), nonstrict, provenance)
 
 
 def dhl_from_marginal(k: int, eps, evidence: MarginalEvidence, hyp: Hypothesis, m: int,
                       provenance=None) -> DHLClaim:
     """Marginal rule: GEH plus an exactly verified vanishing-marginal cutoff."""
-    eps = Q(eps)
-    threshold = rule_threshold("marginal", hyp, k, m, eps)
-    if not isinstance(evidence, MarginalEvidence):
-        raise ValueError("marginal verification missing")
-    if not (evidence.marginals_vanish and evidence.support_ok):
-        raise ValueError("marginal verification missing")
-    if evidence.k != k or evidence.eps != eps:
-        raise ValueError("marginal evidence does not match (k, eps)")
-    if not evidence.ratio > threshold:
-        raise ValueError(
-            f"inequality not satisfied: ratio = {rational_str(evidence.ratio)} "
-            f"<= threshold {rational_str(threshold)}"
-        )
-    prov = _merged({"bound_source": "cutoff-verification", "eps": rational_str(eps)}, provenance)
-    return DHLClaim(k, m, "marginal", hyp, evidence.ratio, threshold, prov)
+    return _derive("marginal", k, m, hyp, evidence, Q(eps), provenance=provenance)
 
 
 def trunc_params_from_bound(m: int, lower_bound, T):
@@ -388,24 +375,26 @@ def hm_from_dhl(dhl: DHLClaim, t: Tuple) -> HmClaim:
 def emit_report(claims) -> str:
     """Deterministic line-oriented report; every line is key=value pairs.
 
-    The report is self-contained: re-parsing it re-validates every claim's
-    inequality in exact arithmetic (see audit_report).
+    The report is self-contained: re-parsing it re-derives every claim's
+    chain in exact arithmetic (see audit_report).
     """
     lines = [f"report claims={len(claims)}"]
     for i, claim in enumerate(claims):
         if isinstance(claim, HmClaim):
-            d = claim.dhl
-            lines.append(
-                f"claim index={i} kind=hm m={claim.m} bound={claim.bound} "
-                f"k={d.k} tuple_sha256={claim.tuple_sha256}"
-            )
-            lines.append(_dhl_line(i, d))
+            hm = (claim.bound, claim.tuple_sha256)
+            lines += [_claim_line(i, claim.m, claim.dhl.k, hm), _dhl_line(i, claim.dhl)]
         elif isinstance(claim, DHLClaim):
-            lines.append(f"claim index={i} kind=dhl m={claim.m} k={claim.k}")
-            lines.append(_dhl_line(i, claim))
+            lines += [_claim_line(i, claim.m, claim.k), _dhl_line(i, claim)]
         else:
             raise TypeError("claims must be HmClaim or DHLClaim")
     return "\n".join(lines) + "\n"
+
+
+def _claim_line(i: int, m: int, k: int, hm=None) -> str:
+    """The claim line; hm is (bound, tuple_sha256) of a gap claim, None for DHL."""
+    if hm is None:
+        return f"claim index={i} kind=dhl m={m} k={k}"
+    return f"claim index={i} kind=hm m={m} bound={hm[0]} k={k} tuple_sha256={hm[1]}"
 
 
 def _dhl_line(i: int, d: DHLClaim) -> str:
@@ -429,14 +418,15 @@ def _parse_kv(line: str) -> dict:
 
 
 def audit_report(text: str) -> bool:
-    """Re-validate every chain line of a report in exact arithmetic.
+    """Re-derive every chain line of a report in exact arithmetic.
 
-    The layout must be that of emit_report: a `report claims=N` line, then
-    `claim index=i` and `chain index=i` for i = 0 .. N-1.  A different
-    layout, or a missing or unparsable chain field or claim m or k, raises
-    ValueError.  A claim whose m or k differs from its chain's is invalid, and
-    so is a chain whose threshold is not the one rule_threshold derives from
-    its rule, hypothesis, k, m and eps, or whose rule's gates fail.
+    The layout must be that of emit_report (a `report claims=N` line, then
+    `claim index=i` lines as emit_report writes them and `chain index=i`
+    lines); any other, or a missing or unparsable chain field, raises
+    ValueError.  Each chain is rebuilt as a DHLClaim through rule_threshold,
+    with every key outside the chain fields as provenance.  It is invalid if
+    the rebuild fails or does not render to the line byte for byte, or if its
+    claim's m or k differs.
     """
     lines = text.splitlines()
     if not lines or lines[0].split()[:1] != ["report"]:
@@ -453,23 +443,32 @@ def audit_report(text: str) -> bool:
             index = _field(_parse_kv(line), "index", int, f"line {row}")
             if line.split()[:1] != [kind] or index != i:
                 raise ValueError(f"line {row}: expected a '{kind} index={i}' line")
-        kv, where = _parse_kv(lines[2 + 2 * i]), f"line {3 + 2 * i}"
-        bound, threshold, margin = (
-            _field(kv, key, parse_rational, where) for key in ("bound", "threshold", "margin")
-        )
+        line = lines[2 + 2 * i]
+        kv, where = _parse_kv(line), f"line {3 + 2 * i}"
+        bound, *_ = (_field(kv, key, parse_rational, where) for key in ("bound", "threshold", "margin"))
         k, m = (_field(kv, key, int, where) for key in ("k", "m"))
         rule = _field(kv, "rule", str, where)
         hyp = _field(kv, "hypothesis", Hypothesis.parse, where)
         eps = _field(kv, "eps", parse_rational, where) if rule in ("eps", "marginal") else None
         nonstrict = kv.get("nonstrict_side_conditions") == "true"
+        provenance = {key: value for key, value in kv.items() if key not in _CHAIN_FIELDS}
         try:
-            ok &= rule_threshold(rule, hyp, k, m, eps, nonstrict) == threshold
+            claim = DHLClaim(k, m, rule, hyp, bound, rule_threshold(rule, hyp, k, m, eps, nonstrict),
+                             provenance)
+            ok &= _dhl_line(i, claim) == line
         except ValueError:
             ok = False
-        claim, where = _parse_kv(lines[1 + 2 * i]), f"line {2 + 2 * i}"
-        ok &= (_field(claim, "k", int, where), _field(claim, "m", int, where)) == (k, m)
-        ok &= bound > threshold
-        ok &= bound - threshold == margin
+        line = lines[1 + 2 * i]
+        kv, where = _parse_kv(line), f"line {2 + 2 * i}"
+        hm = None
+        if kv.get("kind") == "hm":
+            hm = (_field(kv, "bound", int, where), kv.get("tuple_sha256", ""))
+        claim_k, claim_m = _field(kv, "k", int, where), _field(kv, "m", int, where)
+        if _claim_line(i, claim_m, claim_k, hm) != line or hm and not (
+            hm[0] >= 0 and re.fullmatch("[0-9a-f]{64}", hm[1])
+        ):
+            raise ValueError(f"{where}: not a claim line as emit_report writes it")
+        ok &= (claim_k, claim_m) == (k, m)
     return ok
 
 

@@ -75,6 +75,27 @@ class TestM2Eps:
         vals = [float(m2_eps(Q(i, 20))) for i in range(1, 20)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    # str() at 40 digits of the root as the bisection-and-Newton solver found
+    # it; the Anderson refinement must reproduce every digit
+    PINNED = [
+        (Q(1, 3) - Q(1, 10**24), "1.721317804579550949590000918716047908358"),
+        (Q(1, 5), "1.628021034780184936859551649217532497293"),
+        (Q(3, 10), "1.704751528018792957274213009594920961086"),
+        (Q(1, 10**7), "1.385933414591521853671213453365011457084"),
+        (Q(1, 20), "1.454345845257934230512671370295201958126"),
+        (Q(2, 20), "1.518664301110425783538136050993471196311"),
+        (Q(3, 20), "1.576923506802375707695889801568536207582"),
+        (Q(4, 20), "1.628021034780184936859551649217532497293"),
+        (Q(5, 20), "1.671011881531694172403494258328775872951"),
+        (Q(6, 20), "1.704751528018792957274213009594920961086"),
+    ]
+
+    @pytest.mark.parametrize("eps, expect", PINNED)
+    def test_pinned_roots(self, eps, expect):
+        value = m2_eps(eps)
+        with mp.workdps(40):
+            assert str(value) == expect
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             m2_eps(Q(0))

@@ -1,3 +1,4 @@
+import os
 import re
 from importlib import resources
 
@@ -239,6 +240,17 @@ class TestChainCommands:
                         "--tuple", str(tup))
         assert code == 0 and "rule=trunc" in out
 
+    @pytest.mark.parametrize("source", ["Polymath 8b table", "x threshold=1"])
+    def test_source_that_would_not_read_back(self, capsys, tmp_path, source):
+        report = tmp_path / "r.txt"
+        code = main(["chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1",
+                     "--eps", "1/25", "--hyp", "BV", "--cert-value", "4.0043",
+                     "--cert-source", source, "--tuple", data_path("tuple_50_246.txt"),
+                     "--out", str(report)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and not report.exists()
+        assert err.count("\n") == 1 and err.startswith("error: provenance bound_source=")
+
     def test_report_flags_tampering(self, capsys, tmp_path):
         report = tmp_path / "r.txt"
         run(capsys, "chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1",
@@ -259,6 +271,17 @@ GOLDEN_REPORT = (
     "eps=1/25\n"
 )
 CHAIN_FIELDS = {"bound": "40043/10000", "threshold": "4", "margin": "43/10000", "k": "50", "m": "1"}
+
+
+def test_readme_chain_prints_golden_report(capsys):
+    # README's H_1 <= 246 command; the CI workflow diffs the installed
+    # script's stdout against the same file
+    code, out = run(capsys, "chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1",
+                    "--eps", "1/25", "--hyp", "BV", "--cert-value", "4.0043",
+                    "--tuple", data_path("tuple_50_246.txt"))
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden", "cli", "chain-eps.out")
+    with open(golden) as fh:
+        assert code == 0 and out == GOLDEN_REPORT == fh.read()
 
 
 def edit_chain_line(old, new):
@@ -303,6 +326,26 @@ class TestReportAudit:
     def test_chain_fails_its_rule(self, capsys, tmp_path, old, new):
         code, out, _ = audit_file(capsys, tmp_path, edit_chain_line(old, new))
         assert code == 1 and out.endswith(": INVALID\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("bound=40043/10000", "bound=80086/20000"),
+        (" threshold=4", "  threshold=4"),
+        ("threshold=4 margin=43/10000", "margin=43/10000 threshold=4"),
+        (" eps=1/25", " eps=1/25 bound=40043/10000"),
+    ], ids=["unreduced-bound", "doubled-space", "margin-first", "second-bound"])
+    def test_chain_not_as_rendered(self, capsys, tmp_path, old, new):
+        code, out, _ = audit_file(capsys, tmp_path, edit_chain_line(old, new))
+        assert code == 1 and out.endswith(": INVALID\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("3a3d57f7167ac31bda0330ecc6f02ca71698ef0eb182ab7ba54b9b66ce8ca367", "0000"),
+        (" kind=hm ", " kind=gap "),
+        (" bound=246 ", " bound=-246 "),
+    ], ids=["short-digest", "kind", "negative-bound"])
+    def test_malformed_claim_line(self, capsys, tmp_path, old, new):
+        code, out, err = audit_file(capsys, tmp_path, GOLDEN_REPORT.replace(old, new, 1))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "line 2" in err
 
     @pytest.mark.parametrize("old, new, message", [
         (" eps=1/25", "", "missing field eps="),

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps.admissible import Tuple
 from primegaps.cutoff3d import builtin_cutoff, check_marginals, integrate_I, integrate_J
@@ -19,7 +21,7 @@ from primegaps.pipeline import (
     trunc_params_from_bound,
     tuple_digest,
 )
-from primegaps.rational import Q
+from primegaps.rational import Q, rational_str
 from primegaps.varprob import assemble_eps, assemble_plain, certify, gram_lower_bound
 
 from .reference import tuple_50
@@ -345,3 +347,195 @@ class TestReports:
             "eps=1/25\n"
         )
         assert emit_report([self.chain()]) == golden
+
+
+GOLDEN_CHAIN = TestReports().chain
+
+
+def edit_chain(text, old, new):
+    head, chain = text.rsplit("chain ", 1)
+    assert old in chain
+    return head + "chain " + chain.replace(old, new)
+
+
+# edits of a genuine chain line that re-read to the same values; only the
+# byte comparison with the re-rendered line rejects them
+SAME_VALUE_EDITS = [
+    ("bound=40043/10000", "bound=80086/20000"),
+    (" threshold=4", "  threshold=4"),
+    ("threshold=4 margin=43/10000", "margin=43/10000 threshold=4"),
+    (" eps=1/25", " eps=1/25 bound=40043/10000"),
+]
+
+
+class TestOneDerivation:
+    def marginal(self):
+        return dhl_from_marginal(3, Q(1, 4), TestMarginalRule().evidence(), Hypothesis.geh_full(), 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda self: dhl_from_mk(5511, ExternalBound(Q(6000048, 10**6), "explicit-evaluator"),
+                                 Hypothesis.eh_full(), 3),
+        lambda self: dhl_from_trunc(10, ExternalBound(Q(4), "synthetic"), Q(1, 200), Q(1, 100), 1),
+        lambda self: dhl_from_eps(50, Q(1, 25), ExternalBound(Q(40043, 10**4), "published-value"),
+                                  Hypothesis.bv(), 1),
+        lambda self: dhl_from_eps(51, Q(1, 50), ExternalBound(Q(400156, 10**5), "published-value"),
+                                  Hypothesis.geh_full(), 1, nonstrict=True),
+        lambda self: self.marginal(),
+    ], ids=["mk", "trunc", "eps", "eps-nonstrict", "marginal"])
+    def test_every_rule_audits(self, build):
+        assert audit_report(emit_report([build(self)]))
+
+    def test_certificate_chain_audits(self):
+        cert = gram_lower_bound(assemble_eps(5, 4, Q(1, 5)))  # C ~ 2.194
+        claim = dhl_from_eps(5, Q(1, 5), cert, Hypothesis.geh_full(), 1)
+        assert claim.provenance == {"bound_source": "certificate", "eps": "1/5"}
+        assert audit_report(emit_report([claim]))
+
+    @pytest.mark.parametrize("old, new", SAME_VALUE_EDITS,
+                             ids=["unreduced-bound", "doubled-space", "margin-first", "second-bound"])
+    def test_same_value_edit_is_invalid(self, old, new):
+        text = emit_report([GOLDEN_CHAIN()])
+        assert audit_report(text)
+        assert not audit_report(edit_chain(text, old, new))
+
+    def test_derived_provenance_wins(self):
+        claim = dhl_from_eps(50, Q(1, 25), ExternalBound(Q(5), "x"), Hypothesis.bv(), 1,
+                             provenance={"eps": "1/2", "bound_source": "y", "note": 7})
+        assert claim.provenance == {"bound_source": "external:x", "eps": "1/25", "note": "7"}
+
+    @pytest.mark.parametrize("provenance", [
+        {"note": "Polymath 8b table"},
+        {"note": ""},
+        {"note": "a\tb"},
+        {"Note": "x"},
+        {"note-1": "x"},
+        {"threshold": "1"},
+        {"index": "0"},
+    ], ids=["spaced-value", "empty-value", "tab-value", "upper-key", "dash-key",
+            "chain-field-threshold", "chain-field-index"])
+    def test_provenance_must_read_back(self, provenance):
+        with pytest.raises(ValueError, match="would not read back"):
+            DHLClaim(3, 1, "mk", Hypothesis.bv(), Q(5), Q(4), provenance)
+        with pytest.raises(ValueError, match="would not read back"):
+            dhl_from_mk(3, ExternalBound(Q(5), "x"), Hypothesis.bv(), 1, provenance)
+
+    def test_spaced_source_rejected(self):
+        with pytest.raises(ValueError, match="would not read back"):
+            dhl_from_eps(50, Q(1, 25), ExternalBound(Q(5), "x threshold=1"), Hypothesis.bv(), 1)
+
+
+class TestClaimLineLayout:
+    def text(self):
+        return emit_report([GOLDEN_CHAIN()])
+
+    def claim_line(self):
+        return self.text().splitlines()[1]
+
+    @pytest.mark.parametrize("old, new", [
+        (" kind=hm ", " kind=gap "),
+        (" kind=hm ", " "),
+        (" tuple_sha256=3a3d57f7", " tuple_sha256=3A3D57F7"),
+        ("3a3d57f7167ac31bda0330ecc6f02ca71698ef0eb182ab7ba54b9b66ce8ca367", "0000"),
+        ("3a3d57f7167ac31bda0330ecc6f02ca71698ef0eb182ab7ba54b9b66ce8ca367", ""),
+        (" bound=246 ", " bound=-246 "),
+        (" bound=246 ", " bound=0246 "),
+        (" bound=246 ", " bound=246/1 "),
+        (" k=50 ", "  k=50 "),
+        (" k=50 ", " k=50 note=1 "),
+        ("claim index=0", "claim  index=0"),
+    ], ids=["kind", "no-kind", "upper-hex", "short-digest", "empty-digest", "negative-bound",
+            "padded-bound", "rational-bound", "doubled-space", "extra-key", "space-after-claim"])
+    def test_hm_claim_line_malformed(self, old, new):
+        line = self.claim_line()
+        assert old in line
+        with pytest.raises(ValueError, match="line 2"):
+            audit_report(self.text().replace(line, line.replace(old, new)))
+
+    @pytest.mark.parametrize("line", [
+        "claim index=0 kind=dhl m=1 k=50 bound=246",
+        "claim index=0 kind=dhl m=1 k=50 tuple_sha256="
+        "3a3d57f7167ac31bda0330ecc6f02ca71698ef0eb182ab7ba54b9b66ce8ca367",
+        "claim index=0 kind=dhl k=50 m=1",
+    ], ids=["dhl-with-bound", "dhl-with-digest", "dhl-swapped"])
+    def test_dhl_claim_line_malformed(self, line):
+        text = emit_report([GOLDEN_CHAIN().dhl])
+        assert audit_report(text)
+        with pytest.raises(ValueError, match="line 2"):
+            audit_report(text.replace(text.splitlines()[1], line))
+
+
+CHAIN_KEYS = ("index", "rule", "k", "m", "hypothesis", "bound", "threshold", "margin")
+# a provenance value: printable, no whitespace
+CHAIN_TOKEN = st.from_regex(r"[!-~]{1,12}", fullmatch=True)
+
+
+@st.composite
+def derived_claims(draw):
+    """A claim derived by one of the four rules from random admissible inputs."""
+    rule = draw(st.sampled_from(["mk", "trunc", "eps", "marginal"]))
+    k = draw(st.integers(2, 10**6))
+    m = draw(st.integers(1, min(k - 1, 30)))
+    theta = Q(draw(st.integers(1, 999)), 1000)
+    unit = Q(draw(st.integers(1, 999)), 1000)  # a factor in (0, 1)
+    eps, nonstrict = None, False
+    if rule == "mk":
+        hyp = draw(st.sampled_from([Hypothesis.bv(), Hypothesis.eh(theta)]))
+    elif rule == "trunc":
+        varpi = Q(7, 600) * unit
+        hyp = Hypothesis.mpz(varpi, (7 - 600 * varpi) / 180 * Q(draw(st.integers(1, 999)), 1000))
+    else:
+        tag = "GEH" if rule == "marginal" else draw(st.sampled_from(["BV", "EH", "GEH"]))
+        hyp = Hypothesis.bv() if tag == "BV" else Hypothesis(tag, theta=theta)
+        limit = {"BV": Q(1), "EH": 1 / theta - 1, "GEH": Q(1, k - 1)}[tag]
+        nonstrict = rule == "eps" and tag != "BV" and draw(st.booleans())
+        eps = limit if nonstrict and draw(st.booleans()) else limit * unit
+    threshold = rule_threshold(rule, hyp, k, m, eps, nonstrict)
+    bound = threshold + Q(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    provenance = draw(st.dictionaries(
+        st.from_regex(r"[a-z0-9_]{1,10}", fullmatch=True).filter(lambda key: key not in CHAIN_KEYS),
+        CHAIN_TOKEN, max_size=3,
+    ))
+    source = ExternalBound(bound, draw(CHAIN_TOKEN))
+    if rule == "mk":
+        return dhl_from_mk(k, source, hyp, m, provenance)
+    if rule == "trunc":
+        return dhl_from_trunc(k, source, hyp.varpi, hyp.delta, m, provenance)
+    if rule == "eps":
+        return dhl_from_eps(k, eps, source, hyp, m, nonstrict, provenance)
+    evidence = MarginalEvidence(k, eps, bound, True, True)
+    return dhl_from_marginal(k, eps, evidence, hyp, m, provenance)
+
+
+def other_value(draw, key, old):
+    """Another value for the chain field key."""
+    if key in ("index", "k", "m"):
+        return str(draw(st.integers(-3, 10**6)))
+    if key in ("bound", "threshold", "margin"):
+        return rational_str(Q(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**6))))
+    # rule, hypothesis: a suffix makes the name unknown or unparsable, where
+    # another valid name could state an equally true claim (BV and EH(1/2)
+    # share the threshold 4m)
+    return old + draw(st.text(alphabet="0123456789/(),x", min_size=1, max_size=4))
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(claims=st.lists(derived_claims(), min_size=1, max_size=3), data=st.data())
+    def test_emitted_report_audits_and_edits_do_not(self, claims, data):
+        text = emit_report(claims)
+        assert audit_report(text)
+        lines = text.splitlines()
+        row = 2 + 2 * data.draw(st.integers(0, len(claims) - 1))
+        key = data.draw(st.sampled_from(CHAIN_KEYS))
+        chunks = lines[row].split(" ")
+        pos = next(p for p, chunk in enumerate(chunks) if chunk.partition("=")[0] == key)
+        old = chunks[pos].partition("=")[2]
+        new = other_value(data.draw, key, old)
+        if new == old:
+            return
+        chunks[pos] = f"{key}={new}"
+        lines[row] = " ".join(chunks)
+        try:
+            assert audit_report("\n".join(lines) + "\n") is False
+        except ValueError:
+            pass
