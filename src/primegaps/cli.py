@@ -162,8 +162,8 @@ def _cmd_chain(args) -> int:
             provenance["cert_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     elif args.cert_value:
         bound_input = pipeline.ExternalBound(parse_rational(args.cert_value), args.cert_source)
-    else:
-        bound_input = None
+    elif args.dhl_rule != "marginal":
+        raise ValueError(f"--dhl-rule {args.dhl_rule} needs --cert or --cert-value")
 
     rule = args.dhl_rule
     if rule == "mk":

@@ -194,6 +194,13 @@ class DHLClaim:
         for key, value in provenance.items():
             if not re.fullmatch("[a-z0-9_]+", key) or key in _CHAIN_FIELDS or value.split() != [value]:
                 raise ValueError(f"provenance {key}={value!r} would not read back from a report")
+        # the keys _derive writes must match the rule
+        if ("eps" in provenance) != (self.rule in ("eps", "marginal")):
+            raise ValueError(f"provenance eps= does not match rule {self.rule}")
+        if (provenance.get("bound_source") == "cutoff-verification") != (self.rule == "marginal"):
+            raise ValueError(f"provenance bound_source= does not match rule {self.rule}")
+        if "nonstrict_side_conditions" in provenance and self.rule != "eps":
+            raise ValueError(f"provenance nonstrict_side_conditions= does not match rule {self.rule}")
         object.__setattr__(self, "provenance", provenance)
 
     @property

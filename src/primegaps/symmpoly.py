@@ -9,8 +9,9 @@ one such term, and the slot-integration operator L (sum over coordinate
 slots of integration over the free fiber of the unit simplex) maps the
 form to itself without re-expanding powers of P_(1).
 
-Products use cached integer structure constants; integrals over scaled
-simplices reduce termwise to the Beta-function identity
+Products use cached integer structure constants, counted by placing the
+parts of one signature on the parts and free slots of the other; integrals
+over scaled simplices reduce termwise to the Beta-function identity
 
     int_{R_k} (1-t_1-...-t_k)^a t_1^{a_1}...t_k^{a_k} dt
         = a! a_1! ... a_k! / (a_1+...+a_k+k+a)!
@@ -20,7 +21,9 @@ so every operation here is exact rational arithmetic (no floats).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .rational import Q
@@ -67,54 +70,44 @@ def _perm_count(alpha: tuple, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _distinct_perms(alpha: tuple, k: int) -> tuple:
-    """All distinct length-k exponent vectors with signature alpha."""
-    vec = list(alpha) + [0] * (k - len(alpha))
-    out = []
-    # affine_multiply asks for at most len(alpha) + len(beta) variables, so k
-    # stays small; skipping a value already placed at a position yields each
-    # distinct vector once
-    def rec(prefix, remaining):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        used = set()
-        for i, v in enumerate(remaining):
-            if v in used:
-                continue
-            used.add(v)
-            rec(prefix + [v], remaining[:i] + remaining[i + 1 :])
-
-    rec([], vec)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _struct_constants(alpha: tuple, beta: tuple, k: int) -> tuple:
     """P_alpha * P_beta = sum_gamma c * P_gamma; returns ((gamma, c), ...).
 
-    The constants do not depend on k once k >= len(alpha) + len(beta)
-    (Macdonald, Symmetric Functions, ch. I), so callers pass
-    min(k, len(alpha) + len(beta)).
+    Counting: fix one exponent vector of alpha and place the parts of beta
+    one distinct value at a time, on parts of alpha not yet joined or on
+    free slots.  x equal parts landing on r equal open places do so in
+    C(r, x) ways, so the number of exponent vectors b giving signature
+    gamma is a sum of products of binomials, and c = count * #alpha /
+    #gamma (# counting exponent vectors).  The constants do not depend on k
+    once k >= len(alpha) + len(beta) (Macdonald, Symmetric Functions,
+    ch. I), so callers pass min(k, len(alpha) + len(beta)).
     """
-    if _perm_count(alpha, k) == 0 or _perm_count(beta, k) == 0:
-        return ()
-    # enumerate the factor with fewer distinct permutations
-    if _perm_count(beta, k) > _perm_count(alpha, k):
-        alpha, beta = beta, alpha
-    a0 = tuple(alpha) + (0,) * (k - len(alpha))
-    buckets: dict = {}
-    for b in _distinct_perms(beta, k):
-        gamma = tuple(sorted((x + y for x, y in zip(a0, b)), reverse=True))
-        gamma = tuple(p for p in gamma if p)
-        buckets[gamma] = buckets.get(gamma, 0) + 1
-    out = []
     na = _perm_count(alpha, k)
+    if na == 0 or _perm_count(beta, k) == 0:
+        return ()
+    # open places grouped by the part of alpha they hold (0: the free slots);
+    # a state maps (open places per group, parts formed) to its placements
+    values = sorted(set(alpha)) + [0]
+    states = {(tuple(alpha.count(v) for v in values[:-1]) + (k - len(alpha),), ()): 1}
+    for v in sorted(set(beta)):
+        x, nxt = beta.count(v), {}
+        for (open_, formed), count in states.items():
+            for taken in itertools.product(*(range(min(r, x) + 1) for r in open_)):
+                if sum(taken) == x:
+                    parts = formed + tuple(p + v for p, s in zip(values, taken) for _ in range(s))
+                    key = (tuple(map(operator.sub, open_, taken)), tuple(sorted(parts)))
+                    nxt[key] = nxt.get(key, 0) + count * math.prod(map(math.comb, open_, taken))
+        states = nxt
+    buckets: dict = {}
+    for (open_, formed), count in states.items():
+        rest = tuple(p for p, r in zip(values, open_) for _ in range(r) if p)
+        gamma = tuple(sorted(formed + rest, reverse=True))
+        buckets[gamma] = buckets.get(gamma, 0) + count
+    out = []
     for gamma, count in sorted(buckets.items()):
-        total = count * na
-        ng = _perm_count(gamma, k)
-        assert total % ng == 0
-        out.append((gamma, total // ng))
+        c, rem = divmod(count * na, _perm_count(gamma, k))
+        assert rem == 0
+        out.append((gamma, c))
     return tuple(out)
 
 
@@ -209,10 +202,8 @@ def _resymmetrize(beta: tuple, c: int, k: int) -> list:
 def _strip_candidates(alpha: tuple, k: int):
     """Exponents m available on a single slot: distinct parts, plus 0 when
     some slot is unused."""
-    seen = set()
     for i, m in enumerate(alpha):
-        if m not in seen:
-            seen.add(m)
+        if i == 0 or alpha[i - 1] != m:  # alpha is non-increasing
             yield m, alpha[:i] + alpha[i + 1 :]
     if len(alpha) < k:
         yield 0, alpha
@@ -290,10 +281,7 @@ def affine_slot_integral(terms: dict, k: int) -> dict:
         a, alpha = key[0], key[1:]
         top = math.factorial(a + sum(alpha) + 1)
         for c, beta, w in _slot_terms(a, alpha, k):
-            okey = (c,) + beta
-            oval = coeff * Q(w, top)
-            acc = out.get(okey)
-            out[okey] = oval if acc is None else acc + oval
+            out[(c,) + beta] = out.get((c,) + beta, 0) + coeff * Q(w, top)
     return {key: v for key, v in out.items() if v != 0}
 
 
@@ -304,13 +292,9 @@ def affine_multiply(t1: dict, t2: dict, k: int) -> dict:
         a1, alpha = key1[0], key1[1:]
         for key2, c2 in t2.items():
             a2, beta = key2[0], key2[1:]
-            base = a1 + a2
-            c12 = c1 * c2
             for gamma, c in _struct_constants(alpha, beta, min(k, len(alpha) + len(beta))):
-                okey = (base,) + gamma
-                oval = c12 * c
-                acc = out.get(okey)
-                out[okey] = oval if acc is None else acc + oval
+                okey = (a1 + a2,) + gamma
+                out[okey] = out.get(okey, 0) + c1 * c2 * c
     return {key: v for key, v in out.items() if v != 0}
 
 

@@ -2,8 +2,9 @@
 lower-bound certificates.
 
 The two quadratic forms are assembled in a basis of symmetric polynomials
-b_i; M1 carries the L^2 inner products and M2 the slot-integrated products,
-so that a vector a with
+b_i; M1 carries the L^2 inner products and M2 the slot-integrated products.
+Each is built and stored once as integer rows over one denominator, so that
+a vector a with
 
     a^T M2 a - C a^T M1 a > 0        (exact rational arithmetic)
 
@@ -19,6 +20,7 @@ candidates by a factorization modulo a prime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import isqrt
@@ -95,40 +97,42 @@ class BasisElement:
 
 
 class GramPair:
-    """Pair of exact symmetric rational matrices (M1, M2) over a basis."""
+    """Pair of exact symmetric rational matrices (M1, M2) over a basis.
 
-    __slots__ = ("variant", "basis", "M1", "M2", "_integer_forms")
+    Each matrix is given as an integer form (den, rows), M = rows / den, and
+    stored once in forms, reduced by gcd(den, *entries): that form is
+    unique, its den the least common denominator of M.  M1 and M2 are
+    Fraction views, built on each access.
+    """
+
+    __slots__ = ("variant", "basis", "forms")
 
     def __init__(self, variant: Variant, basis, M1, M2):
         self.variant = variant
         self.basis = tuple(basis)
-        self.M1 = tuple(tuple(Q(x) for x in row) for row in M1)
-        self.M2 = tuple(tuple(Q(x) for x in row) for row in M2)
         n = len(self.basis)
-        for M in (self.M1, self.M2):
-            if len(M) != n or any(len(row) != n for row in M):
-                raise ValueError("matrix sizes must match the basis")
-            for i in range(n):
-                for j in range(i):
-                    if M[i][j] != M[j][i]:
-                        raise ValueError("matrices must be exactly symmetric")
-        self._integer_forms = None
+        forms = []
+        for den, rows in (M1, M2):
+            if den <= 0:
+                raise ValueError(f"matrix denominator must be positive, got {den}")
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise ValueError(f"matrix sizes must match the basis of {n} elements")
+            if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+                raise ValueError("matrices must be exactly symmetric")
+            g = math.gcd(den, *(x for row in rows for x in row))
+            forms.append((den // g, tuple(tuple(x // g for x in row) for row in rows)))
+        self.forms = tuple(forms)
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
-    def integer_forms(self):
-        """((den1, N1), (den2, N2)): M = N / den with N integer rows, den the
-        least common denominator of the entries of M."""
-        if self._integer_forms is None:
-            self._integer_forms = tuple(_over_common_denominator(M) for M in (self.M1, self.M2))
-        return self._integer_forms
+    M1 = property(lambda self: _fractions(*self.forms[0]))
+    M2 = property(lambda self: _fractions(*self.forms[1]))
 
 
-def _over_common_denominator(M):
-    den = math.lcm(*(x.denominator for row in M for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in M]
+def _fractions(den: int, rows):
+    return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
 
 #: the proposal's first fixed point: a real v is carried as floor(v * 2^F),
@@ -204,7 +208,7 @@ def solve_generalized(pair: GramPair) -> tuple:
     PROPOSAL_BITS a short pivot raises ValueError("M1 not positive
     definite").  The proposal is advisory: certification is exact.
     """
-    (_, N1), (_, N2) = pair.integer_forms()
+    (_, N1), (_, N2) = pair.forms
     n = pair.n
     if any(N1[i][i] <= 0 for i in range(n)):
         raise ValueError("M1 not positive definite")
@@ -265,7 +269,7 @@ def _quadratic_forms(pair: GramPair, a):
     A = [x.numerator * (lcm // x.denominator) for x in a]
     support = [i for i in range(n) if A[i]]
     out = []
-    for den, N in pair.integer_forms():
+    for den, N in pair.forms:
         total = 0
         for i in support:
             row = N[i]
@@ -280,7 +284,6 @@ def _check(pair: GramPair, a, C, forms=None):
     Returns (certificate, margin); forms, when given, are the already
     computed _quadratic_forms(pair, a).
     """
-    a = tuple(Q(x) for x in a)
     C = Q(C)
     t1, t2 = forms or _quadratic_forms(pair, a)
     margin = t2 - C * t1
@@ -330,22 +333,24 @@ def build_basis(k: int, d: int, offset=Q(1), even_only: bool = True):
 SCAN_PRIME = 2**61 - 1
 
 
-def _independent_columns(M):
-    """Greedy symmetric LDL^T of the rational matrix M modulo SCAN_PRIME.
+def _independent_columns(den: int, N):
+    """Greedy symmetric LDL^T of the matrix N / den modulo SCAN_PRIME.
 
-    Returns the kept column indices, in order: a column is kept when its
+    The scan runs on the integer rows N mod p, scaling every pivot by den,
+    and returns the kept column indices, in order: a column is kept when its
     pivot is nonzero mod p, so every kept principal minor is nonzero mod p
     and hence over Q, and the kept columns are independent.  A dependent
     column has pivot 0 over Q and so mod p; an independent one dropped by
-    chance (a pivot divisible by p) only shrinks the basis.  A denominator
-    divisible by p raises ValueError.
+    chance (a pivot divisible by p) only shrinks the basis.  A den divisible
+    by p raises ValueError.
     """
     p = SCAN_PRIME
-    A = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in M]
+    if den % p == 0:
+        raise ValueError("matrix denominator is divisible by the scan prime")
     keep: list = []
     L: list = []  # L[t][u], u < t, over the kept columns
     dinv: list = []
-    for c, row in enumerate(A):
+    for c, row in enumerate(N):
         w = []  # w[t] = L[c][t] * d[t]
         for t, kt in enumerate(keep):
             w.append((row[kt] - sum(map(mul, w, L[t]))) % p)
@@ -359,31 +364,45 @@ def _independent_columns(M):
 
 
 def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scale, m2_scale):
-    """M1 and M2 by signature blocks, each entry one integer numerator.
+    """M1 and M2 by signature blocks, as integer rows over one denominator.
 
     For b_i = (offset - P_(1))^a_i P_alpha_i, M1[i][j] depends only on
     (alpha_i, alpha_j, a_i + a_j), and each slot image is a short sum of
     integer-weighted terms, so every entry is a sum of tabulated integers
-    (symmpoly._TermTable) over one denominator fixed by the degrees.
+    (symmpoly._TermTable) over a denominator fixed by the degrees, which
+    divides the denominator of the highest degree.
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if d < 0:
+        raise ValueError("degree threshold must be >= 0")
     basis = build_basis(k, d, offset, even_only)
     n = len(basis)
-    fact = math.factorial
+    top = max(b.degree for b in basis)
     t1 = _TermTable(k, offset, m1_scale)
-    M1 = [[Q(0)] * n for _ in range(n)]
+    den1 = t1.denominator(2 * top)
+    scale = [den1 // t1.denominator(N) for N in range(2 * top + 1)]
+    N1 = [[0] * n for _ in range(n)]
     for i, bi in enumerate(basis):
         for j in range(i, n):
             bj = basis[j]
             num = t1.product_numerator(bi.alpha, bj.alpha, bi.a + bj.a)
-            M1[i][j] = M1[j][i] = Q(num, t1.denominator(bi.degree + bj.degree))
-    keep = _independent_columns(M1)
+            N1[i][j] = N1[j][i] = num * scale[bi.degree + bj.degree]
+    keep = _independent_columns(den1, N1)
     basis = [basis[i] for i in keep]
-    M1 = [[M1[i][j] for j in keep] for i in keep]
-    # the slot image of b_i is sum_(c, beta, w) w/(deg_i + 1)! (offset - P_(1))^c P_beta
+    N1 = [[N1[i][j] for j in keep] for i in keep]
+    # the slot image of b_i is sum_(c, beta, w) w/(deg_i + 1)! (offset - P_(1))^c P_beta;
+    # each w is put over (top + 1)!, so M2[i][j] is over (top + 1)!^2 t2.denominator(deg_i + deg_j + 2)
+    fact = math.factorial
+    slots = [
+        [(c, beta, w * (fact(top + 1) // fact(b.degree + 1))) for c, beta, w in _slot_terms(b.a, b.alpha, k)]
+        for b in basis
+    ]
     t2 = _TermTable(k - 1, offset, m2_scale)
-    slots = [_slot_terms(b.a, b.alpha, k) for b in basis]
+    den2 = fact(top + 1) ** 2 * t2.denominator(2 * top + 2)
+    scale = [t2.denominator(2 * top + 2) // t2.denominator(N + 2) for N in range(2 * top + 1)]
     m = len(keep)
-    M2 = [[Q(0)] * m for _ in range(m)]
+    N2 = [[0] * m for _ in range(m)]
     for i, bi in enumerate(basis):
         for j in range(i, m):
             bj = basis[j]
@@ -392,9 +411,8 @@ def _assemble(variant: Variant, k: int, d: int, even_only: bool, offset, m1_scal
                 for c, beta, w in slots[i]
                 for c2, beta2, w2 in slots[j]
             )
-            den = fact(bi.degree + 1) * fact(bj.degree + 1) * t2.denominator(bi.degree + bj.degree + 2)
-            M2[i][j] = M2[j][i] = Q(k * num, den)
-    return GramPair(variant, basis, M1, M2)
+            N2[i][j] = N2[j][i] = k * num * scale[bi.degree + bj.degree]
+    return GramPair(variant, basis, (den1, N1), (den2, N2))
 
 
 def assemble_plain(k: int, d: int, even_only: bool = True) -> GramPair:
@@ -403,10 +421,6 @@ def assemble_plain(k: int, d: int, even_only: bool = True) -> GramPair:
     Candidate elements that are linearly dependent on earlier ones (possible
     once d exceeds k) are dropped, so M1 is always exactly positive definite.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if d < 0:
-        raise ValueError("degree threshold must be >= 0")
     return _assemble(Variant("plain", k), k, d, even_only, Q(1), Q(1), Q(1))
 
 
@@ -417,13 +431,9 @@ def assemble_eps(k: int, d: int, eps, even_only: bool = True) -> GramPair:
     over the full enlarged fiber but restricts the outer region to scale
     1-eps, matching the shrunk outer integration of the variant.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    eps = Q(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    offset = 1 + eps
-    return _assemble(Variant("eps", k, eps), k, d, even_only, offset, offset, 1 - eps)
+    variant = Variant("eps", k, eps)  # 0 < eps < 1
+    offset = 1 + variant.eps
+    return _assemble(variant, k, d, even_only, offset, offset, 1 - variant.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +506,8 @@ class _MomentStream:
         return list(self._moments[:count])
 
 
-_moment_streams: dict = {}
-
-
-def _stream(k: int) -> _MomentStream:
-    st = _moment_streams.get(k)
-    if st is None:
-        st = _moment_streams[k] = _MomentStream(k)
-    return st
+#: one moment stream per ambient dimension
+_stream = functools.cache(_MomentStream)
 
 
 #: iterated images of 1 reach this total degree at most (memory guard)
@@ -523,14 +527,17 @@ def krylov_moments(k: int, n: int) -> KrylovTable:
 
 
 def hankel_pair(table: KrylovTable, n: int) -> GramPair:
-    """Hankel Gram pair from a moment table (basis = iterated images of 1)."""
+    """Hankel Gram pair from a moment table (basis = iterated images of 1),
+    both matrices over the lcm of the moments' denominators."""
     mom = table.moments
     if len(mom) < 2 * n:
         raise ValueError("not enough moments for this order")
-    M1 = [[mom[i + j] for j in range(n)] for i in range(n)]
-    M2 = [[mom[i + j + 1] for j in range(n)] for i in range(n)]
+    den = math.lcm(*(x.denominator for x in mom[: 2 * n]))
+    H = [x.numerator * (den // x.denominator) for x in mom[: 2 * n]]
+    M1 = [[H[i + j] for j in range(n)] for i in range(n)]
+    M2 = [[H[i + j + 1] for j in range(n)] for i in range(n)]
     basis = tuple(BasisElement(0, Signature()) for _ in range(n))  # positional only
-    return GramPair(Variant("plain", table.k), basis, M1, M2)
+    return GramPair(Variant("plain", table.k), basis, (den, M1), (den, M2))
 
 
 def krylov_lower_bound(k: int, n: int) -> BoundCertificate:

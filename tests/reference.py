@@ -8,6 +8,7 @@ from pathlib import Path
 from primegaps.admissible import Tuple, read_tuple_file
 from primegaps.cutoff3d import Poly3
 from primegaps.rational import Q
+from primegaps.symmpoly import _perm_count
 
 
 def _data_tuple(name: str) -> Tuple:
@@ -90,6 +91,52 @@ def exact_ldl(A, n):
             L.append(coeffs)
             d.append(pivot)
     return keep, L, d
+
+
+def distinct_perms(alpha: tuple, k: int) -> list:
+    """All distinct length-k exponent vectors with signature alpha."""
+    out = []
+
+    # skipping a value already placed at a position yields each distinct
+    # vector once
+    def rec(prefix, remaining):
+        if not remaining:
+            out.append(tuple(prefix))
+            return
+        used = set()
+        for i, v in enumerate(remaining):
+            if v in used:
+                continue
+            used.add(v)
+            rec(prefix + [v], remaining[:i] + remaining[i + 1 :])
+
+    rec([], list(alpha) + [0] * (k - len(alpha)))
+    return out
+
+
+def enumerated_struct_constants(alpha: tuple, beta: tuple, k: int) -> tuple:
+    """P_alpha * P_beta in k variables by enumeration, ((gamma, c), ...).
+
+    The oracle for the counted structure constants: one exponent vector of
+    one factor plus every distinct exponent vector of the other (the one
+    with fewer), bucketed by the signature of the sum; c = count * #alpha /
+    #gamma, # counting exponent vectors.
+    """
+    if _perm_count(alpha, k) == 0 or _perm_count(beta, k) == 0:
+        return ()
+    if _perm_count(beta, k) > _perm_count(alpha, k):
+        alpha, beta = beta, alpha
+    a0 = tuple(alpha) + (0,) * (k - len(alpha))
+    buckets: dict = {}
+    for b in distinct_perms(beta, k):
+        gamma = tuple(p for p in sorted((x + y for x, y in zip(a0, b)), reverse=True) if p)
+        buckets[gamma] = buckets.get(gamma, 0) + 1
+    out = []
+    for gamma, count in sorted(buckets.items()):
+        c, rem = divmod(count * _perm_count(alpha, k), _perm_count(gamma, k))
+        assert rem == 0
+        out.append((gamma, c))
+    return tuple(out)
 
 
 def iterated_integral(integrand: Poly3, chain) -> Q:

@@ -251,6 +251,19 @@ class TestChainCommands:
         assert code == 2 and out == "" and not report.exists()
         assert err.count("\n") == 1 and err.startswith("error: provenance bound_source=")
 
+    @pytest.mark.parametrize("rule_args", [
+        ["--dhl-rule", "mk", "--hyp", "BV"],
+        ["--dhl-rule", "trunc", "--varpi", "1/200", "--delta", "1/100"],
+        ["--dhl-rule", "eps", "--eps", "1/25", "--hyp", "BV"],
+    ], ids=["mk", "trunc", "eps"])
+    def test_chain_without_evidence(self, capsys, rule_args):
+        code = main(["chain", "hm", *rule_args, "--k", "50", "--m", "1",
+                     "--tuple", data_path("tuple_50_246.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "--cert " in err and "--cert-value" in err
+
     def test_report_flags_tampering(self, capsys, tmp_path):
         report = tmp_path / "r.txt"
         run(capsys, "chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1",
@@ -319,10 +332,12 @@ class TestReportAudit:
         # eps = 1/25 is not below 1/(k-1) = 1/49
         (" hypothesis=BV ", " hypothesis=GEH(1/2) "),
         (" rule=eps ", " rule=trunc "),
+        # mk shares the BV threshold, but eps= is not an mk chain's provenance
+        (" rule=eps ", " rule=mk "),
         (" rule=eps ", " rule=sieve "),
         (" eps=1/25", " eps=1"),
     ], ids=["rewritten-threshold", "lowered-threshold", "side-condition", "wrong-rule",
-            "unknown-rule", "eps-gate"])
+            "relabel-mk", "unknown-rule", "eps-gate"])
     def test_chain_fails_its_rule(self, capsys, tmp_path, old, new):
         code, out, _ = audit_file(capsys, tmp_path, edit_chain_line(old, new))
         assert code == 1 and out.endswith(": INVALID\n")

@@ -424,6 +424,44 @@ class TestOneDerivation:
             dhl_from_eps(50, Q(1, 25), ExternalBound(Q(5), "x threshold=1"), Hypothesis.bv(), 1)
 
 
+class TestProvenanceMatchesRule:
+    @pytest.mark.parametrize("rule, threshold, provenance, key", [
+        ("mk", Q(4), {"bound_source": "external:x", "eps": "1/25"}, "eps"),
+        ("trunc", Q(4), {"bound_source": "external:x", "eps": "1/25"}, "eps"),
+        ("eps", Q(4), {"bound_source": "external:x"}, "eps"),
+        ("marginal", Q(2), {"bound_source": "cutoff-verification"}, "eps"),
+        ("eps", Q(4), {"bound_source": "cutoff-verification", "eps": "1/25"}, "bound_source"),
+        ("mk", Q(4), {"bound_source": "cutoff-verification"}, "bound_source"),
+        ("marginal", Q(2), {"bound_source": "external:x", "eps": "1/4"}, "bound_source"),
+        ("marginal", Q(2), {"eps": "1/4"}, "bound_source"),
+        ("mk", Q(4), {"bound_source": "external:x", "nonstrict_side_conditions": "true"},
+         "nonstrict_side_conditions"),
+        ("marginal", Q(2), {"bound_source": "cutoff-verification", "eps": "1/4",
+                            "nonstrict_side_conditions": "true"}, "nonstrict_side_conditions"),
+    ], ids=["eps-on-mk", "eps-on-trunc", "eps-missing", "eps-missing-marginal",
+            "cutoff-on-eps", "cutoff-on-mk", "external-on-marginal", "no-source-marginal",
+            "nonstrict-on-mk", "nonstrict-on-marginal"])
+    def test_refused(self, rule, threshold, provenance, key):
+        with pytest.raises(ValueError, match=f"provenance {key}= does not match rule {rule}"):
+            DHLClaim(3, 1, rule, Hypothesis.bv(), Q(5), threshold, provenance)
+
+    def test_caller_eps_refused_on_mk(self):
+        with pytest.raises(ValueError, match="provenance eps="):
+            dhl_from_mk(3, ExternalBound(Q(5), "x"), Hypothesis.bv(), 1, {"eps": "1/25"})
+
+    @pytest.mark.parametrize("claim, old, new", [
+        (lambda: GOLDEN_CHAIN(), " rule=eps ", " rule=mk "),
+        (lambda: dhl_from_eps(51, Q(1, 60), ExternalBound(5, "x"), Hypothesis.geh(Q(1, 2)), 1),
+         " rule=eps ", " rule=marginal "),
+        (lambda: TestOneDerivation().marginal(), " rule=marginal ", " rule=eps "),
+    ], ids=["eps-to-mk", "eps-to-marginal-geh", "marginal-to-eps"])
+    def test_relabelled_chain_is_invalid(self, claim, old, new):
+        # each relabel keeps the hypothesis, threshold and margin of the chain
+        text = emit_report([claim()])
+        assert audit_report(text)
+        assert not audit_report(edit_chain(text, old, new))
+
+
 class TestClaimLineLayout:
     def text(self):
         return emit_report([GOLDEN_CHAIN()])
@@ -492,7 +530,10 @@ def derived_claims(draw):
     threshold = rule_threshold(rule, hyp, k, m, eps, nonstrict)
     bound = threshold + Q(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
     provenance = draw(st.dictionaries(
-        st.from_regex(r"[a-z0-9_]{1,10}", fullmatch=True).filter(lambda key: key not in CHAIN_KEYS),
+        # eps is the derivation's own key, refused from a caller on mk and trunc
+        st.from_regex(r"[a-z0-9_]{1,10}", fullmatch=True).filter(
+            lambda key: key not in CHAIN_KEYS and key != "eps"
+        ),
         CHAIN_TOKEN, max_size=3,
     ))
     source = ExternalBound(bound, draw(CHAIN_TOKEN))

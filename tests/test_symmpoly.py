@@ -12,6 +12,9 @@ from primegaps.symmpoly import (
     affine_integral,
     affine_multiply,
 )
+from primegaps.varprob import _basis_signatures
+
+from .reference import enumerated_struct_constants
 
 
 def simplex_monomial_oracle(a, exponents):
@@ -72,6 +75,16 @@ def evaluate(terms, k, t):
             mono += math.prod(ti**e for ti, e in zip(t, exps))
         total += c * (1 - sum(t)) ** a * mono
     return total
+
+
+def partitions(d, top=None):
+    """Every signature of degree d with parts at most top."""
+    if d == 0:
+        yield ()
+        return
+    for p in range(min(d, top or d), 0, -1):
+        for rest in partitions(d - p, p):
+            yield (p,) + rest
 
 
 def rand_poly(k, deg, rng):
@@ -201,10 +214,34 @@ class TestMultiply:
         for alpha, beta in itertools.product(sigs, repeat=2):
             ell = len(alpha) + len(beta)
             for k in sorted({ell, ell + 1, 10} | ({ell - 1} if ell > 1 else set())):
-                full = _struct_constants.__wrapped__(alpha, beta, k)
+                full = enumerated_struct_constants(alpha, beta, k)
                 assert _struct_constants(alpha, beta, min(k, ell)) == full
                 product = affine_multiply({(0,) + alpha: Q(1)}, {(0,) + beta: Q(1)}, k)
                 assert product == {(0,) + gamma: Q(c) for gamma, c in full}
+
+    def test_structure_constants_match_enumeration(self):
+        # every pair of signatures, parts equal to 1 included, whose product
+        # has degree <= 8, counted in fewer, exactly and more variables than
+        # the product needs
+        sigs = [()] + [sig for d in range(1, 9) for sig in partitions(d)]
+        for alpha, beta in itertools.product(sigs, repeat=2):
+            if sum(alpha) + sum(beta) > 8:
+                continue
+            ell = len(alpha) + len(beta)
+            for k in sorted({ell, ell + 1, 10} | ({ell - 1} if ell > 1 else set())):
+                counted = _struct_constants.__wrapped__(alpha, beta, k)
+                assert counted == enumerated_struct_constants(alpha, beta, k), (alpha, beta, k)
+
+    @pytest.mark.slow
+    def test_structure_constants_of_plain_54_16(self):
+        # the 4,489 pairs of even signatures of degree <= 16 that the Gram
+        # assembly of plain(54, 16) requests, at k = min(54, len(alpha) + len(beta))
+        sigs = _basis_signatures(54, 16, even_only=True)
+        assert len(sigs) ** 2 == 4489
+        for alpha, beta in itertools.product(sigs, repeat=2):
+            k = min(54, len(alpha) + len(beta))
+            counted = _struct_constants.__wrapped__(alpha, beta, k)
+            assert counted == enumerated_struct_constants(alpha, beta, k), (alpha, beta, k)
 
 
 class TestIntegration:

@@ -52,7 +52,29 @@ class TestTypes:
     def test_gram_requires_symmetry(self):
         with pytest.raises(ValueError):
             GramPair(Variant("plain", 2), [BasisElement(0, ()), BasisElement(1, ())],
-                     [[1, 0], [1, 1]], [[1, 0], [0, 1]])
+                     (1, [[1, 0], [1, 1]]), (1, [[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("M1, message", [
+        ((1, [[1, 0], [1, 1]]), "exactly symmetric"),
+        ((1, [[1, 0], [0, 1], [0, 0]]), "sizes must match"),
+        ((1, [[1, 0], [0]]), "sizes must match"),
+        ((0, [[1, 0], [0, 1]]), "denominator must be positive"),
+        ((-3, [[1, 0], [0, 1]]), "denominator must be positive"),
+    ], ids=["asymmetric", "extra-row", "short-row", "zero-den", "negative-den"])
+    def test_gram_refuses_bad_forms(self, M1, message):
+        basis = [BasisElement(0, ()), BasisElement(1, ())]
+        with pytest.raises(ValueError, match=message) as info:
+            GramPair(Variant("plain", 2), basis, M1, (1, [[1, 0], [0, 1]]))
+        assert "\n" not in str(info.value)
+
+    def test_gram_stores_reduced_form(self):
+        # one stored form per matrix, over the least common denominator;
+        # M1 and M2 are Fraction views of it
+        basis = [BasisElement(0, ()), BasisElement(1, ())]
+        g = GramPair(Variant("plain", 2), basis, (12, [[6, 4], [4, 2]]), (5, [[0, 0], [0, 0]]))
+        assert g.forms == ((6, ((3, 2), (2, 1))), (1, ((0, 0), (0, 0))))
+        assert g.M1 == ((Q(1, 2), Q(1, 3)), (Q(1, 3), Q(1, 6)))
+        assert g.M2 == ((0, 0), (0, 0))
 
 
 class TestAssemblePlain:
@@ -219,12 +241,59 @@ def test_independence_scan_matches_exact_ldl(kind, k, d, eps, even_only):
         for j in range(i, n):
             M1[i][j] = M1[j][i] = affine_integral(affine_multiply(terms[i], terms[j], k), k, offset, offset)
     keep = exact_ldl(M1, n)[0]
-    assert varprob._independent_columns(M1) == keep
+    den = math.lcm(*(x.denominator for row in M1 for x in row))
+    N1 = [[x.numerator * (den // x.denominator) for x in row] for row in M1]
+    assert varprob._independent_columns(den, N1) == keep
     if kind == "eps":
         pair = assemble_eps(k, d, eps, even_only=even_only)
     else:
         pair = assemble_plain(k, d, even_only=even_only)
     assert list(pair.basis) == [candidates[i] for i in keep]
+
+
+def test_independence_scan_refuses_denominator_divisible_by_prime():
+    with pytest.raises(ValueError, match="divisible by the scan prime"):
+        varprob._independent_columns(3 * varprob.SCAN_PRIME, [[1, 0], [0, 1]])
+
+
+#: SHA-256 of (basis, den1, N1, den2, N2) per pair: the stored integer
+#: forms, which equal the least-common-denominator forms of the matrices
+PAIR_DIGESTS = {
+    "eps-50-6": "598ef501c622da51328be608e158af88670e7ceb1a3755b9b1d7c2f8d2460208",
+    "plain-5-8": "74a00d48fb4f51dbae2a6dfe3de431c2e8a6a229788727ffd140b372f611c404",
+    "eps-50-10": "9a251990c5946b2dc1881cbb21ff9b2e34608df5bbf588ff2cd66f77afa3c370",
+    "plain-2-4": "ee7bec8056e96f884ac116fea1df70de9bf2c594bf6e55aedc710e387cf0c6b2",
+    "plain-3-5-full": "02863c0959dc308bd342fbc36ea8f005ca6b66bc8baf5e7c91488dced7cd3cc7",
+    "plain-4-6": "4edec71a8ff00951f78e6a2052364c6c12df4b5bed98281d1c23cfc49977ec3a",
+    "plain-2-7-full": "33035c6db3c8220bf61de893a756fc9397fae046c8ba7a896e81a0702dc2cca2",
+    "eps-5-4": "6db2bf0063e65ea72ce334a4eebefb7eaf55fbc3e2d510cc9ba8a541dd3aabcb",
+    "eps-4-5-full": "e64d6cbb109cd3e01cd974ae82c5173fca574a1a7a7621a141bab95c487091ac",
+    "eps-3-6": "e8b2f3577d92f85b00987e798698fbfbdbc5c154c84b10c3d4f675c9a54c2491",
+    "plain-54-12": "e3ca716610021ae66b19eb860b676c3dbf96f7401b4dd0d540847fd57f9aceaa",
+}
+
+
+def pair_digest(pair):
+    h = hashlib.sha256()
+    for b in pair.basis:
+        h.update(f"{b.a} {' '.join(map(str, b.alpha))} {b.offset}\n".encode())
+    for den, N in pair.forms:
+        h.update(f"{den}\n".encode())
+        for row in N:
+            h.update((" ".join(map(str, row)) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind,k,d,eps,even_only", EXACT_ASSEMBLY_CASES + [("plain", 54, 12, None, True)],
+    ids=EXACT_ASSEMBLY_IDS + ["plain-54-12"],
+)
+def test_stored_forms_pinned(kind, k, d, eps, even_only):
+    if kind == "eps":
+        pair = assemble_eps(k, d, eps, even_only=even_only)
+    else:
+        pair = assemble_plain(k, d, even_only=even_only)
+    assert pair_digest(pair) == PAIR_DIGESTS[f"{kind}-{k}-{d}{'' if even_only else '-full'}"]
 
 
 #: pairwise coprime denominators (Mersenne primes)
@@ -272,7 +341,7 @@ def test_integer_forms_edge_vectors(which):
 class TestSolveAndCertify:
     def test_identity_pair(self):
         basis = (BasisElement(0, ()), BasisElement(1, ()))
-        eye = [[Q(1), Q(0)], [Q(0), Q(1)]]
+        eye = (1, [[1, 0], [0, 1]])
         pair = GramPair(Variant("plain", 2), basis, eye, eye)
         a = solve_generalized(pair)
         assert len(a) == 2 and any(x != 0 for x in a)
@@ -286,7 +355,7 @@ class TestSolveAndCertify:
         basis = (BasisElement(0, ()), BasisElement(1, ()))
         # indefinite, then singular: a hand-built pair keeps every column,
         # so a dependent one is refused, not dropped
-        for bad in ([[Q(1), Q(2)], [Q(2), Q(1)]], [[Q(1), Q(1)], [Q(1), Q(1)]]):
+        for bad in ((1, [[1, 2], [2, 1]]), (1, [[1, 1], [1, 1]])):
             pair = GramPair(Variant("plain", 2), basis, bad, bad)
             with pytest.raises(ValueError, match="not positive definite"):
                 solve_generalized(pair)
@@ -304,7 +373,7 @@ class TestSolveAndCertify:
             [[sum(B[t][i] * B[t][j] for t in range(n)) + (i == j) for j in range(n)] for i in range(n)]
             for B in (data.draw(entries), data.draw(entries))
         )
-        pair = GramPair(Variant("plain", 2), [BasisElement(0, ())] * n, M1, M2)
+        pair = GramPair(Variant("plain", 2), [BasisElement(0, ())] * n, (1, M1), (1, M2))
         a = solve_generalized(pair)
         assert all(x.denominator == 1 for x in a)
         t1, t2 = _quadratic_forms(pair, a)
