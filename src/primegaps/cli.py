@@ -150,6 +150,10 @@ def _hypothesis_from_args(args) -> pipeline.Hypothesis:
 
 
 def _cmd_chain(args) -> int:
+    if args.dhl_rule == "marginal" and (args.cert or args.cert_value):
+        # the rule's bound is the built-in cutoff verification; evidence
+        # handed in would be dropped from the report, so refuse it
+        raise ValueError("--dhl-rule marginal takes no --cert or --cert-value")
     t = admissible.read_tuple_file(args.tuple)
     provenance = {}
     if args.cert:

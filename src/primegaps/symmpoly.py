@@ -61,12 +61,11 @@ def _perm_count(alpha: tuple, k: int) -> int:
     """Distinct exponent vectors of length k with signature alpha."""
     if len(alpha) > k:
         return 0
-    denom = math.factorial(k - len(alpha))
-    run = 1
+    denom = run = 1
     for i, p in enumerate(alpha):
         run = run + 1 if i and alpha[i - 1] == p else 1
         denom *= run
-    return math.factorial(k) // denom
+    return math.perm(k, len(alpha)) // denom
 
 
 @lru_cache(maxsize=None)
@@ -189,13 +188,20 @@ def _resymmetrize(beta: tuple, c: int, k: int) -> list:
 
     (1-s)^c = sum_r C(c,r) (1-P_(1))^(c-r) t_i^r; the slot's t_i^r joins
     beta as a part r, counted by the multiplicity of r in the new signature
-    (r = 0 needs one of the k - len(beta) free slots).
+    (r = 0 needs one of the k - len(beta) free slots).  As r grows, the new
+    part moves left past every part of beta not above it, so one pointer
+    finds its place and the parts equal to it.
     """
-    row = [((c,) + beta, k - len(beta))] if len(beta) < k else []
+    n = len(beta)
+    row = [((c,) + beta, k - n)] if n < k else []
+    i = n  # beta[i:] holds the parts <= r
     for r in range(1, c + 1):
-        i = next((i for i, p in enumerate(beta) if r >= p), len(beta))
-        gamma = beta[:i] + (r,) + beta[i:]
-        row.append(((c - r,) + gamma, math.comb(c, r) * gamma.count(r)))
+        while i and beta[i - 1] <= r:
+            i -= 1
+        j = i
+        while j < n and beta[j] == r:
+            j += 1
+        row.append(((c - r,) + beta[:i] + (r,) + beta[i:], math.comb(c, r) * (j - i + 1)))
     return row
 
 
@@ -214,22 +220,25 @@ def _apply_L_int(terms: dict, den: int, k: int) -> tuple:
 
     With D the highest total degree a+|alpha| in terms, every weight
     a!m!/(a+m+1)! of affine_apply_L has a+m+1 <= D+1, so scaling by
-    (D+1)! makes the step integer multiply-adds.  Returns the image as
-    (terms, den), reduced once by the gcd of den and every numerator.
+    (D+1)! makes the step integer multiply-adds.  The step is L = R S:
+    S strips each exponent m from each term and adds its slot weight
+    coeff (D+1)!/c! a! m! into one accumulator per slot image
+    (1-s)^c P_beta, c = a+m+1; R expands each nonzero accumulator once
+    through _resymmetrize.  Returns the image as (terms, den), reduced
+    once by the gcd of den and every numerator.
     """
     fact = math.factorial
     top = fact(max((key[0] + sum(key[1:]) for key in terms), default=0) + 1)
-    rows: dict = {}
-    out: dict = {}
+    slots: dict = {}
     for key, coeff in terms.items():
         a, alpha = key[0], key[1:]
         for m, beta in _strip_candidates(alpha, k):
             c = a + m + 1
-            w = coeff * (top // fact(c) * fact(a) * fact(m))
-            row = rows.get((beta, c))
-            if row is None:
-                row = rows[beta, c] = _resymmetrize(beta, c, k)
-            for okey, x in row:
+            slots[beta, c] = slots.get((beta, c), 0) + coeff * (top // fact(c) * fact(a) * fact(m))
+    out: dict = {}
+    for (beta, c), w in slots.items():
+        if w:
+            for okey, x in _resymmetrize(beta, c, k):
                 out[okey] = out.get(okey, 0) + w * x
     out = {key: v for key, v in out.items() if v}
     den *= top

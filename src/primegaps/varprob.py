@@ -510,8 +510,27 @@ class _MomentStream:
 _stream = functools.cache(_MomentStream)
 
 
-#: iterated images of 1 reach this total degree at most (memory guard)
+#: iterated images of 1 reach this total degree at most
 KRYLOV_DEGREE_LIMIT = 199
+
+#: the last iterate has this many terms at most; the largest call accepted,
+#: krylov_moments(3, 63), takes about 40 s and 90 MB on a 2-core box
+KRYLOV_TERM_LIMIT = 60_000
+
+
+def _iterate_terms(k: int, degree: int) -> int:
+    """Number of terms of L^degree 1 in k variables.
+
+    Each (a, alpha) with a + |alpha| = degree and at most k parts in alpha
+    has a nonzero coefficient, so the count is the sum over j <= degree of
+    the partitions of j into at most k parts (by conjugation, into parts
+    of size at most k).
+    """
+    p = [1] + [0] * degree
+    for part in range(1, min(k, degree) + 1):
+        for j in range(part, degree + 1):
+            p[j] += p[j - part]
+    return sum(p)
 
 
 def krylov_moments(k: int, n: int) -> KrylovTable:
@@ -522,6 +541,12 @@ def krylov_moments(k: int, n: int) -> KrylovTable:
         raise ValueError(
             f"degree cap exceeded: order {n} needs degree {2 * n - 1} "
             f"> {KRYLOV_DEGREE_LIMIT}"
+        )
+    terms = _iterate_terms(k, 2 * n - 1)
+    if terms > KRYLOV_TERM_LIMIT:
+        raise ValueError(
+            f"term cap exceeded: order {n} at k = {k} needs {terms} terms "
+            f"in L^{2 * n - 1} 1 > {KRYLOV_TERM_LIMIT}"
         )
     return KrylovTable(k, tuple(_stream(k).upto(2 * n)))
 

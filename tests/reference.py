@@ -2,6 +2,7 @@
 table values used as targets, and the slow exact oracles that the program's
 integer kernels are checked against."""
 
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -137,6 +138,40 @@ def enumerated_struct_constants(alpha: tuple, beta: tuple, k: int) -> tuple:
         assert rem == 0
         out.append((gamma, c))
     return tuple(out)
+
+
+def per_term_apply_L_int(terms: dict, den: int, k: int) -> tuple:
+    """One step of L on integer numerators, term by term.
+
+    The oracle for the factored step of symmpoly._apply_L_int: every
+    (term, exponent m on the integrated slot) pair expands its own
+    re-symmetrized row of (1-s)^c P_beta, c = a+m+1, weighted by
+    coeff (D+1)!/c! a! m!, D the highest total degree; m is a distinct part
+    of alpha, or 0 when a slot is free.  Returns (terms, den) reduced by
+    the gcd of den and every numerator.
+    """
+    fact = math.factorial
+    top = fact(max((key[0] + sum(key[1:]) for key in terms), default=0) + 1)
+    out: dict = {}
+    for key, coeff in terms.items():
+        a, alpha = key[0], key[1:]
+        strips = [(m, alpha[:i] + alpha[i + 1 :]) for i, m in enumerate(alpha) if m not in alpha[:i]]
+        if len(alpha) < k:
+            strips.append((0, alpha))
+        for m, beta in strips:
+            c = a + m + 1
+            w = coeff * (top // fact(c) * fact(a) * fact(m))
+            row = [((c,) + beta, k - len(beta))] if len(beta) < k else []
+            for r in range(1, c + 1):
+                i = next((i for i, p in enumerate(beta) if r >= p), len(beta))
+                gamma = beta[:i] + (r,) + beta[i:]
+                row.append(((c - r,) + gamma, math.comb(c, r) * gamma.count(r)))
+            for okey, x in row:
+                out[okey] = out.get(okey, 0) + w * x
+    out = {key: v for key, v in out.items() if v}
+    den *= top
+    g = math.gcd(den, *out.values())
+    return {key: v // g for key, v in out.items()}, den // g
 
 
 def iterated_integral(integrand: Poly3, chain) -> Q:

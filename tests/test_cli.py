@@ -1,5 +1,6 @@
 import os
 import re
+import time
 from importlib import resources
 
 import pytest
@@ -87,6 +88,28 @@ class TestBoundCommands:
         assert code == 0 and "verified" in out
         code, out = run(capsys, "verify-cert", str(cert))
         assert code == 0 and "verified" in out
+
+    def test_krylov_term_cap(self, capsys):
+        # L^59 1 at k = 10 has 1,548,122 terms: refused before any step
+        t0 = time.perf_counter()
+        code = main(["mk", "krylov", "--k", "10", "--n", "30"])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and elapsed < 1
+        assert err.count("\n") == 1 and err.startswith("error: term cap exceeded")
+        assert "1548122" in err
+
+    def test_verify_cert_krylov_term_cap(self, capsys, tmp_path):
+        # a certificate naming that order is refused the same way
+        cert = tmp_path / "c.txt"
+        lines = [f"a[{i}] = 1\n" for i in range(30)]
+        cert.write_text("variant plain\nk 10\nd 0\nbasis krylov\nC = 1\n" + "".join(lines))
+        t0 = time.perf_counter()
+        code = main(["verify-cert", str(cert)])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and elapsed < 1
+        assert err[0].startswith("error: term cap exceeded")
 
     @pytest.mark.parametrize("path", sorted(EARLIER_CERTIFICATES.glob("*.cert")), ids=lambda p: p.stem)
     def test_verify_cert_earlier_certificates(self, capsys, path):
@@ -263,6 +286,20 @@ class TestChainCommands:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "--cert " in err and "--cert-value" in err
+
+    @pytest.mark.parametrize("evidence", [["--cert", "missing.cert"], ["--cert-value", "4"]],
+                             ids=["cert", "cert-value"])
+    def test_marginal_chain_refuses_evidence(self, capsys, tmp_path, evidence):
+        # the marginal rule rests on the built-in cutoff verification, so a
+        # certificate or value handed in is refused before any file is read
+        tup = tmp_path / "t3.txt"
+        tup.write_text("0\n2\n6\n")
+        code = main(["chain", "hm", "--dhl-rule", "marginal", "--k", "3", "--m", "1",
+                     *evidence, "--tuple", str(tup)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "marginal" in err and "missing.cert" not in err
 
     def test_report_flags_tampering(self, capsys, tmp_path):
         report = tmp_path / "r.txt"

@@ -7,6 +7,7 @@ import pytest
 from primegaps.rational import Q
 from primegaps.symmpoly import (
     Signature,
+    _apply_L_int,
     _struct_constants,
     affine_apply_L,
     affine_integral,
@@ -14,7 +15,7 @@ from primegaps.symmpoly import (
 )
 from primegaps.varprob import _basis_signatures
 
-from .reference import enumerated_struct_constants
+from .reference import enumerated_struct_constants, per_term_apply_L_int
 
 
 def simplex_monomial_oracle(a, exponents):
@@ -308,6 +309,42 @@ class TestApplyL:
         assert moments[1] == Q(2 * k, fac(k + 1))
         assert moments[2] == Q(k * (5 * k + 1), fac(k + 2))
         assert moments[3] == Q(2 * k * k * (7 * k + 5), fac(k + 3))
+
+
+def random_int_terms(k, rng):
+    """Sparse integer numerators in affine form over k variables, of mixed
+    degrees, with a term using all k slots and a pair of terms whose
+    weights on one slot image (1-s)^c P_beta cancel to zero."""
+    beta = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, k - 1))), reverse=True))
+    c = rng.randint(2, 6)
+    m1, m2 = rng.sample(range(c), 2)  # both strip beta's slot at c = a + m + 1
+    x = rng.choice((-1, 1)) * rng.randint(1, 9)
+    fact = math.factorial
+    terms = {}
+    for m, other in ((m1, m2), (m2, m1)):
+        a = c - 1 - m
+        key = (a,) + tuple(sorted(beta + ((m,) if m else ()), reverse=True))
+        terms[key] = x * fact(c - 1 - other) * fact(other)
+        x = -x
+    full = (rng.randint(0, 3),) + tuple(sorted((rng.randint(1, 3) for _ in range(k)), reverse=True))
+    terms.setdefault(full, rng.randint(1, 99))
+    for _ in range(rng.randint(3, 12)):
+        parts = (rng.randint(1, 4) for _ in range(rng.randint(0, k)))
+        key = (rng.randint(0, 4),) + tuple(sorted(parts, reverse=True))
+        terms.setdefault(key, rng.choice((-1, 1)) * rng.randint(1, 10**6))
+    return terms
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_factored_step_matches_per_term(k):
+    # the slot-weight accumulation then one expansion per slot image gives
+    # the same keys, numerators and reduced denominator as expanding every
+    # (term, m) pair on its own
+    rng = random.Random(100 + k)
+    for _ in range(40):
+        terms = random_int_terms(k, rng)
+        den = rng.randint(1, 10**4)
+        assert _apply_L_int(terms, den, k) == per_term_apply_L_int(terms, den, k)
 
 
 def test_krylov_order_guard():

@@ -497,16 +497,39 @@ class TestKrylov:
             assert cert.C > Q(Fraction(target))
             assert float(cert.C) < k / (k - 1) * math.log(k)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", range(2, 9))
     def test_moments_match_fraction_reference(self, k):
         # the integer moment stream against a plain Fraction loop: the
-        # slot-integration formula term by term, then affine_integral
+        # slot-integration formula term by term, then affine_integral;
+        # order 12 for the published k = 2..5, order 8 past them
+        n = 12 if k <= 5 else 8
         f = {(0,): Q(1)}
         expect = [affine_integral(f, k)]
-        for _ in range(23):
+        for _ in range(2 * n - 1):
             f = fraction_apply_L(f, k)
             expect.append(affine_integral(f, k))
-        assert krylov_moments(k, 12).moments == tuple(expect)
+        assert krylov_moments(k, n).moments == tuple(expect)
+
+    def test_iterate_term_count_is_exact(self):
+        # every (a, alpha) of degree j with at most k parts survives in L^j 1
+        for k in range(2, 7):
+            stream = varprob._MomentStream(k)
+            for j in range(1, 16):
+                stream.upto(j + 1)
+                assert len(stream._terms) == varprob._iterate_terms(k, j)
+        assert varprob._iterate_terms(5, 23) == 1892
+        assert varprob._iterate_terms(10, 59) == 1548122
+        assert varprob._iterate_terms(10**9, 3) == 1 + 1 + 2 + 3
+
+    @pytest.mark.parametrize("k, n", [(10, 30), (3, 64), (4, 37), (50, 18), (10**9, 20)])
+    def test_term_cap(self, k, n, monkeypatch):
+        # refused on the count alone, before any moment stream is made
+        calls = []
+        monkeypatch.setattr(varprob, "_stream", calls.append)
+        assert varprob._iterate_terms(k, 2 * n - 1) > varprob.KRYLOV_TERM_LIMIT
+        with pytest.raises(ValueError, match="term cap exceeded"):
+            krylov_moments(k, n)
+        assert calls == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
