@@ -4,6 +4,7 @@ Each chain combines a distribution hypothesis tag, an exactly checked
 bound, and an admissible tuple into an auditable gap claim.
 """
 
+from fractions import Fraction
 from importlib import resources
 
 from primegaps.admissible import Tuple, read_tuple_file
@@ -21,14 +22,13 @@ from primegaps.pipeline import (
     hm_from_dhl,
     trunc_params_from_bound,
 )
-from primegaps.rational import Q
 from primegaps.sieves import SieveConfig, sieve_shifted_greedy
 
 with resources.as_file(resources.files("primegaps").joinpath("data", "tuple_50_246.txt")) as p:
     t50 = read_tuple_file(p)
 
 # chain 1: enlarged rule + unconditional hypothesis tag + published bound value
-d50 = dhl_from_eps(50, Q(1, 25), ExternalBound(Q(40043, 10**4), "published-value"),
+d50 = dhl_from_eps(50, Fraction(1, 25), ExternalBound(Fraction(40043, 10**4), "published-value"),
                    Hypothesis.bv(), 1)
 h246 = hm_from_dhl(d50, t50)
 

@@ -1,6 +1,8 @@
 """Closed-form values, special-function bounds, and the explicit
 large-k machinery for the truncated variant."""
 
+from fractions import Fraction
+
 import mpmath as mp
 
 from primegaps.bounds import (
@@ -11,13 +13,12 @@ from primegaps.bounds import (
     m2_exact,
     mk_upper,
 )
-from primegaps.rational import Q
 
 print("exact two-variable optimum:", mp.nstr(m2_exact(), 12))
 print("universal upper bound at k=2:", mp.nstr(mk_upper(2), 12))
 
 print("\nenlarged two-variable optimum across the branch point at eps = 1/3")
-for eps in (Q(1, 5), Q(3, 10), Q(1, 3), Q(1, 2), Q(3, 4)):
+for eps in (Fraction(1, 5), Fraction(3, 10), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
     print(f"  eps = {eps}:  {mp.nstr(m2_eps(eps), 10)}")
 
 print("\nBessel-zero lower bound (never reaches 4)")

@@ -6,9 +6,9 @@ is backed by an exact rational inequality a^T M2 a > C a^T M1 a.
 
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from primegaps.rational import Q
 from primegaps.varprob import (
     assemble_eps,
     assemble_plain,
@@ -33,7 +33,7 @@ for d in (0, 2, 4, 6):
 
 print("\nenlarged-variant bound at k = 2, eps = 1/2 "
       "(exact optimum is (e(1+eps)-2eps)/(e-1) = 1.790988...)\n")
-cert = gram_lower_bound(assemble_eps(2, 6, Q(1, 2)))
+cert = gram_lower_bound(assemble_eps(2, 6, Fraction(1, 2)))
 print(f"  certified C = {float(cert.C):.6f}")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -3,6 +3,7 @@ bounded-gap implication chains.
 
 Module map:
 
+  primes       prime generation (a numpy sieve) shared by the tuple sieves
   admissible   tuple type, fast/naive admissibility tests, gap encoding,
                exact small-k minimal diameters, tuple files
   sieves       the five tuple constructions and residue sieve files

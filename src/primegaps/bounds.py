@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 
 from .cutoff3d import Poly3, _simplex_integral
-from .rational import Q
 
 __all__ = [
     "DPS",
@@ -363,13 +363,14 @@ def m4eps_check(eps, alpha):
     the segment [0, 1 - eps].  ratio_ok tests 4J/I > 2.00558 as an exact
     rational comparison.
     """
-    eps, alpha = Q(eps), Q(alpha)
-    if not 0 < eps < Q(1, 2):
+    eps, alpha = Fraction(eps), Fraction(alpha)
+    if not 0 < eps < Fraction(1, 2):
         raise ValueError("eps must lie in (0, 1/2)")
     w = 1 + eps
     I = alpha * alpha * w**6 / 36 - alpha * w**5 / 15 + w**4 / 24
     # J integrand: (w - u)^2 (1 - alpha (w + u)/2)^2 u^2 / 2, with u as x
     factor = Poly3.affine(w, -1) * Poly3.affine(1 - alpha * w / 2, -alpha / 2)
-    J = _simplex_integral(factor * factor * Poly3({(2, 0, 0): Q(1, 2)}), [((Q(0),), (1 - eps,))])
-    ratio_ok = 4 * J > Q(200558, 100000) * I
+    J = _simplex_integral(factor * factor * Poly3({(2, 0, 0): Fraction(1, 2)}),
+                          [((0,), (1 - eps,))])
+    ratio_ok = 4 * J > Fraction(200558, 100000) * I
     return I, J, ratio_ok

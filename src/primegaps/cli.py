@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
 from . import admissible, bounds, cutoff3d, pipeline, sieves, varprob
-from .rational import parse_rational, rational_str
 
 
 # the constructions that return a SieveRun, for `tuple find --sieve-out`
@@ -70,7 +70,7 @@ def _cmd_tuple(args) -> int:
 
 def _print_certificate(cert, d, basis_kind, out):
     status = "verified" if cert.verified else "NOT VERIFIED"
-    print(f"variant={cert.variant} n={len(cert.a)} C={rational_str(cert.C)} ({float(cert.C):.8f}) {status}")
+    print(f"variant={cert.variant} n={len(cert.a)} C={cert.C} ({float(cert.C):.8f}) {status}")
     if out:
         varprob.write_certificate(out, cert, d=d, basis_kind=basis_kind)
         print(f"wrote {out}")
@@ -88,7 +88,7 @@ def _cmd_mk(args) -> int:
 
 
 def _cmd_mkeps(args) -> int:
-    eps = parse_rational(args.eps)
+    eps = Fraction(args.eps)
     pair = varprob.assemble_eps(args.k, args.d, eps, even_only=not args.full_signatures)
     cert = varprob.gram_lower_bound(pair)
     _print_certificate(cert, d=args.d, basis_kind="full" if args.full_signatures else "even", out=args.out)
@@ -98,7 +98,7 @@ def _cmd_mkeps(args) -> int:
 def _cmd_verify_cert(args) -> int:
     cert, margin = varprob.verify_certificate_file(args.file)
     print(
-        f"variant={cert.variant} C={rational_str(cert.C)} margin={rational_str(margin)} "
+        f"variant={cert.variant} C={cert.C} margin={margin} "
         f"{'verified' if cert.verified else 'NOT VERIFIED'}"
     )
     return 0 if cert.verified else 1
@@ -119,9 +119,9 @@ def _cmd_cutoff3d(args) -> int:
         f = cutoff3d.builtin_cutoff()
         I = cutoff3d.integrate_I(f)
         J = cutoff3d.integrate_J(f)
-        print(f"I = {rational_str(I)}")
-        print(f"J = {rational_str(J)}")
-        print(f"J/I = 2 + {rational_str(J / I - 2)}")
+        print(f"I = {I}")
+        print(f"J = {J}")
+        print(f"J/I = 2 + {J / I - 2}")
         ok = True
         for label, residual in cutoff3d.check_marginals(f):
             zero = residual.is_zero()
@@ -134,16 +134,16 @@ def _cmd_cutoff3d(args) -> int:
     word = word or "xyz"
     f = cutoff3d.builtin_cutoff()
     poly = cutoff3d.piece_polynomial(f, name, word)
-    x, y, z = (parse_rational(v) for v in args.at.split(","))
+    x, y, z = (Fraction(v) for v in args.at.split(","))
     value = poly.eval(x, y, z)
-    print(f"{args.piece}({rational_str(x)},{rational_str(y)},{rational_str(z)}) = {rational_str(value)}")
+    print(f"{args.piece}({x},{y},{z}) = {value}")
     return 0
 
 
 def _hypothesis_from_args(args) -> pipeline.Hypothesis:
     if args.hyp == "BV":
         return pipeline.Hypothesis.bv()
-    theta = parse_rational(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
+    theta = Fraction(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
     if args.hyp == "GEH":
         return pipeline.Hypothesis.geh(theta)
     return pipeline.Hypothesis.eh(theta)
@@ -165,7 +165,7 @@ def _cmd_chain(args) -> int:
         with open(args.cert, "rb") as fh:
             provenance["cert_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     elif args.cert_value:
-        bound_input = pipeline.ExternalBound(parse_rational(args.cert_value), args.cert_source)
+        bound_input = pipeline.ExternalBound(Fraction(args.cert_value), args.cert_source)
     elif args.dhl_rule != "marginal":
         raise ValueError(f"--dhl-rule {args.dhl_rule} needs --cert or --cert-value")
 
@@ -175,13 +175,13 @@ def _cmd_chain(args) -> int:
         dhl = pipeline.dhl_from_mk(args.k, bound_input, hyp, args.m, provenance=provenance)
     elif rule == "trunc":
         dhl = pipeline.dhl_from_trunc(
-            args.k, bound_input, parse_rational(args.varpi), parse_rational(args.delta), args.m,
+            args.k, bound_input, Fraction(args.varpi), Fraction(args.delta), args.m,
             provenance=provenance,
         )
     elif rule == "eps":
         hyp = _hypothesis_from_args(args)
         dhl = pipeline.dhl_from_eps(
-            args.k, parse_rational(args.eps), bound_input, hyp, args.m,
+            args.k, Fraction(args.eps), bound_input, hyp, args.m,
             nonstrict=args.nonstrict, provenance=provenance,
         )
     else:  # marginal: run the built-in exact cutoff verification
@@ -192,7 +192,7 @@ def _cmd_chain(args) -> int:
                 return 1
         ratio = cutoff3d.integrate_J(f) / cutoff3d.integrate_I(f)
         evidence = pipeline.MarginalEvidence(3, f.eps, ratio, True, True)
-        theta = parse_rational(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
+        theta = Fraction(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
         dhl = pipeline.dhl_from_marginal(3, f.eps, evidence, pipeline.Hypothesis.geh(theta), args.m)
     claim = pipeline.hm_from_dhl(dhl, t)
     report = pipeline.emit_report([claim])
@@ -322,13 +322,13 @@ def main(argv=None) -> int:
             print(mp.nstr(bounds.m2_exact(), 15))
             return 0
         if args.cmd == "m2eps":
-            print(mp.nstr(bounds.m2_eps(parse_rational(args.eps)), 15))
+            print(mp.nstr(bounds.m2_eps(Fraction(args.eps)), 15))
             return 0
         if args.cmd == "m4eps":
-            I, J, ok = bounds.m4eps_check(parse_rational(args.eps), parse_rational(args.alpha))
-            print(f"I = {rational_str(I)} ({float(I):.12g})")
-            print(f"J = {rational_str(J)} ({float(J):.12g})")
-            print(f"4J/I = {rational_str(4 * J / I)} ({float(4 * J / I):.12g})")
+            I, J, ok = bounds.m4eps_check(Fraction(args.eps), Fraction(args.alpha))
+            print(f"I = {I} ({float(I):.12g})")
+            print(f"J = {J} ({float(J):.12g})")
+            print(f"4J/I = {4 * J / I} ({float(4 * J / I):.12g})")
             print(f"exceeds 2.00558: {'yes' if ok else 'no'}")
             return 0
         if args.cmd == "bessel":

@@ -25,9 +25,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
-
-from .rational import Q
 
 __all__ = [
     "Poly3",
@@ -58,9 +57,9 @@ class Poly3:
     def __init__(self, terms=None):
         self.terms = {}
         for key, c in (terms or {}).items():
-            c = Q(c)
+            c = Fraction(c)
             if c != 0:
-                self.terms[tuple(key)] = self.terms.get(tuple(key), Q(0)) + c
+                self.terms[tuple(key)] = self.terms.get(tuple(key), Fraction(0)) + c
         self.terms = {k: v for k, v in self.terms.items() if v != 0}
 
     @classmethod
@@ -81,7 +80,7 @@ class Poly3:
         other = other if isinstance(other, Poly3) else Poly3.const(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Q(0)) + c
+            out[k] = out.get(k, Fraction(0)) + c
         return Poly3(out)
 
     __radd__ = __add__
@@ -94,13 +93,13 @@ class Poly3:
 
     def __mul__(self, other) -> "Poly3":
         if not isinstance(other, Poly3):
-            c = Q(other)
+            c = Fraction(other)
             return Poly3({k: v * c for k, v in self.terms.items()})
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                out[key] = out.get(key, Q(0)) + c1 * c2
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
         return Poly3(out)
 
     __rmul__ = __mul__
@@ -120,8 +119,8 @@ class Poly3:
         return max((sum(k) for k in self.terms), default=0)
 
     def eval(self, x, y, z):
-        x, y, z = Q(x), Q(y), Q(z)
-        total = Q(0)
+        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        total = Fraction(0)
         for (i, j, l), c in self.terms.items():
             total += c * x**i * y**j * z**l
         return total
@@ -135,7 +134,7 @@ class Poly3:
             for axis, e in enumerate(key):
                 new[pos[axis]] += e
             new = tuple(new)
-            out[new] = out.get(new, Q(0)) + c
+            out[new] = out.get(new, Fraction(0)) + c
         return Poly3(out)
 
     def substitute(self, name: str, value: "Poly3") -> "Poly3":
@@ -229,7 +228,7 @@ class PiecewiseCutoff:
     eps: object
 
     def __post_init__(self):
-        eps = Q(self.eps)
+        eps = Fraction(self.eps)
         _check_eps(eps)
         pieces = {}
         for name in CANONICAL_NAMES:
@@ -246,7 +245,7 @@ class PiecewiseCutoff:
 
 def builtin_cutoff() -> PiecewiseCutoff:
     """The verified degree-<=3 cutoff (piece coefficients are exact data)."""
-    return PiecewiseCutoff({n: Poly3(c) for n, c in _BUILTIN_PIECES.items()}, Q(1, 4))
+    return PiecewiseCutoff({n: Poly3(c) for n, c in _BUILTIN_PIECES.items()}, Fraction(1, 4))
 
 
 def piece_polynomial(f: PiecewiseCutoff, name: str, word: str = "xyz") -> Poly3:
@@ -270,35 +269,34 @@ def piece_polynomial(f: PiecewiseCutoff, name: str, word: str = "xyz") -> Poly3:
 
 def _canonical_systems(e):
     """Strict inequality systems (c0, cx, cy, cz) > 0 for the ten canonical
-    pieces inside {0 < y < x < z}; the chains imply the sector ordering."""
-    one = Q(1)
+    pieces inside {0 < y < x < z}; the chains imply the sector ordering.
+    Int entries are exact: Polytope3 coerces every row to Fraction."""
     base = [
-        (Q(0), one, Q(0), Q(0)),   # x > 0
-        (Q(0), Q(0), one, Q(0)),   # y > 0
-        (Q(0), Q(0), Q(0), one),   # z > 0
-        (Q(3, 2), -one, -one, -one),  # x+y+z < 3/2
+        (0, 1, 0, 0),                     # x > 0
+        (0, 0, 1, 0),                     # y > 0
+        (0, 0, 0, 1),                     # z > 0
+        (Fraction(3, 2), -1, -1, -1),     # x+y+z < 3/2
     ]
-    x_lt_z = (Q(0), -one, Q(0), one)       # x < z
-    y_lt_x = (Q(0), one, -one, Q(0))       # y < x
-    xy_lt = lambda b: (b, -one, -one, Q(0))     # x + y < b
-    yz_gt = lambda b: (-b, Q(0), one, one)      # y + z > b
-    yz_lt = lambda b: (b, Q(0), -one, -one)     # y + z < b
-    zx_gt = lambda b: (-b, one, Q(0), one)      # z + x > b
-    zx_lt = lambda b: (b, -one, Q(0), -one)     # z + x < b
-    lo, hi = 1 - e, 1 + e
+    x_lt_z = (0, -1, 0, 1)                # x < z
+    y_lt_x = (0, 1, -1, 0)                # y < x
+    xy_lt = lambda b: (b, -1, -1, 0)      # x + y < b
+    yz_gt = lambda b: (-b, 0, 1, 1)       # y + z > b
+    yz_lt = lambda b: (b, 0, -1, -1)      # y + z < b
+    zx_gt = lambda b: (-b, 1, 0, 1)       # z + x > b
+    zx_lt = lambda b: (b, -1, 0, -1)      # z + x < b
+    lo, hi, half = 1 - e, 1 + e, Fraction(1, 2)
     F_sys = [xy_lt(lo), yz_gt(lo), yz_lt(hi), zx_gt(hi)]
     systems = {
         "A": [x_lt_z, y_lt_x, zx_lt(lo)],
         "B": [x_lt_z, yz_lt(lo), zx_gt(lo), zx_lt(hi)],
         "C": [xy_lt(lo), yz_gt(lo), y_lt_x, zx_lt(hi)],
-        "D": [(-lo, one, one, Q(0)), x_lt_z, y_lt_x, zx_lt(hi)],  # x+y > 1-e
+        "D": [(-lo, 1, 1, 0), x_lt_z, y_lt_x, zx_lt(hi)],  # x+y > 1-e
         "E": [x_lt_z, yz_lt(lo), zx_gt(hi)],
-        "S": F_sys + [(Q(1, 2) + e, Q(0), Q(0), -one)],                 # z < 1/2+e
-        "T": F_sys + [(-(Q(1, 2) + e), Q(0), Q(0), one),                # z > 1/2+e
-                      (-(Q(1, 2) - e), one, Q(0), Q(0))],               # x > 1/2-e
-        "U": F_sys + [(Q(1, 2) - e, -one, Q(0), Q(0))],                 # x < 1/2-e
+        "S": F_sys + [(half + e, 0, 0, -1)],                             # z < 1/2+e
+        "T": F_sys + [(-(half + e), 0, 0, 1), (-(half - e), 1, 0, 0)],  # z > 1/2+e, x > 1/2-e
+        "U": F_sys + [(half - e, -1, 0, 0)],                             # x < 1/2-e
         "G": [xy_lt(lo), yz_gt(hi), y_lt_x],
-        "H": [(-lo, one, one, Q(0)), x_lt_z, yz_lt(hi), zx_gt(hi)],
+        "H": [(-lo, 1, 1, 0), x_lt_z, yz_lt(hi), zx_gt(hi)],
     }
     return {name: base + sys for name, sys in systems.items()}
 
@@ -306,7 +304,7 @@ def _canonical_systems(e):
 def _permute_inequality(ineq, word):
     """Literal substitution x -> word[0], y -> word[1], z -> word[2]."""
     c0, cx, cy, cz = ineq
-    out = [c0, Q(0), Q(0), Q(0)]
+    out = [c0, 0, 0, 0]
     for coeff, w in zip((cx, cy, cz), word):
         out[1 + _VARS[w]] += coeff
     return tuple(out)
@@ -316,17 +314,17 @@ def _permute_inequality(ineq, word):
 class Polytope3:
     """Open polytope given by strict affine inequalities c0+cx*x+cy*y+cz*z > 0.
 
-    The coefficients are coerced to Q, so int rows give exact vertices."""
+    The coefficients are coerced to Fraction, so int rows give exact vertices."""
 
     name: str
     inequalities: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(Q(c) for c in row) for row in self.inequalities)
+        rows = tuple(tuple(Fraction(c) for c in row) for row in self.inequalities)
         object.__setattr__(self, "inequalities", rows)
 
     def contains(self, point, strict: bool = True) -> bool:
-        x, y, z = (Q(v) for v in point)
+        x, y, z = (Fraction(v) for v in point)
         for c0, cx, cy, cz in self.inequalities:
             v = c0 + cx * x + cy * y + cz * z
             if v < 0 or (strict and v == 0):
@@ -348,16 +346,16 @@ class Polytope3:
                 pts.add(pt)
         return sorted(pts)
 
-    def volume(self) -> Q:
+    def volume(self) -> Fraction:
         return self.integrate(Poly3.const(1))
 
-    def integrate(self, poly: Poly3) -> Q:
+    def integrate(self, poly: Poly3) -> Fraction:
         """Exact integral of a polynomial over the polytope: the fan from the
         first vertex over the faces without it gives tetrahedra, and the
         integer simplex kernel (_simplex_integral) integrates poly over them."""
         verts = self.vertices()
         if len(verts) < 4:
-            return Q(0)
+            return Fraction(0)
         apex = verts[0]
         tetrahedra = []
         for c0, cx, cy, cz in self.inequalities:
@@ -369,7 +367,7 @@ class Polytope3:
         return _simplex_integral(poly, tetrahedra)
 
 
-def _simplex_integral(poly: Poly3, simplices) -> Q:
+def _simplex_integral(poly: Poly3, simplices) -> Fraction:
     """Exact integral of a polynomial over a union of n-simplices, n = 1, 2, 3.
 
     Each simplex is given by its n + 1 vertices with n rational coordinates,
@@ -379,7 +377,7 @@ def _simplex_integral(poly: Poly3, simplices) -> Q:
     of the standard one, where u^a v^b w^c integrates to a!b!c!/(a+b+c+n)!,
     and the Jacobian is the determinant of its n edges."""
     if not simplices or poly.is_zero():
-        return Q(0)
+        return Fraction(0)
     n = len(simplices[0]) - 1
     D = poly.degree
     L = math.lcm(*(int(c.denominator) for s in simplices for v in s for c in v))
@@ -395,7 +393,7 @@ def _simplex_integral(poly: Poly3, simplices) -> Q:
         edges = [[c - a for c, a in zip(v, apex)] for v in rest]
         forms = [(apex[axis], *(e[axis] for e in edges)) for axis in range(n)]
         total += abs(_det(edges)) * _simplex_sum(coeff, forms, D)
-    return Q(total, math.factorial(D + n) * L ** (D + n) * den)
+    return Fraction(total, math.factorial(D + n) * L ** (D + n) * den)
 
 
 def _simplex_sum(coeff, forms, D) -> int:
@@ -496,13 +494,13 @@ def _dot(a, b):
 
 
 def _check_eps(e) -> None:
-    if not Q(1, 4) <= e <= Q(1, 3):
+    if not Fraction(1, 4) <= e <= Fraction(1, 3):
         raise ValueError("the partition is valid for eps in [1/4, 1/3]")
 
 
 def build_partition(eps) -> list:
     """The 60 open polytopes (10 canonical systems x 6 permutations)."""
-    e = Q(eps)
+    e = Fraction(eps)
     _check_eps(e)
     systems = _canonical_systems(e)
     out = []
@@ -515,7 +513,7 @@ def build_partition(eps) -> list:
 
 @functools.lru_cache(maxsize=None)
 def canonical_polytope(name: str, eps) -> Polytope3:
-    e = Q(eps)
+    e = Fraction(eps)
     _check_eps(e)
     return Polytope3(f"{name}_xyz", tuple(_canonical_systems(e)[name]))
 
@@ -526,7 +524,7 @@ def _locate(e, point):
     The point is sorted into the canonical sector (mid, min, max); the word
     names the coordinates that land in the x, y and z slots, and the canonical
     piece is found from the inequality systems."""
-    lo, mid, hi = sorted(zip((Q(v) for v in point), "xyz"))
+    lo, mid, hi = sorted(zip((Fraction(v) for v in point), "xyz"))
     canon = (mid[0], lo[0], hi[0])
     for name in CANONICAL_NAMES:
         if canonical_polytope(name, e).contains(canon):
@@ -583,7 +581,9 @@ def _fibre_programs(e) -> tuple:
     ((name, word, lo, hi), ...) of its fibre, lo and hi breakpoint forms,
     running from z = 0 to z = 3/2-x-y."""
     breaks, lines = _fibre_geometry(e)
-    sector = ((Q(0), Q(0)), (Q(3, 2), Q(0)), (Q(3, 4), Q(3, 4)))  # 0 < y < x, x+y < 3/2
+    sector = (  # 0 < y < x, x+y < 3/2
+        (Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(0)), (Fraction(3, 4), Fraction(3, 4)),
+    )
     out = []
     for region in (_clip(sector, (1 - e, -1, -1)), _clip(sector, (-1 - e, 1, 1))):
         cells = [region]
@@ -605,7 +605,7 @@ def _fibre_segments(e, breaks, ring) -> tuple:
     vertex centroid; adjacent segments of one piece are merged."""
     x = sum(v[0] for v in ring) / len(ring)
     y = sum(v[1] for v in ring) / len(ring)
-    zs = sorted((_at(b, x, y), b) for b in breaks if 0 <= _at(b, x, y) <= Q(3, 2) - x - y)
+    zs = sorted((_at(b, x, y), b) for b in breaks if 0 <= _at(b, x, y) <= Fraction(3, 2) - x - y)
     segments = []
     for (z1, b1), (z2, b2) in zip(zs, zs[1:]):
         where = _locate(e, (x, y, (z1 + z2) / 2))
@@ -637,7 +637,7 @@ def _fibre_integrals(f: PiecewiseCutoff):
     return g
 
 
-def _cell_integral(poly: Poly3, ring) -> Q:
+def _cell_integral(poly: Poly3, ring) -> Fraction:
     """Integral of a polynomial in (x, y) over a convex polygon, fanned from
     its first vertex into triangles for the integer simplex kernel."""
     return _simplex_integral(poly, [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)])
@@ -648,12 +648,12 @@ def _cell_integral(poly: Poly3, ring) -> Q:
 # ---------------------------------------------------------------------------
 
 
-def integrate_I(f: PiecewiseCutoff) -> Q:
+def integrate_I(f: PiecewiseCutoff) -> Fraction:
     """Exact integral of F^2 over the whole simplex (6 x canonical sector)."""
-    return 6 * sum((integrate_piece_I(f, name) for name in CANONICAL_NAMES), Q(0))
+    return 6 * sum((integrate_piece_I(f, name) for name in CANONICAL_NAMES), Fraction(0))
 
 
-def integrate_piece_I(f: PiecewiseCutoff, name: str, via_polytope: bool = True) -> Q:
+def integrate_piece_I(f: PiecewiseCutoff, name: str, via_polytope: bool = True) -> Fraction:
     """Canonical-sector integral of one squared piece over its polytope.
 
     via_polytope selects nothing, as the polytope is the only route; the
@@ -662,15 +662,15 @@ def integrate_piece_I(f: PiecewiseCutoff, name: str, via_polytope: bool = True) 
         raise ValueError("I is integrated over the polytopes only")
     p = f.pieces[name]
     if p.is_zero():
-        return Q(0)
+        return Fraction(0)
     return canonical_polytope(name, f.eps).integrate(p * p)
 
 
-def integrate_J(f: PiecewiseCutoff) -> Q:
+def integrate_J(f: PiecewiseCutoff) -> Fraction:
     """Exact value of the slot-integrated quadratic functional:
     6 x the integral of g^2 over the J region {0 < y < x, x+y < 1-eps}."""
     g = _fibre_integrals(f)
-    total = Q(0)
+    total = Fraction(0)
     for ring, segments in _fibre_programs(f.eps)[0]:
         inner = g(segments)
         total += _cell_integral(inner * inner, ring)

@@ -25,9 +25,9 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .admissible import Tuple, is_admissible
-from .rational import Q, parse_rational, rational_str
 from .varprob import BoundCertificate
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 
 #: stand-in for "theta sufficiently close to 1" under the full EH/GEH
 #: hypothesis; documented constant, exact rational
-THETA_NEAR_ONE = Q(10**9 - 1, 10**9)
+THETA_NEAR_ONE = Fraction(10**9 - 1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class Hypothesis:
     def __post_init__(self):
         tag = self.tag
         if tag in ("EH", "GEH"):
-            th = Q(self.theta)
+            th = Fraction(self.theta)
             if not 0 < th < 1:
                 raise ValueError("theta must lie in (0, 1)")
             object.__setattr__(self, "theta", th)
@@ -74,7 +74,7 @@ class Hypothesis:
             if self.theta is not None:
                 raise ValueError("BV takes no theta")
         elif tag == "MPZ":
-            vp, dl = Q(self.varpi), Q(self.delta)
+            vp, dl = Fraction(self.varpi), Fraction(self.delta)
             if vp < 0 or dl < 0:
                 raise ValueError("varpi and delta must be non-negative")
             object.__setattr__(self, "varpi", vp)
@@ -114,9 +114,9 @@ class Hypothesis:
         tag, _, rest = text.partition("(")
         args = rest[:-1].split(",") if rest.endswith(")") else []
         if tag in ("EH", "GEH") and len(args) == 1:
-            return cls(tag, theta=parse_rational(args[0]))
+            return cls(tag, theta=Fraction(args[0]))
         if tag == "MPZ" and len(args) == 2:
-            return cls.mpz(*map(parse_rational, args))
+            return cls.mpz(*map(Fraction, args))
         raise ValueError(f"unknown hypothesis {text!r}")
 
     def ratio_threshold(self, m: int):
@@ -127,17 +127,17 @@ class Hypothesis:
         C > m/(1/4 + varpi).
         """
         if self.tag == "BV":
-            return Q(4 * m)
+            return Fraction(4 * m)
         if self.tag in ("EH", "GEH"):
-            return Q(2 * m) / self.theta
-        return Q(m) / (Q(1, 4) + self.varpi)
+            return Fraction(2 * m) / self.theta
+        return Fraction(m) / (Fraction(1, 4) + self.varpi)
 
     def describe(self) -> str:
         if self.tag == "BV":
             return "BV"
         if self.tag in ("EH", "GEH"):
-            return f"{self.tag}({rational_str(self.theta)})"
-        return f"MPZ({rational_str(self.varpi)},{rational_str(self.delta)})"
+            return f"{self.tag}({self.theta})"
+        return f"MPZ({self.varpi},{self.delta})"
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class ExternalBound:
     source: str
 
     def __post_init__(self):
-        object.__setattr__(self, "C", Q(self.C))
+        object.__setattr__(self, "C", Fraction(self.C))
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ class MarginalEvidence:
     support_ok: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", Q(self.eps))
-        object.__setattr__(self, "ratio", Q(self.ratio))
+        object.__setattr__(self, "eps", Fraction(self.eps))
+        object.__setattr__(self, "ratio", Fraction(self.ratio))
 
 
 #: the fields of every report chain line, in order; provenance keys are the others
@@ -185,8 +185,8 @@ class DHLClaim:
     def __post_init__(self):
         if not self.k >= self.m + 1 >= 2:
             raise ValueError("need k >= m+1 >= 2")
-        object.__setattr__(self, "bound", Q(self.bound))
-        object.__setattr__(self, "threshold", Q(self.threshold))
+        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "threshold", Fraction(self.threshold))
         if not self.bound > self.threshold:
             raise ValueError("bound does not exceed the threshold")
         # provenance must read back from a report line (see _parse_kv)
@@ -237,9 +237,9 @@ def rule_threshold(rule: str, hyp: Hypothesis, k: int, m: int, eps=None,
     elif rule == "trunc":
         if tag != "MPZ":
             raise ValueError("the truncated rule needs MPZ")
-        if not 0 < hyp.varpi < Q(1, 4):
+        if not 0 < hyp.varpi < Fraction(1, 4):
             raise ValueError("gate violated: 0 < varpi < 1/4")
-        if not 0 < hyp.delta < Q(1, 2):
+        if not 0 < hyp.delta < Fraction(1, 2):
             raise ValueError("gate violated: 0 < delta < 1/2")
         if not 600 * hyp.varpi + 180 * hyp.delta < 7:
             raise ValueError("gate violated: 600*varpi + 180*delta < 7")
@@ -249,11 +249,11 @@ def rule_threshold(rule: str, hyp: Hypothesis, k: int, m: int, eps=None,
         if rule == "marginal" and tag != "GEH":
             raise ValueError("the marginal rule needs GEH")
         if tag == "BV":  # 1 + eps < 2 <= 1/theta for every theta < 1/2
-            lhs, rhs, side = 1 + eps, Q(2), "1 + eps < 1/theta"
+            lhs, rhs, side = 1 + eps, Fraction(2), "1 + eps < 1/theta"
         elif tag == "EH":
             lhs, rhs, side = 1 + eps, 1 / hyp.theta, "1 + eps < 1/theta"
         elif tag == "GEH":
-            lhs, rhs, side = eps, Q(1, k - 1), "eps < 1/(k-1)"
+            lhs, rhs, side = eps, Fraction(1, k - 1), "eps < 1/(k-1)"
         else:
             raise ValueError("the enlarged rule needs EH, BV or GEH")
         if not (lhs < rhs or (nonstrict and rule == "eps" and tag != "BV" and lhs == rhs)):
@@ -280,9 +280,9 @@ def _bound_value(evidence, rule: str, k: int, eps):
             raise ValueError(f"certificate variant {variant} does not match the rule for k={k}")
         if rule == "eps" and variant.eps != eps:
             raise ValueError(
-                f"certificate variant {variant} does not match the rule at eps = {rational_str(eps)}"
+                f"certificate variant {variant} does not match the rule at eps = {eps}"
             )
-        return Q(evidence.C), "certificate"
+        return Fraction(evidence.C), "certificate"
     if isinstance(evidence, ExternalBound):
         return evidence.C, f"external:{evidence.source}"
     raise TypeError("C must be a BoundCertificate or ExternalBound")
@@ -294,13 +294,10 @@ def _derive(rule: str, k: int, m: int, hyp: Hypothesis, evidence, eps=None,
     threshold = rule_threshold(rule, hyp, k, m, eps, nonstrict)
     value, source = _bound_value(evidence, rule, k, eps)
     if not value > threshold:
-        raise ValueError(
-            f"inequality not satisfied: C = {rational_str(value)} "
-            f"<= threshold {rational_str(threshold)}"
-        )
+        raise ValueError(f"inequality not satisfied: C = {value} <= threshold {threshold}")
     prov = dict(provenance or {}, bound_source=source)
     if eps is not None:
-        prov["eps"] = rational_str(eps)
+        prov["eps"] = str(eps)
     if nonstrict:
         prov["nonstrict_side_conditions"] = "true"
     return DHLClaim(k, m, rule, hyp, value, threshold, prov)
@@ -329,13 +326,13 @@ def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = Fals
     nonstrict relaxes the side conditions (only) to non-strict comparisons,
     justified by continuity in eps; default off.
     """
-    return _derive("eps", k, m, hyp, C, Q(eps), nonstrict, provenance)
+    return _derive("eps", k, m, hyp, C, Fraction(eps), nonstrict, provenance)
 
 
 def dhl_from_marginal(k: int, eps, evidence: MarginalEvidence, hyp: Hypothesis, m: int,
                       provenance=None) -> DHLClaim:
     """Marginal rule: GEH plus an exactly verified vanishing-marginal cutoff."""
-    return _derive("marginal", k, m, hyp, evidence, Q(eps), provenance=provenance)
+    return _derive("marginal", k, m, hyp, evidence, Fraction(eps), provenance=provenance)
 
 
 def trunc_params_from_bound(m: int, lower_bound, T):
@@ -351,11 +348,11 @@ def trunc_params_from_bound(m: int, lower_bound, T):
     grid = 10**12
     with mp.workdps(40):
         lb = lower_bound if isinstance(lower_bound, mp.mpf) else mp.mpf(str(lower_bound))
-        C = Q(int(mp.floor(lb * grid)), grid)
-        varpi = Q(m) / C - Q(1, 4) + Q(1, grid)
+        C = Fraction(int(mp.floor(lb * grid)), grid)
+        varpi = Fraction(m) / C - Fraction(1, 4) + Fraction(1, grid)
         vp = mp.mpf(int(varpi.numerator)) / mp.mpf(int(varpi.denominator))
         Tm = T if isinstance(T, mp.mpf) else mp.mpf(str(T))
-        delta = Q(int(mp.floor(Tm * (mp.mpf(1) / 4 + vp) * grid)) + 1, grid)
+        delta = Fraction(int(mp.floor(Tm * (mp.mpf(1) / 4 + vp) * grid)) + 1, grid)
     return C, varpi, delta
 
 
@@ -410,8 +407,8 @@ def _dhl_line(i: int, d: DHLClaim) -> str:
     )
     return (
         f"chain index={i} rule={d.rule} k={d.k} m={d.m} "
-        f"hypothesis={d.hypothesis.describe()} bound={rational_str(d.bound)} "
-        f"threshold={rational_str(d.threshold)} margin={rational_str(d.margin)}"
+        f"hypothesis={d.hypothesis.describe()} bound={d.bound} "
+        f"threshold={d.threshold} margin={d.margin}"
         f"{extra}"
     )
 
@@ -452,11 +449,11 @@ def audit_report(text: str) -> bool:
                 raise ValueError(f"line {row}: expected a '{kind} index={i}' line")
         line = lines[2 + 2 * i]
         kv, where = _parse_kv(line), f"line {3 + 2 * i}"
-        bound, *_ = (_field(kv, key, parse_rational, where) for key in ("bound", "threshold", "margin"))
+        bound, *_ = (_field(kv, key, Fraction, where) for key in ("bound", "threshold", "margin"))
         k, m = (_field(kv, key, int, where) for key in ("k", "m"))
         rule = _field(kv, "rule", str, where)
         hyp = _field(kv, "hypothesis", Hypothesis.parse, where)
-        eps = _field(kv, "eps", parse_rational, where) if rule in ("eps", "marginal") else None
+        eps = _field(kv, "eps", Fraction, where) if rule in ("eps", "marginal") else None
         nonstrict = kv.get("nonstrict_side_conditions") == "true"
         provenance = {key: value for key, value in kv.items() if key not in _CHAIN_FIELDS}
         try:

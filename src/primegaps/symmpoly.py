@@ -24,9 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from fractions import Fraction
 from functools import lru_cache
-
-from .rational import Q
 
 __all__ = [
     "Signature",
@@ -138,9 +137,9 @@ class _TermTable:
     with B = _beta_numerator(0, alpha, k).  Each numerator is computed once.
     """
 
-    def __init__(self, k: int, offset=Q(1), scale=Q(1)):
-        scale = Q(scale)
-        shift = Q(offset) - scale
+    def __init__(self, k: int, offset=Fraction(1), scale=Fraction(1)):
+        scale = Fraction(scale)
+        shift = Fraction(offset) - scale
         self.k = k
         self.D = math.lcm(shift.denominator, scale.denominator)
         self.P = shift.numerator * (self.D // shift.denominator)
@@ -157,13 +156,10 @@ class _TermTable:
         if out is None:
             k, P, U = self.k, self.P, self.U
             top = a + sum(alpha) + k
-            if P:
-                perm = math.perm
-                total = sum(perm(a, j) * perm(top, a - j) * P ** (a - j) * U**j for j in range(a + 1))
-                out = _beta_numerator(0, alpha, k) * U ** (top - a) * total
-            else:  # only the j = a term survives
-                out = _beta_numerator(a, alpha, k) * U**top
-            self._terms[key] = out
+            perm = math.perm
+            # P = 0 keeps only j = a, as 0**0 == 1
+            total = sum(perm(a, j) * perm(top, a - j) * P ** (a - j) * U**j for j in range(a + 1))
+            out = self._terms[key] = _beta_numerator(0, alpha, k) * U ** (top - a) * total
         return out
 
     def product_numerator(self, alpha: tuple, beta: tuple, a: int) -> int:
@@ -255,11 +251,11 @@ def affine_apply_L(terms: dict, k: int) -> dict:
     C(c,r) (1-P_(1))^(c-r) t_i^r and merges t_i^r into the signature.
     The arithmetic is _apply_L_int's, over the common denominator of terms.
     """
-    coeffs = [Q(v) for v in terms.values()]
+    coeffs = [Fraction(v) for v in terms.values()]
     den = math.lcm(*(int(v.denominator) for v in coeffs))
     ints = {key: int(v.numerator) * (den // int(v.denominator)) for key, v in zip(terms, coeffs)}
     out, den = _apply_L_int(ints, den, k)
-    return {key: Q(v, den) for key, v in out.items()}
+    return {key: Fraction(v, den) for key, v in out.items()}
 
 
 def _slot_terms(a: int, alpha: tuple, k: int) -> list:
@@ -290,7 +286,7 @@ def affine_slot_integral(terms: dict, k: int) -> dict:
         a, alpha = key[0], key[1:]
         top = math.factorial(a + sum(alpha) + 1)
         for c, beta, w in _slot_terms(a, alpha, k):
-            out[(c,) + beta] = out.get((c,) + beta, 0) + coeff * Q(w, top)
+            out[(c,) + beta] = out.get((c,) + beta, 0) + coeff * Fraction(w, top)
     return {key: v for key, v in out.items() if v != 0}
 
 
@@ -307,11 +303,11 @@ def affine_multiply(t1: dict, t2: dict, k: int) -> dict:
     return {key: v for key, v in out.items() if v != 0}
 
 
-def affine_integral(terms: dict, k: int, offset=Q(1), scale=Q(1)) -> Q:
+def affine_integral(terms: dict, k: int, offset=Fraction(1), scale=Fraction(1)) -> Fraction:
     """Exact int over scale*R_k of an affine-form polynomial with offset."""
     table = _TermTable(k, offset, scale)
-    total = Q(0)
+    total = Fraction(0)
     for key, coeff in terms.items():
         a, alpha = key[0], key[1:]
-        total += coeff * Q(table.numerator(a, alpha), table.denominator(a + sum(alpha)))
+        total += coeff * Fraction(table.numerator(a, alpha), table.denominator(a + sum(alpha)))
     return total

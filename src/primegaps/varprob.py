@@ -23,12 +23,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 from operator import mul
 
 import numpy as np
 
-from .rational import Q, parse_rational, rational_str
 from .symmpoly import Signature, _apply_L_int, _beta_numerator, _slot_terms, _TermTable
 
 __all__ = [
@@ -62,7 +62,7 @@ class Variant:
         if self.kind not in ("plain", "eps"):
             raise ValueError("variant kind must be 'plain' or 'eps'")
         if self.kind == "eps":
-            e = Q(self.eps)
+            e = Fraction(self.eps)
             if not 0 < e < 1:
                 raise ValueError("eps must lie in (0, 1)")
             object.__setattr__(self, "eps", e)
@@ -72,7 +72,7 @@ class Variant:
     def __str__(self):
         if self.kind == "plain":
             return f"plain({self.k})"
-        return f"eps({self.k}, {rational_str(self.eps)})"
+        return f"eps({self.k}, {self.eps})"
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ class BasisElement:
 
     a: int
     alpha: Signature
-    offset: object = Q(1)
+    offset: object = Fraction(1)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Signature(self.alpha))
-        object.__setattr__(self, "offset", Q(self.offset))
+        object.__setattr__(self, "offset", Fraction(self.offset))
         if self.a < 0:
             raise ValueError("affine exponent must be non-negative")
         if self.alpha.has_one:
@@ -132,7 +132,7 @@ class GramPair:
 
 
 def _fractions(den: int, rows):
-    return tuple(tuple(Q(x, den) for x in row) for row in rows)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 #: the proposal's first fixed point: a real v is carried as floor(v * 2^F),
@@ -238,7 +238,7 @@ def solve_generalized(pair: GramPair) -> tuple:
     drop = min(abs(x).bit_length() for x in a if x) - 64
     if drop > 0:
         a = [(x + (1 << (drop - 1))) >> drop for x in a]
-    return tuple(Q(x) for x in a)
+    return tuple(Fraction(x) for x in a)
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,8 @@ class BoundCertificate:
     verified: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Q(x) for x in self.a))
-        object.__setattr__(self, "C", Q(self.C))
+        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
+        object.__setattr__(self, "C", Fraction(self.C))
 
 
 def _quadratic_forms(pair: GramPair, a):
@@ -264,7 +264,7 @@ def _quadratic_forms(pair: GramPair, a):
     n = pair.n
     if len(a) != n:
         raise ValueError("coefficient vector length must match the basis")
-    a = [Q(x) for x in a]
+    a = [Fraction(x) for x in a]
     lcm = math.lcm(*(x.denominator for x in a))
     A = [x.numerator * (lcm // x.denominator) for x in a]
     support = [i for i in range(n) if A[i]]
@@ -274,7 +274,7 @@ def _quadratic_forms(pair: GramPair, a):
         for i in support:
             row = N[i]
             total += A[i] * sum(row[j] * A[j] for j in support)
-        out.append(Q(total, den * lcm * lcm))
+        out.append(Fraction(total, den * lcm * lcm))
     return tuple(out)
 
 
@@ -284,7 +284,7 @@ def _check(pair: GramPair, a, C, forms=None):
     Returns (certificate, margin); forms, when given, are the already
     computed _quadratic_forms(pair, a).
     """
-    C = Q(C)
+    C = Fraction(C)
     t1, t2 = forms or _quadratic_forms(pair, a)
     margin = t2 - C * t1
     return BoundCertificate(pair.variant, a, C, margin > 0 and t1 > 0), margin
@@ -319,7 +319,7 @@ def _basis_signatures(k: int, d: int, even_only: bool):
     return sorted(set(out), key=lambda s: (sum(s), len(s), s))
 
 
-def build_basis(k: int, d: int, offset=Q(1), even_only: bool = True):
+def build_basis(k: int, d: int, offset=Fraction(1), even_only: bool = True):
     """All (offset-P_(1))^a P_alpha with a+deg(alpha) <= d, deterministic order."""
     elems = []
     for alpha in _basis_signatures(k, d, even_only):
@@ -421,7 +421,7 @@ def assemble_plain(k: int, d: int, even_only: bool = True) -> GramPair:
     Candidate elements that are linearly dependent on earlier ones (possible
     once d exceeds k) are dropped, so M1 is always exactly positive definite.
     """
-    return _assemble(Variant("plain", k), k, d, even_only, Q(1), Q(1), Q(1))
+    return _assemble(Variant("plain", k), k, d, even_only, Fraction(1), Fraction(1), Fraction(1))
 
 
 def assemble_eps(k: int, d: int, eps, even_only: bool = True) -> GramPair:
@@ -454,9 +454,9 @@ def gram_lower_bound(pair: GramPair) -> BoundCertificate:
     """
     a = solve_generalized(pair)
     t1, t2 = forms = _quadratic_forms(pair, a)
-    C = Q(math.floor(t2 / t1 * C_GRID), C_GRID)
+    C = Fraction(math.floor(t2 / t1 * C_GRID), C_GRID)
     if C * t1 >= t2:
-        C -= Q(1, C_GRID)
+        C -= Fraction(1, C_GRID)
     return _check(pair, a, C, forms)[0]
 
 
@@ -473,7 +473,7 @@ class KrylovTable:
     moments: tuple
 
     def __post_init__(self):
-        moms = tuple(Q(m) for m in self.moments)
+        moms = tuple(Fraction(m) for m in self.moments)
         if any(m <= 0 for m in moms):
             raise ValueError("moments must be positive")
         object.__setattr__(self, "moments", moms)
@@ -493,10 +493,10 @@ class _MomentStream:
         self._terms, self._den, self._degree = {(0,): 1}, 1, 0
         self._moments = [self._moment()]
 
-    def _moment(self) -> Q:
+    def _moment(self) -> Fraction:
         k = self.k
         total = sum(c * _beta_numerator(key[0], key[1:], k) for key, c in self._terms.items())
-        return Q(total, self._den * math.factorial(self._degree + k))
+        return Fraction(total, self._den * math.factorial(self._degree + k))
 
     def upto(self, count: int):
         while len(self._moments) < count:
@@ -599,18 +599,18 @@ def write_certificate(path, cert: BoundCertificate, d: int, basis_kind: str = "e
         fh.write(f"k {cert.variant.k}\n")
         fh.write(f"d {d}\n")
         if cert.variant.kind == "eps":
-            fh.write(f"eps {rational_str(cert.variant.eps)}\n")
+            fh.write(f"eps {cert.variant.eps}\n")
         fh.write(f"basis {basis_kind}\n")
-        fh.write(f"C = {rational_str(cert.C)}\n")
+        fh.write(f"C = {cert.C}\n")
         for i, ai in enumerate(cert.a):
-            fh.write(f"a[{i}] = {rational_str(ai)}\n")
+            fh.write(f"a[{i}] = {ai}\n")
 
 
 def read_certificate(path):
     """Parse a certificate file; returns (variant, d, basis_kind, C, a).
 
-    Raises a one-line ValueError naming the field that is missing, not
-    parsable or (for basis) not one of BASIS_KINDS.
+    Raises a one-line ValueError naming the field that is missing,
+    repeated, not parsable or (for basis) not one of BASIS_KINDS.
     """
     fields = {}
     coeffs = {}
@@ -620,14 +620,18 @@ def read_certificate(path):
             if not line:
                 continue
             if line.startswith("a[") and "=" in line:
-                name, value = (part.strip() for part in line.split("=", 1))
-                idx = _parse_field(name, name[2:-1] if name.endswith("]") else name, int)
-                coeffs[idx] = _parse_field(name, value, parse_rational)
+                name, text = (part.strip() for part in line.split("=", 1))
+                table, key = coeffs, _parse_field(name, name[2:-1] if name.endswith("]") else name, int)
+                value = _parse_field(name, text, Fraction)
             elif line.startswith("C") and "=" in line:
-                fields["C"] = _parse_field("C", line.split("=", 1)[1], parse_rational)
+                table, key = fields, "C"
+                name, value = key, _parse_field(key, line.split("=", 1)[1], Fraction)
             else:
-                key, _, value = line.partition(" ")
-                fields[key] = value.strip()
+                name, _, text = line.partition(" ")
+                table, key, value = fields, name, text.strip()
+            if key in table:
+                raise ValueError(f"certificate file repeats the {name} line")
+            table[key] = value
     if "C" not in fields or not coeffs:
         raise ValueError("certificate file is missing C or coefficients")
     missing = [key for key in ("k", "d", "variant") if key not in fields]
@@ -638,7 +642,7 @@ def read_certificate(path):
     k = _parse_field("k", fields["k"], int)
     d = _parse_field("d", fields["d"], int)
     kind = fields["variant"]
-    eps = _parse_field("eps", fields["eps"], parse_rational) if "eps" in fields else None
+    eps = _parse_field("eps", fields["eps"], Fraction) if "eps" in fields else None
     variant = Variant(kind, k, eps)
     basis_kind = fields.get("basis", "even")
     _check_basis_kind(basis_kind)

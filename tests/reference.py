@@ -3,12 +3,12 @@ table values used as targets, and the slow exact oracles that the program's
 integer kernels are checked against."""
 
 import math
+from fractions import Fraction as Q
 from importlib import resources
 from pathlib import Path
 
 from primegaps.admissible import Tuple, read_tuple_file
 from primegaps.cutoff3d import Poly3
-from primegaps.rational import Q
 from primegaps.symmpoly import _perm_count
 
 

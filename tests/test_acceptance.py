@@ -12,6 +12,7 @@ post-optimizations that are out of scope here).
 import math
 import time
 from fractions import Fraction
+from fractions import Fraction as Q
 
 import mpmath as mp
 import pytest
@@ -38,7 +39,6 @@ from primegaps.pipeline import (
     hm_from_dhl,
     trunc_params_from_bound,
 )
-from primegaps.rational import Q
 from primegaps.sieves import (
     SieveConfig,
     sieve_eratosthenes,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction as Q
 
 import mpmath as mp
 import pytest
@@ -19,7 +20,6 @@ from primegaps.bounds import (
     mk_upper,
     mkeps_upper,
 )
-from primegaps.rational import Q
 
 from .reference import ASYMPTOTIC_ROWS
 

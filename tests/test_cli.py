@@ -154,8 +154,18 @@ class TestBoundCommands:
             (r"^C = .*$", "C = 1/0", "field C='1/0' is not parsable"),
             (r"^a\[0\] = .*$", "a[0] = 1/0", "field a[0]='1/0' is not parsable"),
             (r"^k 3$", "k abc", "field k='abc' is not parsable"),
+            (r"^C = .*$", "C = 1/-2", "field C='1/-2' is not parsable"),
+            (r"^C = .*$", r"\g<0>\nC = 1/1000", "file repeats the C line"),
+            (r"^variant plain$", r"k 2\n\g<0>", "file repeats the k line"),
+            (r"^variant plain$", r"\g<0>\nvariant eps", "file repeats the variant line"),
+            (r"^d 2$", r"\g<0>\nd 4", "file repeats the d line"),
+            (r"^d 2$", r"\g<0>\neps 1/4\neps 1/4", "file repeats the eps line"),
+            (r"^basis even$", r"\g<0>\nbasis full", "file repeats the basis line"),
+            (r"^a\[1\] = .*$", r"\g<0>\na[1] = 0", "file repeats the a[1] line"),
         ],
-        ids=["unknown-basis", "C-zero-denominator", "a0-zero-denominator", "k-not-integer"],
+        ids=["unknown-basis", "C-zero-denominator", "a0-zero-denominator", "k-not-integer",
+             "C-signed-denominator", "C-repeated", "k-repeated", "variant-repeated", "d-repeated",
+             "eps-repeated", "basis-repeated", "a1-repeated"],
     )
     def test_verify_cert_malformed_field(self, capsys, tmp_path, pattern, repl, message):
         cert = tmp_path / "c.txt"
@@ -193,6 +203,14 @@ class TestBoundCommands:
     def test_error_exit_code(self, capsys):
         code = main(["m2eps", "--eps", "7/2"])
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["1 / 4", "1/+4", "1/0"],
+                             ids=["spaced-slash", "signed-denominator", "zero-denominator"])
+    def test_unparsable_rational_argument(self, capsys, eps):
+        code = main(["mkeps", "basis", "--k", "2", "--d", "4", "--eps", eps])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
 
     def test_multiline_error_is_one_line(self, capsys, monkeypatch):
         def fail(k):
@@ -402,7 +420,8 @@ class TestReportAudit:
     @pytest.mark.parametrize("old, new, message", [
         (" eps=1/25", "", "missing field eps="),
         (" hypothesis=BV ", " hypothesis=XYZ(1/2) ", "field hypothesis='XYZ(1/2)' is not parsable"),
-    ], ids=["no-eps", "bad-hypothesis"])
+        ("bound=40043/10000", "bound=40043/-10000", "field bound='40043/-10000' is not parsable"),
+    ], ids=["no-eps", "bad-hypothesis", "signed-denominator"])
     def test_rule_input_unreadable(self, capsys, tmp_path, old, new, message):
         code, out, err = audit_file(capsys, tmp_path, edit_chain_line(old, new))
         assert code == 2 and out == ""

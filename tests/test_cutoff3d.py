@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from primegaps.cutoff3d import (
     piece_polynomial,
     verify_theorem_piece,
 )
-from primegaps.rational import Q
 
 from .reference import iterated_integral, slab_polygon_integral
 

@@ -1,10 +1,10 @@
 import itertools
 import math
 import random
+from fractions import Fraction as Q
 
 import pytest
 
-from primegaps.rational import Q
 from primegaps.symmpoly import (
     Signature,
     _apply_L_int,

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 from fractions import Fraction
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from primegaps import varprob
 from primegaps.bounds import m4eps_check
-from primegaps.rational import Q
 from primegaps.symmpoly import affine_integral, affine_multiply, affine_slot_integral
 from primegaps.varprob import (
     BasisElement,
