@@ -180,10 +180,11 @@ _FOLD = 1024
 # For p >= _FOLD the column test first reads only the first _PROBE_COLUMNS
 # classes of each row; with about k/p occupants per class one of them is
 # usually free.  Measured against the full read (three runs each): shifted
-# Schinzel at k = 5511 takes 1.1-1.4 s instead of 1.4-1.9 s, shifted greedy
-# 1.75-1.84 s instead of 2.0-2.2 s, and the test of the Hensley-Richards
-# tuple at k = 309661 1.4 s instead of 6.6 s (2.5 s with 16 columns; 256
-# columns are no faster on the first two).
+# Schinzel at k = 5511 takes 1.1-1.4 s instead of 1.4-1.9 s (measured
+# before its shift search skipped the tests of runs that cannot beat the
+# best diameter), shifted greedy 1.75-1.84 s instead of 2.0-2.2 s, and the
+# test of the Hensley-Richards tuple at k = 309661 1.4 s instead of 6.6 s
+# (2.5 s with 16 columns; 256 columns are no faster on the first two).
 _PROBE_COLUMNS = 64
 
 

@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         if args.cmd == "report":
             return _cmd_report(args)
         raise AssertionError
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         # one line, whatever the message's own line breaks
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2

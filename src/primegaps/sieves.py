@@ -15,6 +15,15 @@ construction, so the test (``admissible._window_admissible``) gives the
 same answer as ``is_admissible``.  Each emitted tuple then passes the full
 ``is_admissible`` once, as do the Eratosthenes and Hensley-Richards
 windows.
+
+The Schinzel shift search keeps a run only if it ends strictly narrower
+than the best so far, so each run after the seed is bounded by that
+diameter.  The best window's diameter at start-prime level m never falls
+as m rises (a higher level's survivors are a subset of a lower one's), so
+the levels whose best window is already too wide form a tail that the
+run's bisection crosses without testing.  Skipping those tests is exact:
+a run that would cross the tail for real, or whose skipped levels fail
+when tested, ends too wide to be kept (``_schinzel_run``).
 """
 
 from __future__ import annotations
@@ -253,7 +262,9 @@ def _best_window(surv: np.ndarray, k: int):
     return surv[i : i + k], int(diffs[i])
 
 
-def _schinzel_run(k: int, s: int, ps, pi_k: int, x_hint: int) -> SieveRun:
+def _schinzel_run(
+    k: int, s: int, ps, pi_k: int, x_hint: int, beat: int | None = None
+) -> SieveRun | None:
     """Best admissible window of [s, s+x] at the minimal start-prime index.
 
     x is grown geometrically from the hint until the fully sieved interval
@@ -261,7 +272,19 @@ def _schinzel_run(k: int, s: int, ps, pi_k: int, x_hint: int) -> SieveRun:
     index is then minimized by bisection on window admissibility.  One
     ``_least_sieving_index`` array gives the survivors of every level m,
     and the window at level m is tested against ps[m:pi_k] only, since 2
-    and ps[1:m] are sieved.
+    and ps[1:m] are sieved.  The top level pi_k leaves no prime to test.
+
+    With ``beat``, the run returns None unless it ends with a diameter
+    below beat, and skips the tests that cannot change that.  The best
+    diameter D(m) at level m never falls as m rises, since the survivors
+    of a higher level are a subset of a lower one's.  So a bisection on D
+    finds cut, the least level with D(cut) >= beat, and the admissibility
+    bisection takes every level >= cut as passing untested, recording it.
+    This is exact.  Up to the first recorded level that would fail, the
+    pruned path is the real one.  At that level the real path moves past
+    cut, and it ends at a level >= cut.  So a run that ends at or above
+    cut, or whose recorded levels do not all pass when tested, would end
+    with a diameter >= beat, and gives None.
     """
     x = max(x_hint, 64)
     span = -1
@@ -274,22 +297,37 @@ def _schinzel_run(k: int, s: int, ps, pi_k: int, x_hint: int) -> SieveRun:
         x = int(x * GROWTH) + 64
     lsi = lsi[: x + 1]
 
-    def admissible_window(m):
-        """Best window when sieving the primes below p_m, if admissible."""
-        win = _best_window(np.flatnonzero(lsi >= m).astype(np.int64) + s, k)
-        return win[0] if win is not None and _window_admissible(win[0], ps[m:pi_k]) else None
+    def window(m):
+        """(offsets, diameter) of the best window when sieving the primes
+        below p_m."""
+        return _best_window(np.flatnonzero(lsi >= m).astype(np.int64) + s, k)
 
+    def admissible(m):
+        return _window_admissible(window(m)[0], ps[m:pi_k])
+
+    cut = pi_k + 1  # no level reaches beat
+    if beat is not None:
+        lo = 1
+        while lo < cut:
+            mid = (lo + cut) // 2
+            if window(mid)[1] >= beat:
+                cut = mid
+            else:
+                lo = mid + 1
     lo, hi = 1, pi_k
-    best = admissible_window(hi)  # no prime left to test at the top level
+    untested = []
     while lo < hi:
         mid = (lo + hi) // 2
-        win = admissible_window(mid)
-        if win is not None:
+        if mid >= cut:
+            untested.append(mid)
             hi = mid
-            best = win
+        elif admissible(mid):
+            hi = mid
         else:
             lo = mid + 1
-    return SieveRun(Tuple(tuple(int(v) for v in best)), k=k, s=s, m=hi)
+    if hi >= cut or not all(admissible(m) for m in untested):
+        return None
+    return SieveRun(Tuple(tuple(int(v) for v in window(hi)[0])), k=k, s=s, m=hi)
 
 
 def _shift_candidates(k: int, ps, m_ref: int, x_hint: int):
@@ -342,14 +380,10 @@ def shifted_schinzel_run(k: int, cfg: SieveConfig | None = None) -> SieveRun:
     scored, stride = _shift_candidates(k, ps, seed.m, x_hint)
     best = seed
     for _, s in scored:
-        run = _schinzel_run(k, s, ps, pi_k, x_hint)
-        if run.diameter < best.diameter:
-            best = run
+        best = _schinzel_run(k, s, ps, pi_k, x_hint, beat=best.diameter) or best
     fine = max(1, stride // 10)
     for s in range(best.s - stride, best.s + stride + 1, fine):
-        run = _schinzel_run(k, s, ps, pi_k, x_hint)
-        if run.diameter < best.diameter:
-            best = run
+        best = _schinzel_run(k, s, ps, pi_k, x_hint, beat=best.diameter) or best
     return _gate(best)
 
 

@@ -7,6 +7,9 @@ from fractions import Fraction as Q
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
+from primegaps import sieves
 from primegaps.admissible import Tuple, read_tuple_file
 from primegaps.cutoff3d import Poly3
 from primegaps.symmpoly import _perm_count
@@ -56,6 +59,73 @@ ASYMPTOTIC_ROWS = (
 #: certificate files written before the proposal was rounded to integers,
 #: with wide rational coefficients; they must keep verifying
 EARLIER_CERTIFICATES = Path(__file__).parent / "data"
+
+
+def plain_schinzel_run(k: int, s: int, ps, pi_k: int, x_hint: int) -> sieves.SieveRun:
+    """Best admissible window of [s, s+x] at the minimal start-prime index,
+    by a bisection that tests every level it visits (and the top level,
+    which leaves no prime to test).
+
+    The oracle for ``sieves._schinzel_run``; it calls the module's
+    ``_window_admissible``, so a test that replaces that function replaces
+    it here too.
+    """
+    x = max(x_hint, 64)
+    span = -1
+    while True:
+        if x > span:
+            span = 2 * x
+            lsi = sieves._least_sieving_index(s, span + 1, ps, pi_k)
+        if int(np.count_nonzero(lsi[: x + 1] >= pi_k)) >= k:
+            break
+        x = int(x * sieves.GROWTH) + 64
+    lsi = lsi[: x + 1]
+
+    def admissible_window(m):
+        win = sieves._best_window(np.flatnonzero(lsi >= m).astype(np.int64) + s, k)
+        return win[0] if win is not None and sieves._window_admissible(win[0], ps[m:pi_k]) else None
+
+    lo, hi = 1, pi_k
+    best = admissible_window(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        win = admissible_window(mid)
+        if win is not None:
+            hi = mid
+            best = win
+        else:
+            lo = mid + 1
+    return sieves.SieveRun(Tuple(tuple(int(v) for v in best)), k=k, s=s, m=hi)
+
+
+def schinzel_inputs(k: int):
+    """(ps, pi_k, x_hint) as ``sieves.shifted_schinzel_run`` passes them to
+    each run."""
+    ps, pi_k = sieves._primes_with_index(k)
+    return ps, pi_k, int(k * (math.log(max(k, 3)) + 1.0)) + 64
+
+
+def plain_shifted_schinzel_run(k: int) -> sieves.SieveRun:
+    """The shifted Schinzel shift search with every run in full, keeping a
+    run only if it is strictly narrower than the best so far.
+
+    The oracle for ``sieves.shifted_schinzel_run``, whose runs skip the
+    tests that cannot beat the best diameter.
+    """
+    ps, pi_k, x_hint = schinzel_inputs(k)
+    best = plain_schinzel_run(k, k, ps, pi_k, x_hint)
+    scored, stride = sieves._shift_candidates(k, ps, best.m, x_hint)
+    for _, s in scored:
+        run = plain_schinzel_run(k, s, ps, pi_k, x_hint)
+        if run.diameter < best.diameter:
+            best = run
+    fine = max(1, stride // 10)
+    for s in range(best.s - stride, best.s + stride + 1, fine):
+        run = plain_schinzel_run(k, s, ps, pi_k, x_hint)
+        if run.diameter < best.diameter:
+            best = run
+    return best
+
 
 # selected published lower bounds from the Krylov method
 KRYLOV_TARGETS = {2: "1.38592", 3: "1.64643", 4: "1.84539", 5: "2.00713"}

@@ -80,6 +80,14 @@ class TestTupleCommands:
         code, out = run(capsys, "tuple", "hsmall", "--k", "3", "--dmax", "10")
         assert code == 0 and "6" in out
 
+    def test_find_unallocatable_k(self, capsys):
+        # the primes up to p_(2k) need 3.27 PiB, past any user address space:
+        # one error line and exit 2, not a MemoryError traceback
+        code = main(["tuple", "find", "--k", str(10**14)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+
 
 class TestBoundCommands:
     def test_krylov_roundtrip(self, capsys, tmp_path):
@@ -350,6 +358,27 @@ def test_readme_chain_prints_golden_report(capsys):
     golden = os.path.join(os.path.dirname(__file__), "data", "golden", "cli", "chain-eps.out")
     with open(golden) as fh:
         assert code == 0 and out == GOLDEN_REPORT == fh.read()
+
+
+#: README's tuple lines, as the CI workflow runs them: golden file name, then
+#: the arguments; later lines read the files earlier ones write
+README_TUPLE_LINES = (
+    ("tuple-find-greedy", "tuple find --k 5511 --method shifted-greedy --shift 0 --out t.txt"),
+    ("tuple-find-sieve", "tuple find --k 311 --method shifted-greedy --sieve-out sieve.txt"),
+    ("tuple-verify", "tuple verify t.txt"),
+    ("tuple-hsmall", "tuple hsmall --k 3 --dmax 10"),
+    ("tuple-find-schinzel", "tuple find --k 5511 --out ts.txt"),
+    ("tuple-verify-schinzel", "tuple verify ts.txt"),
+)
+
+
+def test_readme_tuple_lines_print_golden_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden", "cli")
+    for name, args in README_TUPLE_LINES:
+        code, out = run(capsys, *args.split())
+        with open(os.path.join(golden, name + ".out")) as fh:
+            assert code == 0 and out == fh.read(), name
 
 
 def edit_chain_line(old, new):

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from primegaps import sieves
-from primegaps.admissible import covers_all_classes, h_exact_small, is_admissible
+from primegaps.admissible import _window_admissible, covers_all_classes, h_exact_small, is_admissible
 from primegaps.sieves import (
     SieveConfig,
     apply_residue_sieve,
@@ -23,9 +23,15 @@ from primegaps.sieves import (
     _hr_offsets,
     _hr_sides,
     _primes_with_index,
+    _schinzel_run,
 )
 
-from .reference import KPPK_DIAMETERS
+from .reference import (
+    KPPK_DIAMETERS,
+    plain_schinzel_run,
+    plain_shifted_schinzel_run,
+    schinzel_inputs,
+)
 
 
 class TestConfig:
@@ -303,3 +309,84 @@ def test_golden_sieve_run_digest(method, k, shift):
     run = SHIFTED_RUNS[method](k, SieveConfig(method=method, shift=shift))
     record = repr((run.tuple.offsets, run.s, run.m, run.classes))
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_RUNS[(method, k, shift)]
+
+
+def record(run):
+    return run.tuple.offsets, run.s, run.m, run.classes
+
+
+def counting(monkeypatch, refuse=frozenset()):
+    """Replace sieves._window_admissible by a wrapper that refuses the
+    windows whose offsets (as bytes) are in refuse, and lists every call as
+    (window bytes, diameter, answer)."""
+    calls = []
+
+    def wrapper(offs, primes):
+        answer = offs.tobytes() not in refuse and _window_admissible(offs, primes)
+        calls.append((offs.tobytes(), int(offs[-1] - offs[0]), answer))
+        return answer
+
+    monkeypatch.setattr(sieves, "_window_admissible", wrapper)
+    return calls
+
+
+class TestShiftSearchPruning:
+    """A run of the shift search skips the admissibility tests that cannot
+    make it beat the best diameter so far; the search must still give the
+    run that testing every visited level gives (the reference oracle)."""
+
+    @pytest.mark.parametrize("ks", [range(2, 201), [1000], [5511]], ids=["2-200", "1000", "5511"])
+    def test_matches_plain_search(self, ks):
+        for k in ks:
+            assert record(shifted_schinzel_run(k)) == record(plain_shifted_schinzel_run(k)), k
+
+    @pytest.mark.parametrize("k", [101, 1000])
+    def test_beat_bound(self, k):
+        # None when beat <= the plain run's diameter, the plain run otherwise
+        ps, pi_k, x_hint = schinzel_inputs(k)
+        for s in (0, k, -k // 2, 3 * k):
+            plain = plain_schinzel_run(k, s, ps, pi_k, x_hint)
+            d = plain.diameter
+            assert record(_schinzel_run(k, s, ps, pi_k, x_hint)) == record(plain)
+            for beat in (1, d - 1, d):
+                assert _schinzel_run(k, s, ps, pi_k, x_hint, beat=beat) is None, (s, beat)
+            for beat in (d + 1, 2 * d):
+                assert record(_schinzel_run(k, s, ps, pi_k, x_hint, beat=beat)) == record(plain)
+
+    def test_refused_untested_level(self, monkeypatch):
+        # force the branch that no real input has reached: a level that the
+        # pruned bisection took as passing untested fails its later test
+        k = 1000
+        ps, pi_k, x_hint = schinzel_inputs(k)
+        s = shifted_schinzel_run(k).s
+        plain = plain_schinzel_run(k, s, ps, pi_k, x_hint)
+        beat = plain.diameter + 1
+        calls = counting(monkeypatch)
+        assert record(_schinzel_run(k, s, ps, pi_k, x_hint, beat=beat)) == record(plain)
+        # the pruned run tests a window as wide as beat only at an untested level
+        untested = [w for w, diameter, _ in calls if diameter >= beat]
+        assert untested
+
+        calls = counting(monkeypatch, refuse={untested[0]})
+        assert _schinzel_run(k, s, ps, pi_k, x_hint, beat=beat) is None
+        assert any(w == untested[0] for w, _, _ in calls)
+        assert plain_schinzel_run(k, s, ps, pi_k, x_hint).diameter >= beat
+
+        calls = counting(monkeypatch, refuse={untested[0]})
+        pruned = shifted_schinzel_run(k)
+        assert any(w == untested[0] for w, _, _ in calls)
+        assert record(pruned) == record(plain_shifted_schinzel_run(k))
+
+    def test_fewer_window_tests(self, monkeypatch):
+        calls = counting(monkeypatch)
+        shifted_schinzel_run(1000)
+        pruned = len(calls), sum(answer for _, _, answer in calls)
+        calls.clear()
+        plain_shifted_schinzel_run(1000)
+        plain = len(calls), sum(answer for _, _, answer in calls)
+        assert pruned[0] < plain[0] and pruned[1] < plain[1], (pruned, plain)
+
+    def test_window_tests_at_5511(self, monkeypatch):
+        calls = counting(monkeypatch)
+        shifted_schinzel_run(5511)
+        assert len(calls) <= 100 and sum(answer for _, _, answer in calls) <= 25
