@@ -302,13 +302,21 @@ def asymptotic_lower(p: AsymptoticParams) -> AsymptoticReport:
     with mp.workdps(DPS):
         k, c, T, tau = p.k, p.c, p.T, p.tau
         km1 = mp.mpf(k - 1)
-        g = lambda t: 1 / (c + km1 * t)
+        # the six quadratures on [0, T] share their nodes: g(t)^2, with
+        # g(t) = 1/(c + (k-1)t), is computed once per node
+        g2_at = {}
+
+        def g2(t):
+            v = g2_at.get(t)
+            if v is None:
+                v = g2_at[t] = (1 / (c + km1 * t)) ** 2
+            return v
 
         m2, mu, sigma2 = _weight_stats(k, c, T)
         # cross-check the closed forms against direct quadrature
-        q_m2, e0 = mp.quad(lambda t: g(t) ** 2, [0, T], error=True)
-        q_first, e1 = mp.quad(lambda t: t * g(t) ** 2, [0, T], error=True)
-        q_second, e2 = mp.quad(lambda t: t * t * g(t) ** 2, [0, T], error=True)
+        q_m2, e0 = mp.quad(g2, [0, T], error=True)
+        q_first, e1 = mp.quad(lambda t: t * g2(t), [0, T], error=True)
+        q_second, e2 = mp.quad(lambda t: t * t * g2(t), [0, T], error=True)
         for exact, quad in ((m2, q_m2), (mu * m2, q_first), ((sigma2 + mu * mu) * m2, q_second)):
             if abs(exact - quad) > mp.mpf(10) ** -12 * abs(exact):
                 raise ArithmeticError("closed-form weight statistics disagree with quadrature")
@@ -330,12 +338,12 @@ def asymptotic_lower(p: AsymptoticParams) -> AsymptoticReport:
 
         Z, ez = mp.quad(z_integrand, [1, 1 + tau], error=True)
         Z = Z / tau
-        Z3, ez3 = mp.quad(lambda t: k * t * mp.log(1 + t / T) * g(t) ** 2, [0, T], error=True)
+        Z3, ez3 = mp.quad(lambda t: k * t * mp.log(1 + t / T) * g2(t), [0, T], error=True)
         Z3 = Z3 / m2
-        W, ew = mp.quad(lambda t: mp.log(1 + tau / (k * t)) * g(t) ** 2, [0, T], error=True)
+        W, ew = mp.quad(lambda t: mp.log(1 + tau / (k * t)) * g2(t), [0, T], error=True)
         W = W / m2
         X = mp.log(k) / tau * c * c
-        V, ev = mp.quad(lambda t: g(t) ** 2 / (2 * c + km1 * t), [0, T], error=True)
+        V, ev = mp.quad(lambda t: g2(t) / (2 * c + km1 * t), [0, T], error=True)
         V = V * c / m2
         # U has a polynomial integrand: closed form
         A = 1 - km1 * mu - c

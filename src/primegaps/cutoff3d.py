@@ -8,7 +8,8 @@ canonical piece and extended by symmetry.
 
 Everything here is exact rational arithmetic, and the ten inequality
 systems are the only geometric data.  Each polytope is rebuilt from its
-inequalities by exact vertex enumeration.  One integer simplex kernel
+inequalities by exact vertex enumeration, in integers: rows, vertices,
+facets and point tests.  One integer simplex kernel
 (_simplex_integral) does every exact integral: Polytope3.integrate fans a
 polytope into tetrahedra for volumes and the square functional I.  The slot
 functional J and the marginal conditions integrate F along z-fibres: the
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -314,57 +315,96 @@ def _permute_inequality(ineq, word):
 class Polytope3:
     """Open polytope given by strict affine inequalities c0+cx*x+cy*y+cz*z > 0.
 
-    The coefficients are coerced to Fraction, so int rows give exact vertices."""
+    `inequalities` reads back as given, each coefficient as a Fraction.  The
+    geometry uses each row once, as its primitive integer multiple: a
+    positive scaling, so the same strict half-space.  A point is tested over
+    one common denominator, and a vertex is a homogeneous integer point
+    (X, Y, Z, W), W > 0, from an integer Cramer solve."""
 
     name: str
     inequalities: tuple
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(c) for c in row) for row in self.inequalities)
         object.__setattr__(self, "inequalities", rows)
+        object.__setattr__(self, "_rows", tuple(_integer_row(row) for row in rows))
 
     def contains(self, point, strict: bool = True) -> bool:
+        """Whether point lies in the open polytope (in its closure if not strict)."""
         x, y, z = (Fraction(v) for v in point)
-        for c0, cx, cy, cz in self.inequalities:
-            v = c0 + cx * x + cy * y + cz * z
+        W = math.lcm(x.denominator, y.denominator, z.denominator)
+        X, Y, Z = (c.numerator * (W // c.denominator) for c in (x, y, z))
+        for c0, cx, cy, cz in self._rows:
+            v = c0 * W + cx * X + cy * Y + cz * Z
             if v < 0 or (strict and v == 0):
                 return False
         return True
 
     def vertices(self):
         """Exact vertex enumeration over all triples of supporting planes."""
-        ineqs = self.inequalities
-        pts = set()
-        for i1, i2, i3 in itertools.combinations(range(len(ineqs)), 3):
-            rows = [ineqs[i1], ineqs[i2], ineqs[i3]]
-            det = _det([r[1:] for r in rows])
+        return sorted(_affine(v) for v in self._incidence())
+
+    def _incidence(self) -> dict:
+        """Each vertex, as a reduced homogeneous point (X, Y, Z, W), mapped to
+        the indices of the rows tight at it.  Rows with independent normals
+        n1, n2, n3 meet where n_i . p = -c0_i, at the point
+        -(c0_1 n2 x n3 + c0_2 n3 x n1 + c0_3 n1 x n2) / det, det = n1 . n2 x n3;
+        it is a vertex when no row is negative there."""
+        rows = self._rows
+        out = {}
+        for r1, r2, r3 in itertools.combinations(rows, 3):
+            c23, c31, c12 = _cross(r2[1:], r3[1:]), _cross(r3[1:], r1[1:]), _cross(r1[1:], r2[1:])
+            det = _dot(r1[1:], c23)
             if det == 0:
                 continue
-            rhs = [-r[0] for r in rows]
-            pt = _cramer3([r[1:] for r in rows], rhs, det)
-            if self.contains(pt, strict=False):
-                pts.add(pt)
-        return sorted(pts)
+            sign = -1 if det > 0 else 1
+            X, Y, Z = (sign * (r1[0] * a + r2[0] * b + r3[0] * c) for a, b, c in zip(c23, c31, c12))
+            W = abs(det)
+            values = [c0 * W + cx * X + cy * Y + cz * Z for c0, cx, cy, cz in rows]
+            if min(values) < 0:
+                continue
+            g = math.gcd(X, Y, Z, W)
+            out.setdefault((X // g, Y // g, Z // g, W // g),
+                           frozenset(i for i, v in enumerate(values) if v == 0))
+        return out
 
     def volume(self) -> Fraction:
         return self.integrate(Poly3.const(1))
 
     def integrate(self, poly: Poly3) -> Fraction:
         """Exact integral of a polynomial over the polytope: the fan from the
-        first vertex over the faces without it gives tetrahedra, and the
-        integer simplex kernel (_simplex_integral) integrates poly over them."""
-        verts = self.vertices()
+        first vertex over the facets without it gives tetrahedra, and the
+        integer simplex kernel (_simplex_integral) integrates poly over them.
+        A facet is the set of vertices tight at one row, taken once."""
+        verts = sorted((_affine(v), v, tight) for v, tight in self._incidence().items())
         if len(verts) < 4:
             return Fraction(0)
-        apex = verts[0]
+        apex, _, apex_rows = verts[0]
+        facets = {}
+        for i, row in enumerate(self._rows):
+            face = tuple(j for j, v in enumerate(verts) if i in v[2])
+            if len(face) >= 3 and i not in apex_rows:
+                facets.setdefault(face, row[1:])
         tetrahedra = []
-        for c0, cx, cy, cz in self.inequalities:
-            face = [v for v in verts if c0 + cx * v[0] + cy * v[1] + cz * v[2] == 0]
-            if len(face) < 3 or apex in face:
-                continue
-            ring = _order_face(face, (cx, cy, cz))
+        for face, normal in facets.items():
+            ring = [verts[face[j]][0] for j in _order_face([verts[j][1] for j in face], normal)]
             tetrahedra += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
         return _simplex_integral(poly, tetrahedra)
+
+
+def _integer_row(row) -> tuple:
+    """The primitive integer multiple of a rational row by a positive scalar."""
+    scale = math.lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (scale // c.denominator) for c in row]
+    g = math.gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
+def _affine(point) -> tuple:
+    """The rational point (X/W, Y/W, Z/W) of a homogeneous point."""
+    X, Y, Z, W = point
+    return Fraction(X, W), Fraction(Y, W), Fraction(Z, W)
 
 
 def _simplex_integral(poly: Poly3, simplices) -> Fraction:
@@ -433,10 +473,6 @@ def _int_mul(p: dict, q: dict, acc=None) -> dict:
     return acc
 
 
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-
-
 def _det(rows):
     """Determinant of a 1x1, 2x2 or 3x3 matrix."""
     if len(rows) == 3:
@@ -448,37 +484,32 @@ def _det(rows):
     return rows[0][0]
 
 
-def _cramer3(A, rhs, det):
-    cols = list(zip(*A))
-    out = []
-    for i in range(3):
-        M = [list(cols[j]) if j != i else list(rhs) for j in range(3)]
-        out.append(_det(list(zip(*M))) / det)
-    return tuple(out)
-
-
-def _order_face(face, normal):
-    """Order coplanar points into a convex ring (exact CCW sort)."""
+def _order_face(face, normal) -> list:
+    """Indices that order coplanar homogeneous points (X, Y, Z, W) into a
+    convex ring, counterclockwise about the integer normal: an exact angular
+    sort about their centroid.  The points go over the lcm L of their W, and
+    each offset from the centroid is scaled by n L, so it stays integral."""
     n = len(face)
-    centroid = tuple(sum(v[i] for v in face) / n for i in range(3))
-    e1 = _sub(face[0], centroid)
+    L = math.lcm(*(p[3] for p in face))
+    pts = [[c * (L // p[3]) for c in p[:3]] for p in face]
+    total = [sum(col) for col in zip(*pts)]
+    offsets = [[n * c - t for c, t in zip(p, total)] for p in pts]
+    e1 = offsets[0]
     e2 = _cross(normal, e1)
-    coords = []
-    for v in face:
-        d = _sub(v, centroid)
-        coords.append((_dot(d, e1), _dot(d, e2), v))
+    coords = [(_dot(d, e1), _dot(d, e2)) for d in offsets]
 
     def half(u, v):
         return 0 if (v > 0 or (v == 0 and u > 0)) else 1
 
-    def cmp(p, q):
-        hp, hq = half(p[0], p[1]), half(q[0], q[1])
+    def cmp(i, j):
+        (pu, pv), (qu, qv) = coords[i], coords[j]
+        hp, hq = half(pu, pv), half(qu, qv)
         if hp != hq:
             return -1 if hp < hq else 1
-        cross = p[0] * q[1] - p[1] * q[0]
+        cross = pu * qv - pv * qu
         return 0 if cross == 0 else (-1 if cross > 0 else 1)
 
-    return [c[2] for c in sorted(coords, key=cmp_to_key(cmp))]
+    return sorted(range(n), key=cmp_to_key(cmp))
 
 
 def _cross(a, b):

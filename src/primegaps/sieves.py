@@ -518,6 +518,11 @@ def apply_residue_sieve(path) -> Tuple:
     k, s, d, m = rows[0]
     if k < 1 or d < 0 or m < 0:
         raise ValueError(f"residue sieve header needs k >= 1, d >= 0, m >= 0, got {k} {s} {d} {m}")
+    # The survivors are even values of [s, s+d], of which there are at most
+    # d/2 + 1, so a larger k cannot be met whatever the entries say.
+    if k > d // 2 + 1:
+        raise ValueError(f"residue sieve header asks for k = {k} even survivors, "
+                         f"but [s, s+d] holds at most d/2 + 1 = {d // 2 + 1}")
     # The window is a bitmap of d + 1 entries and the primes are listed up
     # to p_max(m, n_i), so both are bounded before anything is allocated.
     # The constructions sieve by primes p_n <= k only, and n < p_n, so every

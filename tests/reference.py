@@ -2,6 +2,8 @@
 table values used as targets, and the slow exact oracles that the program's
 integer kernels are checked against."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction as Q
 from importlib import resources
@@ -11,7 +13,7 @@ import numpy as np
 
 from primegaps import sieves
 from primegaps.admissible import Tuple, read_tuple_file
-from primegaps.cutoff3d import Poly3
+from primegaps.cutoff3d import Poly3, _simplex_integral
 from primegaps.symmpoly import _perm_count
 
 
@@ -276,3 +278,100 @@ def slab_polygon_integral(poly: Poly3, ring) -> Q:
         lower, upper = sorted(spans, key=lambda edge: edge.eval((xa + xb) / 2, 0, 0))
         total += iterated_integral(poly, [("x", Poly3.const(xa), Poly3.const(xb)), ("y", lower, upper)])
     return total
+
+
+# ---------------------------------------------------------------------------
+# the polytope geometry in Fractions: Polytope3's rows, vertices, point test
+# and tetrahedral fan as they were before they moved to integers
+# ---------------------------------------------------------------------------
+
+
+def _fraction_rows(inequalities):
+    return [tuple(Q(c) for c in row) for row in inequalities]
+
+
+def fraction_polytope_contains(inequalities, point, strict: bool = True) -> bool:
+    """Is point in the polytope {c0 + cx*x + cy*y + cz*z > 0} (>= 0 if not strict)?"""
+    x, y, z = (Q(v) for v in point)
+    for c0, cx, cy, cz in _fraction_rows(inequalities):
+        v = c0 + cx * x + cy * y + cz * z
+        if v < 0 or (strict and v == 0):
+            return False
+    return True
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def fraction_polytope_vertices(inequalities) -> list:
+    """Sorted vertices: every triple of rows solved by Fraction Cramer's rule,
+    kept if it satisfies every row non-strictly."""
+    return list(_fraction_vertices(tuple(_fraction_rows(inequalities))))
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_vertices(rows) -> tuple:
+    pts = set()
+    for triple in itertools.combinations(rows, 3):
+        A = [r[1:] for r in triple]
+        det = _det3(A)
+        if det == 0:
+            continue
+        rhs = [-r[0] for r in triple]
+        pt = []
+        for i in range(3):
+            M = [[rhs[r] if j == i else A[r][j] for j in range(3)] for r in range(3)]
+            pt.append(_det3(M) / det)
+        pt = tuple(pt)
+        if fraction_polytope_contains(rows, pt, strict=False):
+            pts.add(pt)
+    return tuple(sorted(pts))
+
+
+def _fraction_order_face(face, normal):
+    """Order coplanar rational points into a convex ring by an exact angular
+    sort about their centroid."""
+    n = len(face)
+    centroid = tuple(sum(v[i] for v in face) / n for i in range(3))
+    cross = lambda a, b: (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                          a[0] * b[1] - a[1] * b[0])
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    e1 = tuple(a - b for a, b in zip(face[0], centroid))
+    e2 = cross(normal, e1)
+    coords = []
+    for v in face:
+        d = tuple(a - b for a, b in zip(v, centroid))
+        coords.append((dot(d, e1), dot(d, e2), v))
+
+    def half(u, v):
+        return 0 if (v > 0 or (v == 0 and u > 0)) else 1
+
+    def cmp(p, q):
+        hp, hq = half(p[0], p[1]), half(q[0], q[1])
+        if hp != hq:
+            return -1 if hp < hq else 1
+        c = p[0] * q[1] - p[1] * q[0]
+        return 0 if c == 0 else (-1 if c > 0 else 1)
+
+    return [c[2] for c in sorted(coords, key=functools.cmp_to_key(cmp))]
+
+
+def fraction_polytope_integrate(inequalities, poly: Poly3) -> Q:
+    """Integral of poly over the polytope: the fan from the first vertex over
+    the faces without it, each face found by testing every vertex against
+    every row in Fractions, integrated by the integer simplex kernel."""
+    rows = _fraction_rows(inequalities)
+    verts = fraction_polytope_vertices(rows)
+    if len(verts) < 4:
+        return Q(0)
+    apex = verts[0]
+    tetrahedra = []
+    for c0, cx, cy, cz in rows:
+        face = [v for v in verts if c0 + cx * v[0] + cy * v[1] + cz * v[2] == 0]
+        if len(face) < 3 or apex in face:
+            continue
+        ring = _fraction_order_face(face, (cx, cy, cz))
+        tetrahedra += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+    return _simplex_integral(poly, tetrahedra)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction as Q
@@ -177,6 +178,9 @@ class TestBesselLower:
         assert bessel_lower(k) < 4
 
 
+#: SHA-256 of the seven ASYMPTOTIC_ROWS reports, every field's repr at DPS
+#: digits, pinned before the quadratures shared their g(t)^2 values
+ASYMPTOTIC_DIGEST = "12505ad1e35152af20cff33932d0f7aa9bef3b2942cc4cf7ebe0e09c07ad382c"
 BESSEL_LOWER_DIGEST = "953b8b7312c013af26a2a5c024616315057e0d5f4c24b95515a8e8c200726d2f"
 PAIR_BITS = 150
 
@@ -248,6 +252,17 @@ class TestAsymptoticLower:
         k, theta, beta, _ = ASYMPTOTIC_ROWS[0]
         r = asymptotic_lower(AsymptoticParams.from_scaled(k, theta, beta))
         assert r.m2 > 0 and r.sigma2 > 0
+
+    def test_seven_rows_golden_digest(self):
+        # repr round-trips at DPS digits, so the digest pins every field of
+        # the seven reports exactly
+        with mp.workdps(DPS):
+            text = "\n".join(
+                " ".join(repr(getattr(r, f.name)) for f in dataclasses.fields(r))
+                for r in (asymptotic_lower(AsymptoticParams.from_scaled(k, theta, beta))
+                          for k, theta, beta, _ in ASYMPTOTIC_ROWS)
+            )
+        assert hashlib.sha256(text.encode()).hexdigest() == ASYMPTOTIC_DIGEST
 
     def test_report_fields_positive(self):
         k, theta, beta, _ = ASYMPTOTIC_ROWS[2]

@@ -381,6 +381,23 @@ def test_readme_tuple_lines_print_golden_output(capsys, tmp_path, monkeypatch):
             assert code == 0 and out == fh.read(), name
 
 
+#: README's asymptotic and cutoff lines, as the CI workflow runs them
+README_SCALAR_LINES = (
+    ("asympt", "asympt --k 5511 --theta 0.965 --beta 0.973"),
+    ("asympt-h2", "asympt --k 35410 --theta 0.99479 --beta 0.85213"),
+    ("cutoff3d-verify", "cutoff3d verify"),
+    ("cutoff3d-eval", "cutoff3d eval --piece G_yzx --at 1/2,1/2,1/4"),
+)
+
+
+@pytest.mark.parametrize("name, args", README_SCALAR_LINES, ids=[n for n, _ in README_SCALAR_LINES])
+def test_readme_scalar_lines_print_golden_output(capsys, name, args):
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden", "cli", name + ".out")
+    code, out = run(capsys, *args.split())
+    with open(golden) as fh:
+        assert code == 0 and out == fh.read()
+
+
 def edit_chain_line(old, new):
     head, chain = GOLDEN_REPORT.rsplit("chain ", 1)
     assert old in chain

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as Q
 
@@ -28,7 +29,13 @@ from primegaps.cutoff3d import (
     verify_theorem_piece,
 )
 
-from .reference import iterated_integral, slab_polygon_integral
+from .reference import (
+    fraction_polytope_contains,
+    fraction_polytope_integrate,
+    fraction_polytope_vertices,
+    iterated_integral,
+    slab_polygon_integral,
+)
 
 I_EXACT = Q(62082439864241, 507343011840)
 J_EXACT = Q(9933190664926733, 40587440947200)
@@ -40,6 +47,18 @@ OTHER_EPS_GOLDENS = {
     Q(3, 10): (Q(227556533165970881, 1935360000000000),
                Q(30283655893101186407, 129024000000000000)),
     Q(1, 3): (Q(241139484289, 2116316160), Q(43171396328587, 190468454400)),
+    # pinned from the Fraction polytope geometry, before it moved to integers
+    Q(2, 7): (Q(9295228079507129, 78098756843520),
+              Q(2600708368666231573, 10933825958092800)),
+}
+PARTITION_EPS = (Q(1, 4), Q(2, 7), Q(3, 10), Q(1, 3))
+# SHA-256 of repr(check_marginals(f)) for the built-in pieces at each eps,
+# pinned from the Fraction polytope geometry, before it moved to integers
+MARGINAL_DIGESTS = {
+    Q(1, 4): "2ce2498d6908986511ce7fb875629fa2e7c087ce32381d7854f715c569c81d1f",
+    Q(2, 7): "0191735408d3c11a5dd218adc61287c74474bc24b4170486f698189d64289560",
+    Q(3, 10): "5f0b1abf6c3d49b51009f463ee0d7e31ab3aff8acc2113c072bc1bb94b3997dc",
+    Q(1, 3): "7c627e6bd28fa61856664a28d6c2cb0333f2615ba41cffe69799ceb1be5685e1",
 }
 MARGINAL_LABELS = ["G_yzx", "T_yzx", "U_yzx+G_yzx", "E_yzx+S_yzx+H_yzx", "G_yzx+G_zyx",
                    "U_yzx+G_yzx+G_zyx"]
@@ -123,6 +142,14 @@ class TestSimplexKernel:
         assert vertices == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
         assert all(type(c) is type(Q(0)) for v in vertices for c in v)
         assert simplex.volume() == Q(1, 6)
+        # the rows read back as given, as Fractions
+        assert simplex.inequalities == tuple(tuple(Q(c) for c in row) for row in rows)
+        assert all(type(c) is type(Q(0)) for row in simplex.inequalities for c in row)
+
+    def test_repeated_facet_row_counted_once(self):
+        # x + y + z < 1 twice, the second time scaled: one facet, one fan
+        rows = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, -1, -1), (2, -2, -2, -2))
+        assert Polytope3("simplex", rows).volume() == Q(1, 6)
 
     def test_rational_tetrahedron_against_chain(self):
         # {x > -1/3, y > 2/7, z > 1/7, x + 2y + 3z < 32/21}
@@ -205,6 +232,133 @@ class TestCellIntegral:
         assert _cell_integral(poly, ring[::-1]) == expected
 
 
+_COORD = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+_POINTS = st.tuples(_COORD, _COORD, _COORD)
+_SCALE = st.fractions(min_value=Q(1, 7), max_value=5, max_denominator=7).filter(lambda q: q > 0)
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b):
+    return sum(u * v for u, v in zip(a, b))
+
+
+def _edges(pts):
+    return [tuple(u - v for u, v in zip(p, pts[0])) for p in pts[1:]]
+
+
+@st.composite
+def _tetrahedra(draw):
+    """Four affinely independent rational points, and the rows of their
+    tetrahedron: each facet plane oriented toward the opposite vertex and
+    scaled by a random positive rational."""
+    pts = draw(st.lists(_POINTS, min_size=4, max_size=4)
+               .filter(lambda pts: _dot3(_edges(pts)[0], _cross3(*_edges(pts)[1:])) != 0))
+    rows = []
+    for i, opposite in enumerate(pts):
+        a, b, c = (p for j, p in enumerate(pts) if j != i)
+        normal = _cross3(_edges([a, b])[0], _edges([a, c])[0])
+        if _dot3(normal, opposite) < _dot3(normal, a):
+            normal = tuple(-v for v in normal)
+        scale = draw(_SCALE)
+        rows.append(tuple(scale * v for v in (-_dot3(normal, a), *normal)))
+    return pts, tuple(rows)
+
+
+@st.composite
+def _boxes(draw):
+    """The corners lo < hi of a rational box, and its rows, each scaled by a
+    random positive rational."""
+    lo, hi = [], []
+    for _ in range(3):
+        a, b = draw(st.lists(_COORD, min_size=2, max_size=2, unique=True).map(sorted))
+        lo.append(a)
+        hi.append(b)
+    rows = []
+    for axis in range(3):
+        unit = [0, 0, 0]
+        unit[axis] = 1
+        rows.append((-lo[axis], *unit))                  # x_axis > lo
+        rows.append((hi[axis], *(-u for u in unit)))     # x_axis < hi
+    scaled = []
+    for row in rows:
+        scale = draw(_SCALE)
+        scaled.append(tuple(scale * c for c in row))
+    return tuple(lo), tuple(hi), tuple(scaled)
+
+
+@st.composite
+def _trivariate_polys(draw):
+    """A random rational polynomial in (x, y, z) of total degree at most 4."""
+    keys = [(a, b, c) for a in range(5) for b in range(5 - a) for c in range(5 - a - b)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
+    return Poly3({key: draw(_RATIONAL) for key in chosen})
+
+
+def _matches_fraction_oracle(rows, poly, points):
+    polytope = Polytope3("drawn", rows)
+    assert polytope.vertices() == fraction_polytope_vertices(rows)
+    assert polytope.integrate(poly) == fraction_polytope_integrate(rows, poly)
+    for point in points:
+        for strict in (True, False):
+            assert polytope.contains(point, strict) == fraction_polytope_contains(rows, point, strict)
+    return polytope
+
+
+class TestIntegerGeometry:
+    """Vertices, facets and point tests in integers against the Fraction
+    geometry they replaced (tests/reference.py)."""
+
+    @pytest.mark.parametrize("eps", PARTITION_EPS, ids=str)
+    def test_partition_matches_fraction_oracle(self, eps):
+        f = PiecewiseCutoff(builtin_cutoff().pieces, eps)
+        for part in build_partition(eps):
+            poly = piece_polynomial(f, *part.name.split("_")) + 1
+            assert part.vertices() == fraction_polytope_vertices(part.inequalities), part.name
+            assert part.integrate(poly) == fraction_polytope_integrate(part.inequalities, poly), part.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_tetrahedra(), poly=_trivariate_polys(), points=st.lists(_POINTS, max_size=6))
+    def test_tetrahedra(self, drawn, poly, points):
+        pts, rows = drawn
+        a, b, c, d = pts
+        mid = lambda *vs: tuple(sum(v[i] for v in vs) / len(vs) for i in range(3))
+        # on a facet, on an edge, at a vertex, and inside
+        boundary = [mid(a, b, c), mid(a, b), d]
+        tet = _matches_fraction_oracle(rows, poly, points + boundary + [mid(a, b, c, d)])
+        assert tet.vertices() == sorted(pts)
+        assert tet.volume() == abs(_dot3(_edges(pts)[0], _cross3(*_edges(pts)[1:]))) / 6
+        for point in boundary:
+            assert not tet.contains(point) and tet.contains(point, strict=False)
+        assert tet.contains(mid(a, b, c, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_boxes(), poly=_trivariate_polys(), points=st.lists(_POINTS, max_size=6))
+    def test_boxes(self, drawn, poly, points):
+        lo, hi, rows = drawn
+        mid = tuple((u + v) / 2 for u, v in zip(lo, hi))
+        # on a facet, on an edge, at a vertex, and inside
+        boundary = [(mid[0], mid[1], lo[2]), (lo[0], mid[1], hi[2]), hi]
+        box = _matches_fraction_oracle(rows, poly, points + boundary + [mid])
+        assert len(box.vertices()) == 8
+        assert box.volume() == math.prod(v - u for u, v in zip(lo, hi))
+        for point in boundary:
+            assert not box.contains(point) and box.contains(point, strict=False)
+        assert box.contains(mid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=_boxes(), normal=_POINTS.filter(any), poly=_trivariate_polys(),
+           points=st.lists(_POINTS, max_size=6))
+    def test_boxes_cut_through_centre(self, drawn, normal, poly, points):
+        # a plane through the centre leaves faces of 3 to 6 vertices
+        lo, hi, rows = drawn
+        mid = tuple((u + v) / 2 for u, v in zip(lo, hi))
+        cut = rows + ((-_dot3(normal, mid), *normal),)
+        _matches_fraction_oracle(cut, poly, points + [mid, lo, hi])
+
+
 class TestExactValues:
     def test_marginals_vanish(self):
         for label, residual in check_marginals(builtin_cutoff()):
@@ -227,6 +381,11 @@ class TestExactValues:
     def test_other_eps_goldens(self, eps):
         f = PiecewiseCutoff(builtin_cutoff().pieces, eps)
         assert (integrate_I(f), integrate_J(f)) == OTHER_EPS_GOLDENS[eps]
+
+    @pytest.mark.parametrize("eps", PARTITION_EPS, ids=str)
+    def test_marginal_residuals_pinned(self, eps):
+        report = repr(check_marginals(PiecewiseCutoff(builtin_cutoff().pieces, eps)))
+        assert hashlib.sha256(report.encode()).hexdigest() == MARGINAL_DIGESTS[eps]
 
     def test_marginal_labels(self):
         labels = [label for label, _ in check_marginals(builtin_cutoff())]

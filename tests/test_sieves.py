@@ -259,6 +259,27 @@ class TestResidueSieveFiles:
         with pytest.raises(ValueError, match=message):
             apply_residue_sieve(path)
 
+    @pytest.mark.parametrize("header", ["10000000000000 0 10000000000000 1", "3 0 2 1", "4 1 5 1"])
+    def test_more_survivors_than_even_values_refused_before_allocation(
+            self, tmp_path, monkeypatch, header):
+        # [s, s+d] holds at most d/2 + 1 even values, so k beyond that is
+        # refused before the window is built
+        def no_window(*args):
+            raise AssertionError("_structural_mask called")
+
+        monkeypatch.setattr(sieves, "_structural_mask", no_window)
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=r"at most d/2 \+ 1") as info:
+            apply_residue_sieve(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("header, offsets", [("2 0 2 1", (0, 2)), ("2 1 3 1", (2, 4))])
+    def test_k_of_d_over_2_plus_1_accepted(self, tmp_path, header, offsets):
+        path = tmp_path / "edge.txt"
+        path.write_text(header + "\n")
+        assert apply_residue_sieve(path).offsets == offsets
+
 
 SHIFTED_RUNS = {"shifted-schinzel": shifted_schinzel_run, "shifted-greedy": shifted_greedy_run}
 
