@@ -132,6 +132,8 @@ def _cmd_cutoff3d(args) -> int:
     # eval
     name, _, word = args.piece.partition("_")
     word = word or "xyz"
+    if name not in cutoff3d.CANONICAL_NAMES or word not in cutoff3d.WORDS:
+        raise ValueError(f"unknown piece {args.piece!r}, not NAME_WORD as in A_xyz or G_yzx")
     f = cutoff3d.builtin_cutoff()
     poly = cutoff3d.piece_polynomial(f, name, word)
     x, y, z = (Fraction(v) for v in args.at.split(","))

@@ -7,15 +7,15 @@ A symmetric piecewise polynomial is specified by one polynomial per
 canonical piece and extended by symmetry.
 
 Everything here is exact rational arithmetic, and the ten inequality
-systems are the only geometric data.  Each polytope is rebuilt from its
-inequalities by exact vertex enumeration, in integers: rows, vertices,
-facets and point tests.  One integer simplex kernel
+systems are the only geometric data.  It is done in integers: a polytope's
+rows, vertices, facets and point tests, and Poly3's numerators over one
+denominator, with _int_mul as the only product.  One integer simplex kernel
 (_simplex_integral) does every exact integral: Polytope3.integrate fans a
 polytope into tetrahedra for volumes and the square functional I.  The slot
 functional J and the marginal conditions integrate F along z-fibres: the
-breakpoints are the polytope inequalities that involve z, they cut the (x, y)
-regions into convex cells, and on each cell the z-integral of F is one
-bivariate polynomial.  J integrates its square over the cells, each fanned
+breakpoints are the permuted canonical inequalities that involve z, they cut
+the (x, y) regions into convex cells, and on each cell the z-integral of F is
+one bivariate polynomial.  J integrates its square over the cells, each fanned
 into triangles; on the far outer region each distinct one must vanish
 identically.
 """
@@ -51,17 +51,31 @@ _VARS = {"x": 0, "y": 1, "z": 2}
 
 
 class Poly3:
-    """Sparse polynomial in (x, y, z) with exact rational coefficients."""
+    """Sparse polynomial in (x, y, z) with exact rational coefficients: integer
+    numerators `num`, keyed by exponent triples, over one denominator den > 0,
+    none zero and gcd(den, *num) = 1, so equal polynomials hold equal (num, den).
+    Every product is _int_mul; Fractions enter only by the constructor and
+    leave only by `terms`, `eval` and repr."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                self.terms[tuple(key)] = self.terms.get(tuple(key), Fraction(0)) + c
-        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+        terms = {tuple(key): Fraction(c) for key, c in (terms or {}).items()}
+        self.den = math.lcm(*(c.denominator for c in terms.values()))
+        self.num = {key: c.numerator * (self.den // c.denominator) for key, c in terms.items() if c}
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int) -> "Poly3":
+        """The Poly3 of sum num[key] X^key / den, den > 0."""
+        out, g = cls.__new__(cls), math.gcd(den, *num.values())
+        out.num = {key: v // g for key, v in num.items() if v}
+        out.den = den // g
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict of the coefficients as Fractions."""
+        return {key: Fraction(v, self.den) for key, v in self.num.items()}
 
     @classmethod
     def const(cls, c) -> "Poly3":
@@ -79,97 +93,86 @@ class Poly3:
 
     def __add__(self, other) -> "Poly3":
         other = other if isinstance(other, Poly3) else Poly3.const(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Poly3(out)
+        den = math.lcm(self.den, other.den)
+        out = _int_mul(self.num, {(0, 0, 0): den // self.den})
+        return Poly3._reduced(_int_mul(other.num, {(0, 0, 0): den // other.den}, out), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        return Poly3({k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other) -> "Poly3":
         return self + (-(other if isinstance(other, Poly3) else Poly3.const(other)))
 
     def __mul__(self, other) -> "Poly3":
-        if not isinstance(other, Poly3):
-            c = Fraction(other)
-            return Poly3({k: v * c for k, v in self.terms.items()})
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly3(out)
+        other = other if isinstance(other, Poly3) else Poly3.const(other)
+        return Poly3._reduced(_int_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         other = other if isinstance(other, Poly3) else Poly3.const(other)
-        return self.terms == other.terms
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((tuple(sorted(self.num.items())), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return max((sum(k) for k in self.num), default=0)
 
-    def eval(self, x, y, z):
+    def eval(self, x, y, z) -> Fraction:
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        total = Fraction(0)
-        for (i, j, l), c in self.terms.items():
-            total += c * x**i * y**j * z**l
-        return total
+        return sum((c * x**i * y**j * z**l for (i, j, l), c in self.num.items()), Fraction(0)) / self.den
 
     def permute(self, word: str) -> "Poly3":
         """Substitute (x, y, z) -> (word[0], word[1], word[2])."""
         pos = [_VARS[w] for w in word]
         out: dict = {}
-        for key, c in self.terms.items():
+        for key, c in self.num.items():
             new = [0, 0, 0]
             for axis, e in enumerate(key):
                 new[pos[axis]] += e
             new = tuple(new)
-            out[new] = out.get(new, Fraction(0)) + c
-        return Poly3(out)
+            out[new] = out.get(new, 0) + c
+        return Poly3._reduced(out, self.den)
 
     def substitute(self, name: str, value: "Poly3") -> "Poly3":
         """Replace one variable by a polynomial (used for integration limits)."""
         axis = _VARS[name]
-        powers = {0: Poly3.const(1)}
-        maxdeg = max((k[axis] for k in self.terms), default=0)
-        for e in range(1, maxdeg + 1):
-            powers[e] = powers[e - 1] * value
-        out = Poly3()
-        for key, c in self.terms.items():
+        m = max((key[axis] for key in self.num), default=0)
+        powers = [{(0, 0, 0): 1}]
+        for _ in range(m):
+            powers.append(_int_mul(powers[-1], value.num))
+        out: dict = {}
+        for key, c in self.num.items():
             rest = list(key)
-            e = rest[axis]
-            rest[axis] = 0
-            out = out + Poly3({tuple(rest): c}) * powers[e]
-        return out
+            e, rest[axis] = rest[axis], 0
+            _int_mul({tuple(rest): c * value.den ** (m - e)}, powers[e], out)
+        return Poly3._reduced(out, self.den * value.den**m)
 
     def antiderivative(self, name: str) -> "Poly3":
+        """The antiderivative in one variable, over den * lcm(raised exponents)."""
         axis = _VARS[name]
+        scale = math.lcm(*(key[axis] + 1 for key in self.num))
         out = {}
-        for key, c in self.terms.items():
+        for key, c in self.num.items():
             new = list(key)
             new[axis] += 1
-            out[tuple(new)] = c / new[axis]
-        return Poly3(out)
+            out[tuple(new)] = c * (scale // new[axis])
+        return Poly3._reduced(out, self.den * scale)
 
     def __repr__(self):  # pragma: no cover
-        if not self.terms:
-            return "0"
+        terms = self.terms
         bits = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
+        for key in sorted(terms, key=lambda k: (sum(k), k)):
             mono = "".join(f"{v}^{e}" if e > 1 else (v if e else "") for v, e in zip("xyz", key))
-            bits.append(f"{self.terms[key]}{'*' + mono if mono else ''}")
-        return " + ".join(bits)
+            bits.append(f"{terms[key]}{'*' + mono if mono else ''}")
+        return " + ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +234,16 @@ class PiecewiseCutoff:
     def __post_init__(self):
         eps = Fraction(self.eps)
         _check_eps(eps)
-        pieces = {}
-        for name in CANONICAL_NAMES:
-            p = self.pieces.get(name, Poly3())
+        pieces = {name: Poly3() for name in CANONICAL_NAMES}
+        for name, p in self.pieces.items():
+            if name not in pieces:
+                raise ValueError(f"unknown canonical piece {name!r}")
             pieces[name] = p if isinstance(p, Poly3) else Poly3(p)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "eps", eps)
 
     def with_piece(self, name: str, poly) -> "PiecewiseCutoff":
-        pieces = dict(self.pieces)
-        pieces[name] = poly if isinstance(poly, Poly3) else Poly3(poly)
-        return PiecewiseCutoff(pieces, self.eps)
+        return PiecewiseCutoff({**self.pieces, name: poly}, self.eps)
 
 
 def builtin_cutoff() -> PiecewiseCutoff:
@@ -271,7 +273,7 @@ def piece_polynomial(f: PiecewiseCutoff, name: str, word: str = "xyz") -> Poly3:
 def _canonical_systems(e):
     """Strict inequality systems (c0, cx, cy, cz) > 0 for the ten canonical
     pieces inside {0 < y < x < z}; the chains imply the sector ordering.
-    Int entries are exact: Polytope3 coerces every row to Fraction."""
+    Every entry is a Fraction, and so is every entry of a permuted row."""
     base = [
         (0, 1, 0, 0),                     # x > 0
         (0, 0, 1, 0),                     # y > 0
@@ -299,7 +301,7 @@ def _canonical_systems(e):
         "G": [xy_lt(lo), yz_gt(hi), y_lt_x],
         "H": [(-lo, 1, 1, 0), x_lt_z, yz_lt(hi), zx_gt(hi)],
     }
-    return {name: base + sys for name, sys in systems.items()}
+    return {name: [tuple(map(Fraction, row)) for row in base + sys] for name, sys in systems.items()}
 
 
 def _permute_inequality(ineq, word):
@@ -412,28 +414,23 @@ def _simplex_integral(poly: Poly3, simplices) -> Fraction:
 
     Each simplex is given by its n + 1 vertices with n rational coordinates,
     and poly may involve only the first n variables.  Vertices are scaled to
-    integers by the lcm L of their denominators, poly to integer numerators
-    over one denominator den.  Each simplex is then an integer affine image
-    of the standard one, where u^a v^b w^c integrates to a!b!c!/(a+b+c+n)!,
-    and the Jacobian is the determinant of its n edges."""
+    integers by the lcm L of their denominators.  Each simplex is then an
+    integer affine image of the standard one, where u^a v^b w^c integrates
+    to a!b!c!/(a+b+c+n)!, and the Jacobian is the determinant of its n edges."""
     if not simplices or poly.is_zero():
         return Fraction(0)
     n = len(simplices[0]) - 1
     D = poly.degree
     L = math.lcm(*(int(c.denominator) for s in simplices for v in s for c in v))
-    den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
     # poly(X / L) = sum of coeff[key] X^key over den * L^D
-    coeff = {
-        key: int(c.numerator) * (den // int(c.denominator)) * L ** (D - sum(key))
-        for key, c in poly.terms.items()
-    }
+    coeff = {key: c * L ** (D - sum(key)) for key, c in poly.num.items()}
     total = 0
     for simplex in simplices:
         apex, *rest = [[int(c * L) for c in v] for v in simplex]
         edges = [[c - a for c, a in zip(v, apex)] for v in rest]
         forms = [(apex[axis], *(e[axis] for e in edges)) for axis in range(n)]
         total += abs(_det(edges)) * _simplex_sum(coeff, forms, D)
-    return Fraction(total, math.factorial(D + n) * L ** (D + n) * den)
+    return Fraction(total, math.factorial(D + n) * L ** (D + n) * poly.den)
 
 
 def _simplex_sum(coeff, forms, D) -> int:
@@ -592,8 +589,8 @@ def _fibre_geometry(e):
     """The breakpoint forms, and the lines that cut the regions into cells:
     those of the inequalities free of z, and those where two breakpoints meet."""
     breaks, lines = set(), set()
-    for part in build_partition(e):
-        for c0, cx, cy, cz in part.inequalities:
+    for rows in _canonical_systems(e).values():
+        for c0, cx, cy, cz in (_permute_inequality(row, word) for row in rows for word in WORDS):
             if cz:
                 breaks.add((-c0 / cz, -cx / cz, -cy / cz))
             else:

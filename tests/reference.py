@@ -246,17 +246,137 @@ def per_term_apply_L_int(terms: dict, den: int, k: int) -> tuple:
     return {key: v // g for key, v in out.items()}, den // g
 
 
+# ---------------------------------------------------------------------------
+# the polynomial arithmetic in Fractions: Poly3 as it was before its
+# coefficients moved to integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+_VARS = {"x": 0, "y": 1, "z": 2}
+
+
+class FractionPoly3:
+    """Sparse polynomial in (x, y, z), a dict of Fraction coefficients.
+
+    The oracle for the integer Poly3: the same constructor, arithmetic,
+    substitution, antiderivative, evaluation and repr, coefficient by
+    coefficient in Fractions."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            c = Q(c)
+            if c != 0:
+                self.terms[tuple(key)] = self.terms.get(tuple(key), Q(0)) + c
+        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+
+    @classmethod
+    def const(cls, c):
+        return cls({(0, 0, 0): c})
+
+    @classmethod
+    def affine(cls, c0, cx=0, cy=0, cz=0):
+        return cls({(0, 0, 0): c0, (1, 0, 0): cx, (0, 1, 0): cy, (0, 0, 1): cz})
+
+    def __add__(self, other):
+        other = other if isinstance(other, FractionPoly3) else FractionPoly3.const(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Q(0)) + c
+        return FractionPoly3(out)
+
+    def __neg__(self):
+        return FractionPoly3({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-(other if isinstance(other, FractionPoly3) else FractionPoly3.const(other)))
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly3):
+            c = Q(other)
+            return FractionPoly3({k: v * c for k, v in self.terms.items()})
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
+                out[key] = out.get(key, Q(0)) + c1 * c2
+        return FractionPoly3(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = other if isinstance(other, FractionPoly3) else FractionPoly3.const(other)
+        return self.terms == other.terms
+
+    def is_zero(self):
+        return not self.terms
+
+    def eval(self, x, y, z):
+        x, y, z = Q(x), Q(y), Q(z)
+        total = Q(0)
+        for (i, j, l), c in self.terms.items():
+            total += c * x**i * y**j * z**l
+        return total
+
+    def permute(self, word: str):
+        """Substitute (x, y, z) -> (word[0], word[1], word[2])."""
+        pos = [_VARS[w] for w in word]
+        out: dict = {}
+        for key, c in self.terms.items():
+            new = [0, 0, 0]
+            for axis, e in enumerate(key):
+                new[pos[axis]] += e
+            new = tuple(new)
+            out[new] = out.get(new, Q(0)) + c
+        return FractionPoly3(out)
+
+    def substitute(self, name: str, value):
+        """Replace one variable by a polynomial."""
+        axis = _VARS[name]
+        powers = {0: FractionPoly3.const(1)}
+        maxdeg = max((k[axis] for k in self.terms), default=0)
+        for e in range(1, maxdeg + 1):
+            powers[e] = powers[e - 1] * value
+        out = FractionPoly3()
+        for key, c in self.terms.items():
+            rest = list(key)
+            e = rest[axis]
+            rest[axis] = 0
+            out = out + FractionPoly3({tuple(rest): c}) * powers[e]
+        return out
+
+    def antiderivative(self, name: str):
+        axis = _VARS[name]
+        out = {}
+        for key, c in self.terms.items():
+            new = list(key)
+            new[axis] += 1
+            out[tuple(new)] = c / new[axis]
+        return FractionPoly3(out)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
+            mono = "".join(f"{v}^{e}" if e > 1 else (v if e else "") for v, e in zip("xyz", key))
+            bits.append(f"{self.terms[key]}{'*' + mono if mono else ''}")
+        return " + ".join(bits)
+
+
 def iterated_integral(integrand: Poly3, chain) -> Q:
     """Integrate innermost-first along [(var, lo, hi), ...] (outer first).
 
     The oracle for the integer simplex kernel: each step takes the
-    antiderivative in one variable and substitutes the polynomial limits.
-    Outermost limits must be constants; the result is an exact rational.
+    antiderivative in one variable and substitutes the polynomial limits, in
+    the Fraction polynomials of FractionPoly3.  Outermost limits must be
+    constants; the result is an exact rational.
     """
-    acc = integrand
+    acc = FractionPoly3(integrand.terms)
     for var, lo, hi in reversed(chain):
         F = acc.antiderivative(var)
-        acc = F.substitute(var, hi) - F.substitute(var, lo)
+        acc = F.substitute(var, FractionPoly3(hi.terms)) - F.substitute(var, FractionPoly3(lo.terms))
     if not acc.is_zero() and set(acc.terms) != {(0, 0, 0)}:
         raise ValueError("integration chain left free variables")
     return acc.terms.get((0, 0, 0), Q(0))
@@ -270,13 +390,14 @@ def slab_polygon_integral(poly: Poly3, ring) -> Q:
     for p, q in zip(ring, ring[1:] + ring[:1]):
         if p[0] != q[0]:
             s = (q[1] - p[1]) / (q[0] - p[0])
-            edges.append((min(p[0], q[0]), max(p[0], q[0]), Poly3.affine(p[1] - s * p[0], s)))
+            edges.append((min(p[0], q[0]), max(p[0], q[0]), FractionPoly3.affine(p[1] - s * p[0], s)))
     xs = sorted({v[0] for v in ring})
     total = Q(0)
     for xa, xb in zip(xs, xs[1:]):
         spans = [edge for lo, hi, edge in edges if lo <= xa and xb <= hi]
         lower, upper = sorted(spans, key=lambda edge: edge.eval((xa + xb) / 2, 0, 0))
-        total += iterated_integral(poly, [("x", Poly3.const(xa), Poly3.const(xb)), ("y", lower, upper)])
+        chain = [("x", FractionPoly3.const(xa), FractionPoly3.const(xb)), ("y", lower, upper)]
+        total += iterated_integral(poly, chain)
     return total
 
 

@@ -249,6 +249,14 @@ class TestCutoffCommands:
         code, out = run(capsys, "cutoff3d", "eval", "--piece", "H_xyz", "--at", "0,0,1/2")
         assert code == 0 and "= 4" in out
 
+    @pytest.mark.parametrize("piece", ["Z_xyz", "A_abc"])
+    def test_eval_unknown_piece_refused(self, capsys, piece):
+        # exit 1 would read "not verified": an unknown name is an input error
+        code = main(["cutoff3d", "eval", "--piece", piece, "--at", "0,0,0"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: unknown piece '{piece}'")
+
 
 class TestChainCommands:
     def test_h1_246_chain(self, capsys, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from primegaps.cutoff3d import (
     CANONICAL_NAMES,
+    WORDS,
     PiecewiseCutoff,
     Poly3,
     Polytope3,
@@ -30,6 +31,7 @@ from primegaps.cutoff3d import (
 )
 
 from .reference import (
+    FractionPoly3,
     fraction_polytope_contains,
     fraction_polytope_integrate,
     fraction_polytope_vertices,
@@ -359,6 +361,48 @@ class TestIntegerGeometry:
         _matches_fraction_oracle(cut, poly, points + [mid, lo, hi])
 
 
+@st.composite
+def _poly_terms(draw, degree=3):
+    """Random rational coefficients, zeros among them, of total degree at most
+    `degree`: possibly no terms at all."""
+    keys = [(a, b, c) for a in range(degree + 1) for b in range(degree + 1 - a)
+            for c in range(degree + 1 - a - b)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+    return {key: draw(_RATIONAL) for key in chosen}
+
+
+def _agrees(poly, ref):
+    """poly is in canonical form and holds the oracle's coefficients."""
+    assert poly.den > 0 and math.gcd(poly.den, *poly.num.values()) == 1
+    assert all(poly.num.values())
+    assert poly.terms == ref.terms and repr(poly) == repr(ref)
+
+
+class TestIntegerPoly3:
+    """Poly3 in integer numerators over one denominator against the Fraction
+    polynomials it replaced (tests/reference.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_poly_terms(), b=_poly_terms(), c=_RATIONAL, word=st.sampled_from(WORDS),
+           name=st.sampled_from("xyz"), limit=_poly_terms(degree=2), point=_POINTS)
+    def test_matches_fraction_oracle(self, a, b, c, word, name, limit, point):
+        p, q, v = Poly3(a), Poly3(b), Poly3(limit)
+        rp, rq, rv = FractionPoly3(a), FractionPoly3(b), FractionPoly3(limit)
+        for poly, ref in [(p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq),
+                          (p + c, rp + c), (p - c, rp - c), (c * p, c * rp), (-p, -rp),
+                          (p.permute(word), rp.permute(word)),
+                          (p.substitute(name, v), rp.substitute(name, rv)),
+                          (p.antiderivative(name), rp.antiderivative(name))]:
+            _agrees(poly, ref)
+        value = p.eval(*point)
+        assert type(value) is Q and value == rp.eval(*point)
+        # equality and hash follow the value, whatever route built it
+        assert (p == q) == (rp == rq)
+        for same in ((p + q) - q, Poly3(rp.terms), p * 1):
+            assert same == p and hash(same) == hash(p)
+        assert (Poly3.const(c) == c) and (Poly3.const(c) + p == p + c)
+
+
 class TestExactValues:
     def test_marginals_vanish(self):
         for label, residual in check_marginals(builtin_cutoff()):
@@ -510,6 +554,14 @@ class TestSymmetry:
             piece_polynomial(f, "Q")
         with pytest.raises(KeyError):
             piece_polynomial(f, "A", "xxy")
+
+    def test_unknown_piece_in_cutoff_refused(self):
+        # an unknown name is refused, not dropped from the cutoff
+        with pytest.raises(ValueError, match=r"^unknown canonical piece 'Z'$"):
+            PiecewiseCutoff({"A": {(0, 0, 0): 1}, "Z": {(0, 0, 0): 1}}, Q(1, 4))
+        with pytest.raises(ValueError, match=r"^unknown canonical piece 'Z'$"):
+            builtin_cutoff().with_piece("Z", Poly3.const(1))
+        assert builtin_cutoff().with_piece("D", {(0, 0, 0): 3}).pieces["D"] == Poly3.const(3)
 
 
 def _classify_eval(f, pts):
