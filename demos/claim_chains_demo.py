@@ -9,7 +9,7 @@ from importlib import resources
 
 from primegaps.admissible import Tuple, read_tuple_file
 from primegaps.bounds import AsymptoticParams, asymptotic_lower
-from primegaps.cutoff3d import builtin_cutoff, check_marginals, integrate_I, integrate_J
+from primegaps.cutoff3d import builtin_cutoff
 from primegaps.pipeline import (
     ExternalBound,
     Hypothesis,
@@ -33,12 +33,8 @@ d50 = dhl_from_eps(50, Fraction(1, 25), ExternalBound(Fraction(40043, 10**4), "p
 h246 = hm_from_dhl(d50, t50)
 
 # chain 2: exactly verified cutoff + GEH
-f = builtin_cutoff()
-evidence = MarginalEvidence(
-    3, f.eps, integrate_J(f) / integrate_I(f),
-    all(res.is_zero() for _, res in check_marginals(f)), True,
-)
-d3 = dhl_from_marginal(3, f.eps, evidence, Hypothesis.geh_full(), 1)
+evidence = MarginalEvidence.from_cutoff(builtin_cutoff())
+d3 = dhl_from_marginal(3, evidence.eps, evidence, Hypothesis.geh_full(), 1)
 h6 = hm_from_dhl(d3, Tuple((0, 2, 6)))
 
 # chain 3: truncated rule from the explicit evaluator + a constructed tuple

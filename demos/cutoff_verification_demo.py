@@ -12,10 +12,8 @@ from primegaps.cutoff3d import (
     build_partition,
     builtin_cutoff,
     canonical_polytope,
-    check_marginals,
-    integrate_I,
-    integrate_J,
     piece_polynomial,
+    verify_cutoff,
 )
 
 f = builtin_cutoff()
@@ -34,12 +32,13 @@ check("partition volume", vol == Fraction(9, 16))
 print(f"partition: {len(parts)} polytopes, total volume {vol} "
       f"(the full simplex volume is 9/16)")
 
-I = integrate_I(f)
-J = integrate_J(f)
+v = verify_cutoff(f)
+I, J = v.I, v.J
 print(f"\nI  = {I}")
 print(f"J  = {J}")
 print(f"J/I exceeds 2 by exactly {J / I - 2}")
 check("J > 2I > 0", J > 2 * I > 0)
+check("support in the simplex", v.support_ok)
 
 # I sums the ten canonical pieces six times; here each of the 60 polytopes
 # is integrated with its own permuted polynomial
@@ -53,7 +52,7 @@ print(f"\n60-copy cross-check: the integral of F^2 over all 60 polytopes "
       f"{'equals I' if same else 'DIFFERS from I: ' + str(copies)}")
 
 print("\nmarginal identities (all must vanish identically):")
-for label, residual in check_marginals(f):
+for label, residual in v.residuals:
     zero = check(f"marginal {label}", residual.is_zero())
     print(f"  {label}: {'vanishes' if zero else 'NONZERO'}")
 

@@ -36,11 +36,13 @@ def _cmd_tuple(args) -> int:
     if args.tuple_cmd == "find":
         if args.sieve_out and args.method not in _SIEVE_RUNS:
             raise ValueError(f"--sieve-out needs a shifted method, not {args.method}")
-        cfg = sieves.SieveConfig(
-            method=args.method,
-            shift="search" if args.shift == "search" else int(args.shift),
-            batch_size=args.batch_size,
-        )
+        shift = args.shift
+        if shift != "search":
+            try:
+                shift = int(shift)
+            except ValueError:
+                raise ValueError(f"--shift takes an integer or 'search', not {shift!r}") from None
+        cfg = sieves.SieveConfig(method=args.method, shift=shift, batch_size=args.batch_size)
         if args.sieve_out:
             run = _SIEVE_RUNS[args.method](args.k, cfg)
             t = run.tuple
@@ -68,30 +70,23 @@ def _cmd_tuple(args) -> int:
     raise AssertionError
 
 
-def _print_certificate(cert, d, basis_kind, out):
+def _cmd_bound(args) -> int:
+    """mk krylov|basis and mkeps basis: certify the Gram pair that the
+    certificate file will name, print the bound, and write the file."""
+    if args.cmd == "mkeps":
+        variant = varprob.Variant("eps", args.k, Fraction(args.eps))
+    else:
+        variant = varprob.Variant("plain", args.k)
+    if args.cmd == "mk" and args.mk_cmd == "krylov":
+        d, basis_kind, n = 0, "krylov", args.n
+    else:
+        d, basis_kind, n = args.d, "full" if args.full_signatures else "even", None
+    cert = varprob.gram_lower_bound(varprob.certificate_pair(variant, d, basis_kind, n))
     status = "verified" if cert.verified else "NOT VERIFIED"
     print(f"variant={cert.variant} n={len(cert.a)} C={cert.C} ({float(cert.C):.8f}) {status}")
-    if out:
-        varprob.write_certificate(out, cert, d=d, basis_kind=basis_kind)
-        print(f"wrote {out}")
-
-
-def _cmd_mk(args) -> int:
-    if args.mk_cmd == "krylov":
-        cert = varprob.krylov_lower_bound(args.k, args.n)
-        _print_certificate(cert, d=0, basis_kind="krylov", out=args.out)
-        return 0 if cert.verified else 1
-    pair = varprob.assemble_plain(args.k, args.d, even_only=not args.full_signatures)
-    cert = varprob.gram_lower_bound(pair)
-    _print_certificate(cert, d=args.d, basis_kind="full" if args.full_signatures else "even", out=args.out)
-    return 0 if cert.verified else 1
-
-
-def _cmd_mkeps(args) -> int:
-    eps = Fraction(args.eps)
-    pair = varprob.assemble_eps(args.k, args.d, eps, even_only=not args.full_signatures)
-    cert = varprob.gram_lower_bound(pair)
-    _print_certificate(cert, d=args.d, basis_kind="full" if args.full_signatures else "even", out=args.out)
+    if args.out:
+        varprob.write_certificate(args.out, cert, d=d, basis_kind=basis_kind)
+        print(f"wrote {args.out}")
     return 0 if cert.verified else 1
 
 
@@ -116,19 +111,14 @@ def _cmd_asympt(args) -> int:
 
 def _cmd_cutoff3d(args) -> int:
     if args.cutoff_cmd == "verify":
-        f = cutoff3d.builtin_cutoff()
-        I = cutoff3d.integrate_I(f)
-        J = cutoff3d.integrate_J(f)
-        print(f"I = {I}")
-        print(f"J = {J}")
-        print(f"J/I = 2 + {J / I - 2}")
-        ok = True
-        for label, residual in cutoff3d.check_marginals(f):
-            zero = residual.is_zero()
-            ok &= zero
-            print(f"marginal {label}: {'vanishes' if zero else f'NONZERO {residual}'}")
-        print(f"ratio exceeds 2: {'yes' if J > 2 * I else 'no'}")
-        return 0 if ok and J > 2 * I else 1
+        v = cutoff3d.verify_cutoff(cutoff3d.builtin_cutoff())
+        print(f"I = {v.I}")
+        print(f"J = {v.J}")
+        print(f"J/I = 2 + {v.J / v.I - 2}")
+        for label, residual in v.residuals:
+            print(f"marginal {label}: {'vanishes' if residual.is_zero() else f'NONZERO {residual}'}")
+        print(f"ratio exceeds 2: {'yes' if v.J > 2 * v.I else 'no'}")
+        return 0 if v.ok else 1
     # eval
     name, _, word = args.piece.partition("_")
     word = word or "xyz"
@@ -136,7 +126,10 @@ def _cmd_cutoff3d(args) -> int:
         raise ValueError(f"unknown piece {args.piece!r}, not NAME_WORD as in A_xyz or G_yzx")
     f = cutoff3d.builtin_cutoff()
     poly = cutoff3d.piece_polynomial(f, name, word)
-    x, y, z = (Fraction(v) for v in args.at.split(","))
+    coords = args.at.split(",")
+    if len(coords) != 3:
+        raise ValueError(f"--at takes three rationals x,y,z, not {args.at!r}")
+    x, y, z = map(Fraction, coords)
     value = poly.eval(x, y, z)
     print(f"{args.piece}({x},{y},{z}) = {value}")
     return 0
@@ -146,16 +139,25 @@ def _hypothesis_from_args(args) -> pipeline.Hypothesis:
     if args.hyp == "BV":
         return pipeline.Hypothesis.bv()
     theta = Fraction(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
-    if args.hyp == "GEH":
+    if args.hyp == "GEH" or args.dhl_rule == "marginal":
         return pipeline.Hypothesis.geh(theta)
     return pipeline.Hypothesis.eh(theta)
 
 
 def _cmd_chain(args) -> int:
-    if args.dhl_rule == "marginal" and (args.cert or args.cert_value):
-        # the rule's bound is the built-in cutoff verification; evidence
-        # handed in would be dropped from the report, so refuse it
-        raise ValueError("--dhl-rule marginal takes no --cert or --cert-value")
+    if args.dhl_rule == "marginal":
+        # the rule's bound is the built-in cutoff verification: evidence
+        # handed in would be dropped from the report, and a k, hypothesis
+        # or eps that the cutoff does not have would be ignored, so refuse them
+        if args.cert or args.cert_value:
+            raise ValueError("--dhl-rule marginal takes no --cert or --cert-value")
+        if args.k != 3:
+            raise ValueError(f"--dhl-rule marginal needs --k 3 (the built-in cutoff), not {args.k}")
+        if args.hyp not in (None, "GEH"):
+            raise ValueError(f"--dhl-rule marginal needs --hyp GEH, not {args.hyp}")
+        eps = cutoff3d.builtin_cutoff().eps
+        if args.eps is not None and Fraction(args.eps) != eps:
+            raise ValueError(f"--dhl-rule marginal needs the built-in cutoff's --eps {eps}, not {args.eps}")
     t = admissible.read_tuple_file(args.tuple)
     provenance = {}
     if args.cert:
@@ -186,16 +188,9 @@ def _cmd_chain(args) -> int:
             args.k, Fraction(args.eps), bound_input, hyp, args.m,
             nonstrict=args.nonstrict, provenance=provenance,
         )
-    else:  # marginal: run the built-in exact cutoff verification
-        f = cutoff3d.builtin_cutoff()
-        for label, residual in cutoff3d.check_marginals(f):
-            if not residual.is_zero():
-                print(f"marginal {label} failed", file=sys.stderr)
-                return 1
-        ratio = cutoff3d.integrate_J(f) / cutoff3d.integrate_I(f)
-        evidence = pipeline.MarginalEvidence(3, f.eps, ratio, True, True)
-        theta = Fraction(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
-        dhl = pipeline.dhl_from_marginal(3, f.eps, evidence, pipeline.Hypothesis.geh(theta), args.m)
+    else:  # marginal: the evidence of the built-in cutoff's exact verification
+        evidence = pipeline.MarginalEvidence.from_cutoff(cutoff3d.builtin_cutoff())
+        dhl = pipeline.dhl_from_marginal(args.k, evidence.eps, evidence, _hypothesis_from_args(args), args.m)
     claim = pipeline.hm_from_dhl(dhl, t)
     report = pipeline.emit_report([claim])
     print(report, end="")
@@ -294,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     chm.add_argument("--theta")
     chm.add_argument("--varpi")
     chm.add_argument("--delta")
-    chm.add_argument("--hyp", default="EH", choices=("EH", "GEH", "BV"))
+    chm.add_argument("--hyp", choices=("EH", "GEH", "BV"), help="default EH, GEH for --dhl-rule marginal")
     chm.add_argument("--cert")
     chm.add_argument("--cert-value")
     chm.add_argument("--cert-source", default="published-value")
@@ -312,10 +307,8 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "tuple":
             return _cmd_tuple(args)
-        if args.cmd == "mk":
-            return _cmd_mk(args)
-        if args.cmd == "mkeps":
-            return _cmd_mkeps(args)
+        if args.cmd in ("mk", "mkeps"):
+            return _cmd_bound(args)
         if args.cmd == "verify-cert":
             return _cmd_verify_cert(args)
         if args.cmd == "asympt":

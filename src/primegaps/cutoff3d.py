@@ -18,6 +18,12 @@ the (x, y) regions into convex cells, and on each cell the z-integral of F is
 one bivariate polynomial.  J integrates its square over the cells, each fanned
 into triangles; on the far outer region each distinct one must vanish
 identically.
+
+verify_cutoff is the one verifier: it runs check_marginals, integrate_I and
+integrate_J once each, reads the support from the inequality systems, and
+returns every result in one CutoffVerification, failed checks included.
+The marginal rule's evidence (pipeline.MarginalEvidence.from_cutoff) is
+built from it and from nothing else.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ __all__ = [
     "integrate_I",
     "integrate_J",
     "check_marginals",
-    "verify_theorem_piece",
+    "CutoffVerification",
+    "verify_cutoff",
     "evaluate",
     "piece_polynomial",
 ]
@@ -270,16 +277,20 @@ def piece_polynomial(f: PiecewiseCutoff, name: str, word: str = "xyz") -> Poly3:
 # ---------------------------------------------------------------------------
 
 
+#: the rows x, y, z > 0 and x+y+z < 3/2 that open every canonical system and
+#: put each piece, and each permuted copy, in the simplex of k/(k-1) = 3/2 at k = 3
+_SIMPLEX_ROWS = (
+    (0, 1, 0, 0),                     # x > 0
+    (0, 0, 1, 0),                     # y > 0
+    (0, 0, 0, 1),                     # z > 0
+    (Fraction(3, 2), -1, -1, -1),     # x+y+z < 3/2
+)
+
+
 def _canonical_systems(e):
     """Strict inequality systems (c0, cx, cy, cz) > 0 for the ten canonical
     pieces inside {0 < y < x < z}; the chains imply the sector ordering.
     Every entry is a Fraction, and so is every entry of a permuted row."""
-    base = [
-        (0, 1, 0, 0),                     # x > 0
-        (0, 0, 1, 0),                     # y > 0
-        (0, 0, 0, 1),                     # z > 0
-        (Fraction(3, 2), -1, -1, -1),     # x+y+z < 3/2
-    ]
     x_lt_z = (0, -1, 0, 1)                # x < z
     y_lt_x = (0, 1, -1, 0)                # y < x
     xy_lt = lambda b: (b, -1, -1, 0)      # x + y < b
@@ -301,7 +312,10 @@ def _canonical_systems(e):
         "G": [xy_lt(lo), yz_gt(hi), y_lt_x],
         "H": [(-lo, 1, 1, 0), x_lt_z, yz_lt(hi), zx_gt(hi)],
     }
-    return {name: [tuple(map(Fraction, row)) for row in base + sys] for name, sys in systems.items()}
+    return {
+        name: [tuple(map(Fraction, row)) for row in (*_SIMPLEX_ROWS, *sys)]
+        for name, sys in systems.items()
+    }
 
 
 def _permute_inequality(ineq, word):
@@ -719,24 +733,34 @@ def check_marginals(f: PiecewiseCutoff):
     return [("+".join(f"{name}_{word}" for name, word, _, _ in s), g(s)) for s in programs]
 
 
-def verify_theorem_piece() -> bool:
-    """Full exact verification of the built-in cutoff.
+@dataclass(frozen=True)
+class CutoffVerification:
+    """The exact checks of one cutoff, as verify_cutoff runs them."""
 
-    Checks that every marginal residual vanishes identically and that the
-    slot functional exceeds twice the square functional, all in exact
-    arithmetic.  Raises ValueError naming the first failed stage.
-    """
-    f = builtin_cutoff()
-    for label, residual in check_marginals(f):
-        if not residual.is_zero():
-            raise ValueError(f"marginal identity {label} has nonzero residual")
-    I = integrate_I(f)
-    J = integrate_J(f)
-    if I <= 0:
-        raise ValueError("square functional is not positive")
-    if not J > 2 * I:
-        raise ValueError("ratio does not exceed 2")
-    return True
+    eps: Fraction
+    I: Fraction
+    J: Fraction
+    residuals: tuple  # (label, Poly3) per marginal identity, as check_marginals
+    marginals_vanish: bool
+    support_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        """Every marginal vanishes, the support holds and J > 2I > 0."""
+        return self.marginals_vanish and self.support_ok and self.J > 2 * self.I > 0
+
+
+def verify_cutoff(f: PiecewiseCutoff) -> CutoffVerification:
+    """Full exact verification of a cutoff: I, J and the marginal residuals,
+    each computed once, and the support, read from the inequality systems
+    (each of the 60 pieces lies in the simplex).  A failed check shows in
+    the result; nothing is raised."""
+    residuals = tuple(check_marginals(f))
+    support_ok = all(set(_SIMPLEX_ROWS) <= set(rows) for rows in _canonical_systems(f.eps).values())
+    return CutoffVerification(
+        f.eps, integrate_I(f), integrate_J(f), residuals,
+        all(res.is_zero() for _, res in residuals), support_ok,
+    )
 
 
 def evaluate(f: PiecewiseCutoff, point):

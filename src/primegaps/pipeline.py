@@ -11,7 +11,8 @@ hypothesis they require):
   * enlarged rule: a bound for the enlarged variant with EH or GEH and
     the matching side condition;
   * marginal rule: an exactly verified piecewise cutoff with vanishing
-    marginals under GEH.
+    marginals under GEH; its evidence is MarginalEvidence.from_cutoff, which
+    takes every value from cutoff3d.verify_cutoff.
 
 All four rules share one derivation, and a report audit rebuilds each
 chain through it and re-renders the line byte for byte.  Every comparison is
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .admissible import Tuple, is_admissible
+from .cutoff3d import PiecewiseCutoff, verify_cutoff
 from .varprob import BoundCertificate
 
 __all__ = [
@@ -153,7 +155,10 @@ class ExternalBound:
 
 @dataclass(frozen=True)
 class MarginalEvidence:
-    """Exactly verified piecewise-cutoff data for the marginal rule."""
+    """Exactly verified piecewise-cutoff data for the marginal rule.
+
+    from_cutoff is how evidence is made; the field constructor is kept for
+    the rule's negative tests and the benchmark."""
 
     k: int
     eps: object
@@ -164,6 +169,14 @@ class MarginalEvidence:
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
         object.__setattr__(self, "ratio", Fraction(self.ratio))
+
+    @classmethod
+    def from_cutoff(cls, f: PiecewiseCutoff) -> "MarginalEvidence":
+        """The evidence of cutoff3d.verify_cutoff(f), failed checks included,
+        so the rule refuses what the verifier did not verify.  The ratio is
+        J/I, or 0 for the zero cutoff (I = 0)."""
+        v = verify_cutoff(f)
+        return cls(3, v.eps, v.J / v.I if v.I else 0, v.marginals_vanish, v.support_ok)
 
 
 #: the fields of every report chain line, in order; provenance keys are the others

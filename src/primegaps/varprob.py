@@ -44,6 +44,7 @@ __all__ = [
     "gram_lower_bound",
     "krylov_moments",
     "krylov_lower_bound",
+    "certificate_pair",
     "write_certificate",
     "read_certificate",
     "verify_certificate_file",
@@ -584,6 +585,22 @@ def _check_basis_kind(basis_kind) -> None:
         raise ValueError(f"certificate field basis={basis_kind!r} is not one of {', '.join(BASIS_KINDS)}")
 
 
+def certificate_pair(variant: Variant, d: int, basis_kind: str, n=None) -> GramPair:
+    """The Gram pair a certificate names: the even- or full-signature basis
+    of degree <= d for the variant, or the order-n Hankel pair of a plain
+    Krylov bound (d unused).  Certification and verify_certificate_file
+    both build the pair here."""
+    _check_basis_kind(basis_kind)
+    if basis_kind == "krylov":
+        if variant.kind != "plain":
+            raise ValueError("krylov certificates are plain-variant only")
+        return hankel_pair(krylov_moments(variant.k, n), n)
+    even_only = basis_kind == "even"
+    if variant.kind == "plain":
+        return assemble_plain(variant.k, d, even_only)
+    return assemble_eps(variant.k, d, variant.eps, even_only)
+
+
 def _parse_field(name: str, text: str, parse):
     try:
         return parse(text)
@@ -656,12 +673,4 @@ def verify_certificate_file(path):
     Returns (certificate, exact margin a^T M2 a - C a^T M1 a).
     """
     variant, d, basis_kind, C, a = read_certificate(path)
-    if basis_kind == "krylov":
-        if variant.kind != "plain":
-            raise ValueError("krylov certificates are plain-variant only")
-        pair = hankel_pair(krylov_moments(variant.k, len(a)), len(a))
-    elif variant.kind == "plain":
-        pair = assemble_plain(variant.k, d, even_only=(basis_kind != "full"))
-    else:
-        pair = assemble_eps(variant.k, d, variant.eps, even_only=(basis_kind != "full"))
-    return _check(pair, a, C)
+    return _check(certificate_pair(variant, d, basis_kind, len(a)), a, C)

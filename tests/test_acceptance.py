@@ -199,10 +199,7 @@ def test_criterion_11_end_to_end_chains():
     assert h246.m == 1 and h246.bound == 246
 
     # H_1 <= 6 through the exactly verified cutoff under GEH
-    f = builtin_cutoff()
-    ratio = integrate_J(f) / integrate_I(f)
-    ok = all(res.is_zero() for _, res in check_marginals(f))
-    ev = MarginalEvidence(3, Q(1, 4), ratio, ok, True)
+    ev = MarginalEvidence.from_cutoff(builtin_cutoff())
     d3 = dhl_from_marginal(3, Q(1, 4), ev, Hypothesis.geh_full(), 1)
     h6 = hm_from_dhl(d3, Tuple((0, 2, 6)))
     assert h6.m == 1 and h6.bound == 6

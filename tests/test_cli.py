@@ -80,6 +80,12 @@ class TestTupleCommands:
         code, out = run(capsys, "tuple", "hsmall", "--k", "3", "--dmax", "10")
         assert code == 0 and "6" in out
 
+    def test_find_unparsable_shift(self, capsys):
+        code = main(["tuple", "find", "--k", "7", "--method", "shifted-greedy", "--shift", "abc"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: --shift takes an integer or 'search', not 'abc'\n"
+
     def test_find_unallocatable_k(self, capsys):
         # the primes up to p_(2k) need 3.27 PiB, past any user address space:
         # one error line and exit 2, not a MemoryError traceback
@@ -245,9 +251,27 @@ class TestCutoffCommands:
         assert "J = 9933190664926733/40587440947200" in out
         assert "ratio exceeds 2: yes" in out
 
+    def test_verify_reports_nonzero_marginal(self, capsys, monkeypatch):
+        from primegaps import cutoff3d
+
+        tampered = cutoff3d.builtin_cutoff().with_piece("H", cutoff3d.Poly3({(0, 0, 1): 9}))
+        monkeypatch.setattr(cutoff3d, "builtin_cutoff", lambda: tampered)
+        code, out = run(capsys, "cutoff3d", "verify")
+        assert code == 1
+        nonzero = [ln for ln in out.splitlines() if "NONZERO" in ln]
+        assert len(nonzero) == 1 and nonzero[0].startswith("marginal E_yzx+S_yzx+H_yzx: NONZERO ")
+        assert "ratio exceeds 2: no" in out
+
     def test_eval(self, capsys):
         code, out = run(capsys, "cutoff3d", "eval", "--piece", "H_xyz", "--at", "0,0,1/2")
         assert code == 0 and "= 4" in out
+
+    @pytest.mark.parametrize("at", ["1/2,1/2", "1/2,1/2,1/4,0"], ids=["two", "four"])
+    def test_eval_needs_three_coordinates(self, capsys, at):
+        code = main(["cutoff3d", "eval", "--piece", "G_yzx", "--at", at])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --at takes three rationals x,y,z, not '{at}'\n"
 
     @pytest.mark.parametrize("piece", ["Z_xyz", "A_abc"])
     def test_eval_unknown_piece_refused(self, capsys, piece):
@@ -335,6 +359,35 @@ class TestChainCommands:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "marginal" in err and "missing.cert" not in err
 
+    @pytest.mark.parametrize("setting,message", [
+        (["--k", "7"], "needs --k 3 (the built-in cutoff), not 7"),
+        (["--hyp", "BV"], "needs --hyp GEH, not BV"),
+        (["--hyp", "EH"], "needs --hyp GEH, not EH"),
+        (["--eps", "1/3"], "needs the built-in cutoff's --eps 1/4, not 1/3"),
+    ], ids=["k", "hyp-BV", "hyp-EH", "eps"])
+    def test_marginal_chain_refuses_other_setting(self, capsys, tmp_path, setting, message):
+        # the built-in cutoff fixes k = 3, GEH and eps = 1/4: another value
+        # is refused, not ignored
+        tup = tmp_path / "t3.txt"
+        tup.write_text("0\n2\n6\n")
+        args = ["chain", "hm", "--dhl-rule", "marginal", "--k", "3", "--m", "1", "--tuple", str(tup)]
+        code = main(args + setting)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --dhl-rule marginal {message}\n"
+
+    @pytest.mark.parametrize("setting", [["--hyp", "GEH"], ["--eps", "1/4"], ["--eps", "0.25"]],
+                             ids=["hyp-GEH", "eps", "eps-decimal"])
+    def test_marginal_chain_accepts_builtin_setting(self, capsys, tmp_path, setting):
+        # the README chain's tuple, 5 7 11, as `tuple find` writes it
+        tup = tmp_path / "t3.txt"
+        tup.write_text("k=3\n5\n7\n11\n")
+        code, out = run(capsys, "chain", "hm", "--dhl-rule", "marginal", "--k", "3", "--m", "1",
+                        "--tuple", str(tup), *setting)
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden", "cli", "chain-marginal.out")
+        with open(golden) as fh:
+            assert code == 0 and out == fh.read()
+
     def test_report_flags_tampering(self, capsys, tmp_path):
         report = tmp_path / "r.txt"
         run(capsys, "chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1",
@@ -368,8 +421,9 @@ def test_readme_chain_prints_golden_report(capsys):
         assert code == 0 and out == GOLDEN_REPORT == fh.read()
 
 
-#: README's tuple lines, as the CI workflow runs them: golden file name, then
-#: the arguments; later lines read the files earlier ones write
+#: README's tuple lines and the H_1 <= 6 chain, as the CI workflow runs them:
+#: golden file name, then the arguments; later lines read the files earlier
+#: ones write
 README_TUPLE_LINES = (
     ("tuple-find-greedy", "tuple find --k 5511 --method shifted-greedy --shift 0 --out t.txt"),
     ("tuple-find-sieve", "tuple find --k 311 --method shifted-greedy --sieve-out sieve.txt"),
@@ -377,6 +431,8 @@ README_TUPLE_LINES = (
     ("tuple-hsmall", "tuple hsmall --k 3 --dmax 10"),
     ("tuple-find-schinzel", "tuple find --k 5511 --out ts.txt"),
     ("tuple-verify-schinzel", "tuple verify ts.txt"),
+    ("tuple-find-k3", "tuple find --k 3 --method k-primes-past-k --out t3.txt"),
+    ("chain-marginal", "chain hm --dhl-rule marginal --k 3 --m 1 --tuple t3.txt"),
 )
 
 

@@ -27,7 +27,7 @@ from primegaps.cutoff3d import (
     integrate_J,
     integrate_piece_I,
     piece_polynomial,
-    verify_theorem_piece,
+    verify_cutoff,
 )
 
 from .reference import (
@@ -418,8 +418,12 @@ class TestExactValues:
         f = builtin_cutoff()
         assert integrate_J(f) / integrate_I(f) - 2 == RATIO_EXCESS
 
-    def test_verify_theorem_piece(self):
-        assert verify_theorem_piece() is True
+    def test_verify_cutoff(self):
+        f = builtin_cutoff()
+        v = verify_cutoff(f)
+        assert (v.eps, v.I, v.J) == (Q(1, 4), I_EXACT, J_EXACT)
+        assert v.residuals == tuple(check_marginals(f))
+        assert v.marginals_vanish and v.support_ok and v.ok
 
     @pytest.mark.parametrize("eps", sorted(OTHER_EPS_GOLDENS), ids=str)
     def test_other_eps_goldens(self, eps):
@@ -506,6 +510,34 @@ class TestDegenerateCutoffs:
         residuals = dict(check_marginals(g))
         broken = [label for label, res in residuals.items() if not res.is_zero()]
         assert broken == ["E_yzx+S_yzx+H_yzx"]  # untouched identities stay intact
+
+    def test_verify_cutoff_reports_broken_marginal(self):
+        v = verify_cutoff(builtin_cutoff().with_piece("H", Poly3({(0, 0, 1): 9})))
+        assert not v.marginals_vanish and v.support_ok and not v.ok
+        nonzero = [label for label, res in v.residuals if not res.is_zero()]
+        assert nonzero == ["E_yzx+S_yzx+H_yzx"]
+
+    def test_verify_cutoff_ratio_at_most_two(self):
+        v = verify_cutoff(builtin_cutoff().with_piece("D", Poly3.const(3)))
+        assert v.marginals_vanish and v.support_ok
+        assert v.J <= 2 * v.I and not v.ok
+        zero = verify_cutoff(PiecewiseCutoff({}, Q(1, 4)))
+        assert (zero.I, zero.J, zero.marginals_vanish) == (0, 0, True) and not zero.ok
+
+    def test_verify_cutoff_reads_support_from_systems(self, monkeypatch):
+        from primegaps import cutoff3d
+
+        f = builtin_cutoff()
+        assert verify_cutoff(f).ok  # fills the polytope and fibre caches first
+        systems = cutoff3d._canonical_systems
+
+        def without_z_positive(e):
+            return {name: [row for row in rows if row != (0, 0, 0, 1)] for name, rows in systems(e).items()}
+
+        monkeypatch.setattr(cutoff3d, "_canonical_systems", without_z_positive)
+        v = verify_cutoff(f)
+        assert v.marginals_vanish and v.J > 2 * v.I
+        assert not v.support_ok and not v.ok
 
     @pytest.mark.parametrize("eps", [Q(1, 2), Q(1, 10), Q(1, 4) - Q(1, 10**9)], ids=str)
     def test_eps_outside_partition_refused(self, eps):

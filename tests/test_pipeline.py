@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps.admissible import Tuple
-from primegaps.cutoff3d import builtin_cutoff, check_marginals, integrate_I, integrate_J
+from primegaps.cutoff3d import Poly3, builtin_cutoff
 from primegaps.pipeline import (
     THETA_NEAR_ONE,
     DHLClaim,
@@ -224,10 +224,7 @@ class TestEpsRule:
 
 class TestMarginalRule:
     def evidence(self):
-        f = builtin_cutoff()
-        ratio = integrate_J(f) / integrate_I(f)
-        ok = all(res.is_zero() for _, res in check_marginals(f))
-        return MarginalEvidence(3, Q(1, 4), ratio, ok, True)
+        return MarginalEvidence.from_cutoff(builtin_cutoff())
 
     def test_reference_case(self):
         claim = dhl_from_marginal(3, Q(1, 4), self.evidence(), Hypothesis.geh_full(), 1)
@@ -250,6 +247,12 @@ class TestMarginalRule:
 
     def test_missing_verification(self):
         ev = MarginalEvidence(3, Q(1, 4), Q(5, 2), False, True)
+        with pytest.raises(ValueError, match="marginal verification missing"):
+            dhl_from_marginal(3, Q(1, 4), ev, Hypothesis.geh_full(), 1)
+
+    def test_refuses_evidence_of_broken_cutoff(self):
+        ev = MarginalEvidence.from_cutoff(builtin_cutoff().with_piece("H", Poly3({(0, 0, 1): 9})))
+        assert not ev.marginals_vanish and ev.support_ok
         with pytest.raises(ValueError, match="marginal verification missing"):
             dhl_from_marginal(3, Q(1, 4), ev, Hypothesis.geh_full(), 1)
 
