@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from fractions import Fraction
 
 import mpmath as mp
 
 from . import admissible, bounds, cutoff3d, pipeline, sieves, varprob
+from .varprob import read_rational
 
 
 # the constructions that return a SieveRun, for `tuple find --sieve-out`
@@ -74,7 +74,7 @@ def _cmd_bound(args) -> int:
     """mk krylov|basis and mkeps basis: certify the Gram pair that the
     certificate file will name, print the bound, and write the file."""
     if args.cmd == "mkeps":
-        variant = varprob.Variant("eps", args.k, Fraction(args.eps))
+        variant = varprob.Variant("eps", args.k, read_rational(args.eps, "--eps"))
     else:
         variant = varprob.Variant("plain", args.k)
     if args.cmd == "mk" and args.mk_cmd == "krylov":
@@ -129,7 +129,7 @@ def _cmd_cutoff3d(args) -> int:
     coords = args.at.split(",")
     if len(coords) != 3:
         raise ValueError(f"--at takes three rationals x,y,z, not {args.at!r}")
-    x, y, z = map(Fraction, coords)
+    x, y, z = (read_rational(c, "--at") for c in coords)
     value = poly.eval(x, y, z)
     print(f"{args.piece}({x},{y},{z}) = {value}")
     return 0
@@ -138,14 +138,35 @@ def _cmd_cutoff3d(args) -> int:
 def _hypothesis_from_args(args) -> pipeline.Hypothesis:
     if args.hyp == "BV":
         return pipeline.Hypothesis.bv()
-    theta = Fraction(args.theta) if args.theta else pipeline.THETA_NEAR_ONE
+    theta = read_rational(args.theta, "--theta") if args.theta is not None else pipeline.THETA_NEAR_ONE
     if args.hyp == "GEH" or args.dhl_rule == "marginal":
         return pipeline.Hypothesis.geh(theta)
     return pipeline.Hypothesis.eh(theta)
 
 
+#: the chain hm options each rule does not read, refused rather than dropped
+_UNREAD_BY_RULE = {
+    "mk": ("eps", "varpi", "delta", "nonstrict"),
+    "trunc": ("hyp", "theta", "eps", "nonstrict"),
+    "eps": ("varpi", "delta"),
+    "marginal": ("varpi", "delta", "nonstrict"),
+}
+
+#: the chain hm options each rule cannot do without
+_NEEDED_BY_RULE = {"trunc": ("varpi", "delta"), "eps": ("eps",)}
+
+
 def _cmd_chain(args) -> int:
-    if args.dhl_rule == "marginal":
+    rule = args.dhl_rule
+    for name in _UNREAD_BY_RULE[rule]:
+        if getattr(args, name) not in (None, False):
+            raise ValueError(f"--dhl-rule {rule} takes no --{name}")
+    for name in _NEEDED_BY_RULE.get(rule, ()):
+        if getattr(args, name) is None:
+            raise ValueError(f"--dhl-rule {rule} needs --{name}")
+    if args.hyp == "BV" and args.theta is not None:
+        raise ValueError("--hyp BV takes no --theta")
+    if rule == "marginal":
         # the rule's bound is the built-in cutoff verification: evidence
         # handed in would be dropped from the report, and a k, hypothesis
         # or eps that the cutoff does not have would be ignored, so refuse them
@@ -156,7 +177,7 @@ def _cmd_chain(args) -> int:
         if args.hyp not in (None, "GEH"):
             raise ValueError(f"--dhl-rule marginal needs --hyp GEH, not {args.hyp}")
         eps = cutoff3d.builtin_cutoff().eps
-        if args.eps is not None and Fraction(args.eps) != eps:
+        if args.eps is not None and read_rational(args.eps, "--eps") != eps:
             raise ValueError(f"--dhl-rule marginal needs the built-in cutoff's --eps {eps}, not {args.eps}")
     t = admissible.read_tuple_file(args.tuple)
     provenance = {}
@@ -169,23 +190,22 @@ def _cmd_chain(args) -> int:
         with open(args.cert, "rb") as fh:
             provenance["cert_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     elif args.cert_value:
-        bound_input = pipeline.ExternalBound(Fraction(args.cert_value), args.cert_source)
-    elif args.dhl_rule != "marginal":
-        raise ValueError(f"--dhl-rule {args.dhl_rule} needs --cert or --cert-value")
+        bound_input = pipeline.ExternalBound(read_rational(args.cert_value, "--cert-value"), args.cert_source)
+    elif rule != "marginal":
+        raise ValueError(f"--dhl-rule {rule} needs --cert or --cert-value")
 
-    rule = args.dhl_rule
     if rule == "mk":
         hyp = _hypothesis_from_args(args)
         dhl = pipeline.dhl_from_mk(args.k, bound_input, hyp, args.m, provenance=provenance)
     elif rule == "trunc":
         dhl = pipeline.dhl_from_trunc(
-            args.k, bound_input, Fraction(args.varpi), Fraction(args.delta), args.m,
-            provenance=provenance,
+            args.k, bound_input, read_rational(args.varpi, "--varpi"),
+            read_rational(args.delta, "--delta"), args.m, provenance=provenance,
         )
     elif rule == "eps":
         hyp = _hypothesis_from_args(args)
         dhl = pipeline.dhl_from_eps(
-            args.k, Fraction(args.eps), bound_input, hyp, args.m,
+            args.k, read_rational(args.eps, "--eps"), bound_input, hyp, args.m,
             nonstrict=args.nonstrict, provenance=provenance,
         )
     else:  # marginal: the evidence of the built-in cutoff's exact verification
@@ -317,10 +337,11 @@ def main(argv=None) -> int:
             print(mp.nstr(bounds.m2_exact(), 15))
             return 0
         if args.cmd == "m2eps":
-            print(mp.nstr(bounds.m2_eps(Fraction(args.eps)), 15))
+            print(mp.nstr(bounds.m2_eps(read_rational(args.eps, "--eps")), 15))
             return 0
         if args.cmd == "m4eps":
-            I, J, ok = bounds.m4eps_check(Fraction(args.eps), Fraction(args.alpha))
+            eps, alpha = read_rational(args.eps, "--eps"), read_rational(args.alpha, "--alpha")
+            I, J, ok = bounds.m4eps_check(eps, alpha)
             print(f"I = {I} ({float(I):.12g})")
             print(f"J = {J} ({float(J):.12g})")
             print(f"4J/I = {4 * J / I} ({float(4 * J / I):.12g})")

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .admissible import Tuple, is_admissible
 from .cutoff3d import PiecewiseCutoff, verify_cutoff
-from .varprob import BoundCertificate
+from .varprob import BoundCertificate, read_rational
 
 __all__ = [
     "THETA_NEAR_ONE",
@@ -116,9 +116,9 @@ class Hypothesis:
         tag, _, rest = text.partition("(")
         args = rest[:-1].split(",") if rest.endswith(")") else []
         if tag in ("EH", "GEH") and len(args) == 1:
-            return cls(tag, theta=Fraction(args[0]))
+            return cls(tag, theta=read_rational(args[0], "theta"))
         if tag == "MPZ" and len(args) == 2:
-            return cls.mpz(*map(Fraction, args))
+            return cls.mpz(read_rational(args[0], "varpi"), read_rational(args[1], "delta"))
         raise ValueError(f"unknown hypothesis {text!r}")
 
     def ratio_threshold(self, m: int):
@@ -492,6 +492,8 @@ def audit_report(text: str) -> bool:
 def _field(kv: dict, key: str, parse, where: str):
     if key not in kv:
         raise ValueError(f"{where}: missing field {key}=")
+    if parse is Fraction:
+        return read_rational(kv[key], f"{where}: field {key}")
     try:
         return parse(kv[key])
     except (ValueError, ArithmeticError):

@@ -179,28 +179,6 @@ class _TermTable:
 # ---------------------------------------------------------------------------
 
 
-def _resymmetrize(beta: tuple, c: int, k: int) -> list:
-    """(key, multiplier) pairs of (1-s)^c P_beta re-symmetrized over a slot.
-
-    (1-s)^c = sum_r C(c,r) (1-P_(1))^(c-r) t_i^r; the slot's t_i^r joins
-    beta as a part r, counted by the multiplicity of r in the new signature
-    (r = 0 needs one of the k - len(beta) free slots).  As r grows, the new
-    part moves left past every part of beta not above it, so one pointer
-    finds its place and the parts equal to it.
-    """
-    n = len(beta)
-    row = [((c,) + beta, k - n)] if n < k else []
-    i = n  # beta[i:] holds the parts <= r
-    for r in range(1, c + 1):
-        while i and beta[i - 1] <= r:
-            i -= 1
-        j = i
-        while j < n and beta[j] == r:
-            j += 1
-        row.append(((c - r,) + beta[:i] + (r,) + beta[i:], math.comb(c, r) * (j - i + 1)))
-    return row
-
-
 def _strip_candidates(alpha: tuple, k: int):
     """Exponents m available on a single slot: distinct parts, plus 0 when
     some slot is unused."""
@@ -217,29 +195,58 @@ def _apply_L_int(terms: dict, den: int, k: int) -> tuple:
     With D the highest total degree a+|alpha| in terms, every weight
     a!m!/(a+m+1)! of affine_apply_L has a+m+1 <= D+1, so scaling by
     (D+1)! makes the step integer multiply-adds.  The step is L = R S:
-    S strips each exponent m from each term and adds its slot weight
-    coeff (D+1)!/c! a! m! into one accumulator per slot image
-    (1-s)^c P_beta, c = a+m+1; R expands each nonzero accumulator once
-    through _resymmetrize.  Returns the image as (terms, den), reduced
-    once by the gcd of den and every numerator.
+    S strips each exponent m (a distinct part of alpha, or 0 when a slot
+    is free) from each term and adds its slot weight coeff a! m! (D+1)!/c!
+    into one accumulator per slot image (1-s)^c P_beta, c = a+m+1.  R
+    expands each nonzero accumulator once: (1-s)^c = sum_r C(c,r)
+    (1-P_(1))^(c-r) t_i^r, and t_i^r joins beta as a part r, counted by
+    the multiplicity of r in the new signature (r = 0 needs one of the
+    k - len(beta) free slots).  As r grows, the new part moves left past
+    every part of beta not above it, so one pointer finds its place and
+    the parts equal to it.  The factorials and binomial rows are tables of
+    the step.  Returns the image as (terms, den), reduced once by the gcd
+    of den and every numerator.
     """
-    fact = math.factorial
-    top = fact(max((key[0] + sum(key[1:]) for key in terms), default=0) + 1)
+    top = max((key[0] + sum(key[1:]) for key in terms), default=0) + 1
+    fact = list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))
+    weight = [fact[top] // f for f in fact]  # (D+1)!/c!
+    binom = [[math.comb(c, r) for r in range(c + 1)] for c in range(top + 1)]
     slots: dict = {}
+    get = slots.get
     for key, coeff in terms.items():
-        a, alpha = key[0], key[1:]
-        for m, beta in _strip_candidates(alpha, k):
-            c = a + m + 1
-            slots[beta, c] = slots.get((beta, c), 0) + coeff * (top // fact(c) * fact(a) * fact(m))
+        a, n = key[0], len(key) - 1
+        coeff *= fact[a]
+        prev = 0
+        for i in range(1, n + 1):  # each distinct part m of the non-increasing alpha
+            m = key[i]
+            if m != prev:
+                prev, c = m, a + m + 1
+                slot = (key[1:i] + key[i + 1 :], c)
+                slots[slot] = get(slot, 0) + coeff * fact[m] * weight[c]
+        if n < k:
+            slot = (key[1:], a + 1)
+            slots[slot] = get(slot, 0) + coeff * weight[a + 1]
     out: dict = {}
+    get = out.get
     for (beta, c), w in slots.items():
-        if w:
-            for okey, x in _resymmetrize(beta, c, k):
-                out[okey] = out.get(okey, 0) + w * x
-    out = {key: v for key, v in out.items() if v}
-    den *= top
-    g = math.gcd(den, *out.values())
-    return {key: v // g for key, v in out.items()}, den // g
+        if not w:
+            continue
+        n, row = len(beta), binom[c]
+        if n < k:
+            okey = (c,) + beta
+            out[okey] = get(okey, 0) + w * (k - n)
+        i = n  # beta[i:] holds the parts <= r
+        for r in range(1, c + 1):
+            while i and beta[i - 1] <= r:
+                i -= 1
+            j = i
+            while j < n and beta[j] == r:
+                j += 1
+            okey = (c - r,) + beta[:i] + (r,) + beta[i:]
+            out[okey] = get(okey, 0) + w * row[r] * (j - i + 1)
+    den *= fact[top]
+    g = math.gcd(den, *out.values())  # zero numerators leave the gcd as it is
+    return {key: v // g for key, v in out.items() if v}, den // g
 
 
 def affine_apply_L(terms: dict, k: int) -> dict:

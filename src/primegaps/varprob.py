@@ -21,6 +21,7 @@ candidates by a factorization modulo a prime.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,7 @@ __all__ = [
     "certificate_pair",
     "write_certificate",
     "read_certificate",
+    "read_rational",
     "verify_certificate_file",
 ]
 
@@ -483,27 +485,38 @@ class KrylovTable:
 class _MomentStream:
     """Grow-on-demand moment sequence for one ambient dimension.
 
-    The state is the current iterate L^j 1 as integer numerators over one
-    denominator.  Every term of L^j 1 has total degree j, so by the Beta
-    identity its integral over R_k is one rational with denominator
-    den * (j+k)!.
+    The state is the iterate L^j 1 as integer numerators over one
+    denominator, with the moments m_0 .. m_(j+1).  Integrating each slot's
+    free fiber back over its own coordinate gives
+
+        int_{R_k} L f = int_{R_k} (1 + (k-1)(1-P_(1))) f,
+
+    so m_(j+1) = m_j + (k-1) int (1-P_(1)) L^j 1.  Every term of L^j 1 has
+    total degree j, so by the Beta identity that integral is one rational
+    over den * (j+1+k)!.  An order-n table takes 2n-2 applications of L:
+    L^(2n-1) 1, the largest iterate, is never built.
     """
 
     def __init__(self, k: int):
         self.k = k
         self._terms, self._den, self._degree = {(0,): 1}, 1, 0
-        self._moments = [self._moment()]
+        self._moments = [Fraction(1, math.factorial(k))]
+        # int (1-P_(1))^a P_alpha = a! times this over (a+|alpha|+k)!
+        self._weight = functools.cache(lambda alpha: _beta_numerator(0, alpha, k))
+        self._next_moment()
 
-    def _moment(self) -> Fraction:
-        k = self.k
-        total = sum(c * _beta_numerator(key[0], key[1:], k) for key, c in self._terms.items())
-        return Fraction(total, self._den * math.factorial(self._degree + k))
+    def _next_moment(self):
+        k, weight, j = self.k, self._weight, self._degree
+        fact = list(itertools.accumulate(range(1, j + 2), mul, initial=1))
+        total = sum(c * fact[key[0] + 1] * weight(key[1:]) for key, c in self._terms.items())
+        step = Fraction((k - 1) * total, self._den * math.factorial(j + 1 + k))
+        self._moments.append(self._moments[-1] + step)
 
     def upto(self, count: int):
         while len(self._moments) < count:
             self._terms, self._den = _apply_L_int(self._terms, self._den, self.k)
             self._degree += 1
-            self._moments.append(self._moment())
+            self._next_moment()
         return list(self._moments[:count])
 
 
@@ -511,11 +524,12 @@ class _MomentStream:
 _stream = functools.cache(_MomentStream)
 
 
-#: iterated images of 1 reach this total degree at most
+#: the last moment of an order-n table, int L^(2n-1) 1, has degree 2n-1 at
+#: most this
 KRYLOV_DEGREE_LIMIT = 199
 
-#: the last iterate has this many terms at most; the largest call accepted,
-#: krylov_moments(3, 63), takes about 40 s and 90 MB on a 2-core box
+#: L^(2n-1) 1 would have this many terms at most; the largest call accepted,
+#: krylov_moments(3, 63), takes about 19 s and 100 MB on a 2-core Xeon
 KRYLOV_TERM_LIMIT = 60_000
 
 
@@ -543,6 +557,8 @@ def krylov_moments(k: int, n: int) -> KrylovTable:
             f"degree cap exceeded: order {n} needs degree {2 * n - 1} "
             f"> {KRYLOV_DEGREE_LIMIT}"
         )
+    # both caps count degree 2n-1, one past L^(2n-2) 1, the last iterate the
+    # stream builds: they refuse the calls they refused when it built L^(2n-1) 1
     terms = _iterate_terms(k, 2 * n - 1)
     if terms > KRYLOV_TERM_LIMIT:
         raise ValueError(
@@ -601,7 +617,37 @@ def certificate_pair(variant: Variant, d: int, basis_kind: str, n=None) -> GramP
     return assemble_eps(variant.k, d, variant.eps, even_only)
 
 
+#: the largest decimal exponent a rational may carry, in magnitude: the
+#: digit count Python's int() accepts by default, which Fraction already
+#: enforces on digit strings (10^4300 is about 14,300 bits)
+MAX_DECIMAL_EXPONENT = 4300
+
+
+def read_rational(text: str, name: str) -> Fraction:
+    """Fraction(text) for the option or field called name.
+
+    Refuses, with a one-line ValueError that names it, a text that is no
+    rational or whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in
+    magnitude, before Fraction builds a power of ten that large.
+    """
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_wide = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:
+        too_wide = False  # a malformed exponent: Fraction refuses it below
+    if too_wide:
+        raise ValueError(
+            f"{name}={text.strip()!r} has a decimal exponent past {MAX_DECIMAL_EXPONENT} in magnitude"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name}={text.strip()!r} is not parsable") from None
+
+
 def _parse_field(name: str, text: str, parse):
+    if parse is Fraction:
+        return read_rational(text, f"certificate field {name}")
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError):

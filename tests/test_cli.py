@@ -226,6 +226,49 @@ class TestBoundCommands:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["m2eps", "--eps", "1e999999999"],
+        ["m4eps", "--eps", "21/125", "--alpha", "1E-999999999"],
+        ["mkeps", "basis", "--k", "2", "--d", "4", "--eps", "1e4301"],
+        ["cutoff3d", "eval", "--piece", "G_yzx", "--at", "1/2,1/2,1e999999999"],
+        ["chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1", "--eps", "1e-999_999_999",
+         "--cert-value", "4.0043", "--tuple", data_path("tuple_50_246.txt")],
+        ["chain", "hm", "--dhl-rule", "mk", "--k", "50", "--m", "1", "--theta", "1e999999999",
+         "--cert-value", "4.0043", "--tuple", data_path("tuple_50_246.txt")],
+        ["chain", "hm", "--dhl-rule", "trunc", "--k", "50", "--m", "1", "--varpi", "1e999999999",
+         "--delta", "1/100", "--cert-value", "4.0043", "--tuple", data_path("tuple_50_246.txt")],
+        ["chain", "hm", "--dhl-rule", "mk", "--k", "50", "--m", "1", "--cert-value", "1e999999999",
+         "--tuple", data_path("tuple_50_246.txt")],
+    ], ids=["m2eps", "m4eps-alpha", "mkeps", "at", "chain-eps", "chain-theta", "chain-varpi",
+            "cert-value"])
+    def test_huge_decimal_exponent_refused(self, capsys, argv):
+        # 10^999999999 would take minutes and about 415 MB to build
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: --") and "decimal exponent past 4300" in err
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("field", ["C", "a[0]", "eps"])
+    def test_verify_cert_refuses_huge_exponent(self, capsys, tmp_path, field):
+        cert = tmp_path / "c.txt"
+        text = (EARLIER_CERTIFICATES / "krylov-2-12.cert").read_text()
+        if field == "eps":
+            text = text.replace("variant plain", "variant eps").replace("basis krylov", "eps 1e999999999")
+        else:
+            text, count = re.subn(rf"^{re.escape(field)} = .*$", f"{field} = 1e999999999", text, flags=re.M)
+            assert count == 1
+        cert.write_text(text)
+        start = time.perf_counter()
+        code = main(["verify-cert", str(cert)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"error: certificate field {field}='1e999999999' has a decimal exponent")
+        assert elapsed < 0.1
+
     def test_multiline_error_is_one_line(self, capsys, monkeypatch):
         def fail(k):
             raise ValueError("hypsum() failed to converge to the requested 7223 bits\n"
@@ -388,6 +431,38 @@ class TestChainCommands:
         with open(golden) as fh:
             assert code == 0 and out == fh.read()
 
+    @pytest.mark.parametrize("rule, flag", [
+        ("mk", "eps"), ("mk", "varpi"), ("mk", "delta"), ("mk", "nonstrict"),
+        ("trunc", "hyp"), ("trunc", "theta"), ("trunc", "eps"), ("trunc", "nonstrict"),
+        ("eps", "varpi"), ("eps", "delta"),
+        ("marginal", "varpi"), ("marginal", "delta"), ("marginal", "nonstrict"),
+    ])
+    def test_chain_refuses_unread_flag(self, capsys, rule, flag):
+        # a flag the rule would not read is refused, not dropped from the claim
+        value = {"eps": ["1/4"], "varpi": ["1/200"], "delta": ["1/100"], "nonstrict": [],
+                 "hyp": ["GEH"], "theta": ["1/2"]}[flag]
+        code = main(["chain", "hm", "--dhl-rule", rule, *CHAIN_RULE_ARGS[rule],
+                     f"--{flag}", *value, "--tuple", data_path("tuple_50_246.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --dhl-rule {rule} takes no --{flag}\n"
+
+    @pytest.mark.parametrize("rule", ["mk", "eps", "marginal"])
+    def test_chain_refuses_theta_with_bv(self, capsys, rule):
+        code = main(["chain", "hm", "--dhl-rule", rule, *CHAIN_RULE_ARGS[rule], "--hyp", "BV",
+                     "--theta", "1/3", "--tuple", data_path("tuple_50_246.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == "error: --hyp BV takes no --theta\n"
+
+    @pytest.mark.parametrize("rule, flag", [("trunc", "varpi"), ("trunc", "delta"), ("eps", "eps")])
+    def test_chain_needs_rule_flag(self, capsys, rule, flag):
+        args = CHAIN_RULE_ARGS[rule]
+        i = args.index(f"--{flag}")
+        code = main(["chain", "hm", "--dhl-rule", rule, *args[:i], *args[i + 2:],
+                     "--tuple", data_path("tuple_50_246.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == f"error: --dhl-rule {rule} needs --{flag}\n"
+
     def test_report_flags_tampering(self, capsys, tmp_path):
         report = tmp_path / "r.txt"
         run(capsys, "chain", "hm", "--dhl-rule", "eps", "--k", "50", "--m", "1",
@@ -397,6 +472,15 @@ class TestChainCommands:
         report.write_text(text)
         code, out = run(capsys, "report", str(report))
         assert code == 1 and "INVALID" in out
+
+
+#: per rule, chain hm arguments that its claim needs, up to --tuple
+CHAIN_RULE_ARGS = {
+    "mk": ["--k", "5", "--m", "1", "--cert-value", "4.5"],
+    "trunc": ["--k", "10", "--m", "1", "--varpi", "1/200", "--delta", "1/100", "--cert-value", "4"],
+    "eps": ["--k", "50", "--m", "1", "--eps", "1/25", "--cert-value", "4.0043"],
+    "marginal": ["--k", "3", "--m", "1"],
+}
 
 
 GOLDEN_REPORT = (
@@ -543,6 +627,21 @@ class TestReportAudit:
         code, out, err = audit_file(capsys, tmp_path, text)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and f"missing field {key}=" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("bound=40043/10000", "bound=1e999999999", "field bound='1e999999999' has a decimal exponent"),
+        ("threshold=4 ", "threshold=4e-999999999 ", "field threshold='4e-999999999' has a decimal exponent"),
+        ("margin=43/10000", "margin=1e999999999", "field margin='1e999999999' has a decimal exponent"),
+        ("eps=1/25", "eps=1e999999999", "field eps='1e999999999' has a decimal exponent"),
+        ("hypothesis=BV", "hypothesis=EH(1e999999999)", "field hypothesis='EH(1e999999999)' is not parsable"),
+        ("hypothesis=BV", "hypothesis=MPZ(1/200,1e999999999)", "field hypothesis='MPZ(1/200,1e999999999)'"),
+    ], ids=["bound", "threshold", "margin", "eps", "theta", "delta"])
+    def test_huge_decimal_exponent_refused(self, capsys, tmp_path, old, new, message):
+        start = time.perf_counter()
+        code, out, err = audit_file(capsys, tmp_path, edit_chain_line(old, new))
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == "" and err.count("\n") == 1 and f"line 3: {message}" in err
+        assert elapsed < 0.1
 
     @pytest.mark.parametrize("key", sorted(CHAIN_FIELDS))
     def test_unparsable_chain_field(self, capsys, tmp_path, key):

@@ -297,6 +297,18 @@ class TestApplyL:
             f_lg = affine_integral(affine_multiply(f, affine_apply_L(g, k), k), k)
             assert lf_g == f_lg
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_integral_of_image(self, k):
+        # integrating each slot's free fiber back over its coordinate:
+        # int L f = int (1 + (k-1)(1-P_(1))) f over R_k
+        weight = {(0,): Q(1), (1,): Q(k - 1)}
+        mixed = {(6,): Q(-2), (0, 3, 2, 1): Q(7), (2, 1, 1, 1, 1): Q(1, 3), (1, 2, 2): Q(-5, 2),
+                 (3, 2, 1): Q(4), (0, 6): Q(1), (0,): Q(3)}
+        for f in ({(0,): Q(1)}, {(0, 1): Q(1)}, {(2, 2, 1): Q(1)}, mixed):
+            f = {key: v for key, v in f.items() if len(key) - 1 <= k}
+            lhs = affine_integral(affine_apply_L(f, k), k)
+            assert lhs == affine_integral(affine_multiply(weight, f, k), k)
+
     @pytest.mark.parametrize("k", range(2, 11))
     def test_moment_closed_forms(self, k):
         f = plain({(): 1})

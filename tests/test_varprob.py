@@ -511,15 +511,23 @@ class TestKrylov:
         assert krylov_moments(k, n).moments == tuple(expect)
 
     def test_iterate_term_count_is_exact(self):
-        # every (a, alpha) of degree j with at most k parts survives in L^j 1
+        # every (a, alpha) of degree j with at most k parts survives in L^j 1;
+        # the stream holds L^j 1 with the moments m_0 .. m_(j+1)
         for k in range(2, 7):
             stream = varprob._MomentStream(k)
             for j in range(1, 16):
-                stream.upto(j + 1)
+                stream.upto(j + 2)
+                assert stream._degree == j
                 assert len(stream._terms) == varprob._iterate_terms(k, j)
         assert varprob._iterate_terms(5, 23) == 1892
         assert varprob._iterate_terms(10, 59) == 1548122
         assert varprob._iterate_terms(10**9, 3) == 1 + 1 + 2 + 3
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_grown_stream_matches_fresh(self, k):
+        grown = varprob._MomentStream(k)
+        assert len(grown.upto(5)) == 5
+        assert grown.upto(24) == varprob._MomentStream(k).upto(24)
 
     @pytest.mark.parametrize("k, n", [(10, 30), (3, 64), (4, 37), (50, 18), (10**9, 20)])
     def test_term_cap(self, k, n, monkeypatch):
@@ -600,6 +608,21 @@ GOLDEN_CERTIFICATES = {
     "eps-50-6": "ae3031519394cbaa38ddd066335a205022361c3a288c798f5078b20439ea5c6f",
     "plain-5-8": "d278afc42333a4a0f14f7ad29ca0f5f2cd0190e1fc4cc38d2d479549d9210e65",
 }
+
+
+#: pinned SHA-256 of the order-30 Krylov certificates, the orders whose
+#: proposal needs the widened fixed point
+ORDER_30_CERTIFICATES = {
+    2: "78f55f63db0c0ed1cf3be6178f84dbbaa4eaaacc8a365d78666c09d6a43a8ac3",
+    3: "218e5d2eeeac5a5b24a70b0845208a36c7722c46887c78a1dc6b47e724deece4",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ORDER_30_CERTIFICATES))
+def test_order_30_certificate_digest(tmp_path, k):
+    path = tmp_path / f"krylov-{k}-30.cert"
+    write_certificate(path, krylov_lower_bound(k, 30), d=0, basis_kind="krylov")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORDER_30_CERTIFICATES[k]
 
 
 @functools.cache
