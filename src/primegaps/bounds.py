@@ -238,13 +238,13 @@ class AsymptoticParams:
         """
         with mp.workdps(DPS):
             logk = mp.log(k)
-            c = mp.mpf(str(theta)) / logk
-            T = mp.mpf(str(beta)) / logk
+            c = _mpf(theta) / logk
+            T = _mpf(beta) / logk
             if tau is None:
                 m2, mu, sigma2 = _weight_stats(k, c, T)
                 tau = (1 - k * mu) * (1 - mp.mpf(10) ** -30)
             else:
-                tau = mp.mpf(str(tau))
+                tau = _mpf(tau)
             return cls(k, c, T, tau)
 
     def __post_init__(self):
@@ -254,7 +254,7 @@ class AsymptoticParams:
             for name in ("c", "T", "tau"):
                 v = getattr(self, name)
                 if not isinstance(v, mp.mpf):
-                    v = mp.mpf(str(v))
+                    v = _mpf(v)
                 if v <= 0:
                     raise ValueError(f"{name} must be positive")
                 object.__setattr__(self, name, v)

@@ -100,7 +100,9 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_asympt(args) -> int:
-    p = bounds.AsymptoticParams.from_scaled(args.k, args.theta, args.beta, tau=args.tau)
+    theta, beta = read_rational(args.theta, "--theta"), read_rational(args.beta, "--beta")
+    tau = read_rational(args.tau, "--tau") if args.tau is not None else None
+    p = bounds.AsymptoticParams.from_scaled(args.k, theta, beta, tau=tau)
     r = bounds.asymptotic_lower(p)
     for name in ("m2", "mu", "sigma2", "Z", "Z3", "W", "X", "V", "U"):
         print(f"{name} = {mp.nstr(getattr(r, name), 15)}")

@@ -13,8 +13,9 @@ greedy loops a candidate window is tested only against the primes p <= k
 not sieved yet: 2 and every sieved prime leave a class empty by
 construction, so the test (``admissible._window_admissible``) gives the
 same answer as ``is_admissible``.  Each emitted tuple then passes the full
-``is_admissible`` once, as do the Eratosthenes and Hensley-Richards
-windows.
+``is_admissible`` once.  Eratosthenes and Hensley-Richards are one
+push-down loop (``_push_down``) over a window given as data: signed runs
+of consecutive primes, plus the units -1 and 1 for Hensley-Richards.
 
 The Schinzel shift search keeps a run only if it ends strictly narrower
 than the best so far, so each run after the seed is bounded by that
@@ -114,12 +115,12 @@ class SieveRun:
         return self.tuple.diameter
 
 
-def _primes_with_index(k: int, extra: int = 0):
-    """All primes up to p_{pi(k)+k+extra}; returns (primes, pi(k))."""
-    approx = int(k / max(math.log(max(k, 3)), 1.0)) + k + extra + 10
+def _primes_with_index(k: int):
+    """All primes up to p_{pi(k)+k}; returns (primes, pi(k))."""
+    approx = int(k / max(math.log(max(k, 3)), 1.0)) + k + 10
     ps = primes_upto(nth_prime_bound(approx))
     pi_k = int(np.searchsorted(ps, k, side="right"))
-    while len(ps) < pi_k + k + extra:
+    while len(ps) < pi_k + k:
         ps = primes_upto(int(ps[-1] * 1.3) + 100)
     return ps, pi_k
 
@@ -132,95 +133,63 @@ def sieve_k_primes_past_k(k: int) -> Tuple:
     return Tuple(tuple(int(p) for p in ps[pi_k : pi_k + k]))
 
 
-def _eratosthenes_start(k: int, ps, pi_k: int) -> int:
-    """Decrement the start index m from pi(k) while the window
-    ps[m-1 : m-1+k] leaves a class free modulo the newly exposed prime.
+def _window(ps, m: int, sides, units=()) -> np.ndarray:
+    """The sorted union of units with sign * (p_{m+1}, ..., p_{m+count})
+    for each (sign, count) in sides."""
+    parts = [sign * ps[m : m + count] for sign, count in sides]
+    return np.sort(np.concatenate(parts + [np.array(units, dtype=np.int64)]))
 
-    One bitmap follows the window: each step adds the new first prime and
-    drops the last one, then asks the column test.
+
+def _push_down(ps, pi_k: int, sides, units=()) -> int:
+    """Decrement the start index m from pi(k) while the window at m - 1
+    leaves a class free modulo the newly exposed prime p_m.
+
+    One bitmap follows the window: each step sets sign * p_m and clears
+    sign * p_{m-1+count} on each side, then asks the column test on the
+    span of the units and of each side's new ends.  Sides with count 0 are
+    dropped.  The bitmap spans every window from m = 0 to m = pi(k).
     """
+    sides = [(sign, count) for sign, count in sides if count]
+    extremes = list(units) + [sign * int(ps[i]) for sign, count in sides for i in (0, pi_k - 1 + count)]
+    base = min(extremes)
+    length = _bitmap_length(max(extremes) - base + 1, int(ps[pi_k - 1]))
+    bits = _tuple_bitmap(_window(ps, pi_k, sides, units), base, length)
     m = pi_k
-    base = int(ps[0])
-    top = int(ps[m + k - 1])
-    bits = _tuple_bitmap(ps[m : m + k], base, _bitmap_length(top - base + 1, int(ps[m - 1])))
     while m >= 1:
         p = int(ps[m - 1])
-        bits[p - base] = True
-        bits[int(ps[m - 1 + k]) - base] = False
-        if _classes_covered(bits, p - base, int(ps[m - 2 + k]) - p + 1, p):
-            break
-        m -= 1
-    return m
-
-
-def sieve_eratosthenes(k: int) -> Tuple:
-    """k consecutive primes with the start index pushed down greedily.
-
-    Starting from the fully-sieved window, the start index is decremented
-    while the shifted window stays admissible modulo the newly exposed
-    prime, then the final window is verified in full (and pushed back up
-    if the heuristic overshot).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    ps, pi_k = _primes_with_index(k)
-    m = _eratosthenes_start(k, ps, pi_k)
-    while True:
-        t = Tuple(tuple(int(p) for p in ps[m : m + k]))
-        if is_admissible(t):
-            return t
-        m += 1
-
-
-def _hr_sides(k: int):
-    """Numbers of primes left and right of (-1, 1) in a symmetric k-tuple."""
-    return k // 2 - 1, (k + 1) // 2 - 1
-
-
-def _hr_offsets(ps, m: int, nl: int, nr: int) -> np.ndarray:
-    """(-p_{m+nl}, ..., -p_{m+1}, -1, 1, p_{m+1}, ..., p_{m+nr})."""
-    return np.concatenate([-ps[m : m + nl][::-1], np.array([-1, 1], dtype=np.int64), ps[m : m + nr]])
-
-
-def _hensley_richards_start(k: int, ps, pi_k: int) -> int:
-    """Decrement the start index m from pi(k) while the symmetric tuple at
-    m - 1 leaves a class free modulo the newly exposed prime.
-
-    One bitmap follows the tuple: each step adds -p and p for the newly
-    exposed prime p on each side that holds primes, and drops that side's
-    outermost element, then asks the column test.
-    """
-    nl, nr = _hr_sides(k)
-    m = pi_k
-    first = _hr_offsets(ps, m, nl, nr)
-    base = int(first[0])
-    bits = _tuple_bitmap(first, base, _bitmap_length(int(first[-1]) - base + 1, int(ps[m - 1])))
-    while m >= 1:
-        p = int(ps[m - 1])
-        for sign, count in ((-1, nl), (1, nr)):
-            if count:
-                bits[sign * p - base] = True
-                bits[sign * int(ps[m - 1 + count]) - base] = False
-        lo = -int(ps[m - 2 + nl]) if nl else -1
-        hi = int(ps[m - 2 + nr]) if nr else 1
+        ends = list(units)
+        for sign, count in sides:
+            bits[sign * p - base] = True
+            bits[sign * int(ps[m - 1 + count]) - base] = False
+            ends += [sign * p, sign * int(ps[m - 2 + count])]
+        lo, hi = min(ends), max(ends)
         if _classes_covered(bits, lo - base, hi - lo + 1, p):
             break
         m -= 1
     return m
 
 
-def sieve_hensley_richards(k: int) -> Tuple:
-    """Symmetric tuple (-p_{m+k/2-1}, ..., -1, 1, ..., p_{m+(k+1)/2-1})."""
+def _decremental_tuple(k: int, sides, units=()) -> Tuple:
+    """The ``_window`` at the start index that ``_push_down`` reaches,
+    pushed back up until the window is admissible."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    nl, nr = _hr_sides(k)
-    ps, pi_k = _primes_with_index(k, extra=max(nl, nr))
-    m = _hensley_richards_start(k, ps, pi_k)
-    while True:
-        cand = _hr_offsets(ps, m, nl, nr)
-        if is_admissible(cand):
-            return Tuple(tuple(int(v) for v in cand))
+    ps, pi_k = _primes_with_index(k)
+    m = _push_down(ps, pi_k, sides, units)
+    while not is_admissible(offs := _window(ps, m, sides, units)):
         m += 1
+    return Tuple(tuple(int(v) for v in offs))
+
+
+def sieve_eratosthenes(k: int) -> Tuple:
+    """k consecutive primes (p_{m+1}, ..., p_{m+k}), m pushed down greedily."""
+    return _decremental_tuple(k, [(1, k)])
+
+
+def sieve_hensley_richards(k: int) -> Tuple:
+    """Symmetric tuple (-p_{m+k/2-1}, ..., -1, 1, ..., p_{m+(k+1)/2-1}),
+    with the start index pushed down as in ``sieve_eratosthenes``."""
+    return _decremental_tuple(k, [(-1, k // 2 - 1), (1, (k + 1) // 2 - 1)], units=(-1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -621,6 +621,7 @@ def certificate_pair(variant: Variant, d: int, basis_kind: str, n=None) -> GramP
 #: digit count Python's int() accepts by default, which Fraction already
 #: enforces on digit strings (10^4300 is about 14,300 bits)
 MAX_DECIMAL_EXPONENT = 4300
+_DIGITS_LIMIT = 10**MAX_DECIMAL_EXPONENT
 
 
 def read_rational(text: str, name: str) -> Fraction:
@@ -628,7 +629,9 @@ def read_rational(text: str, name: str) -> Fraction:
 
     Refuses, with a one-line ValueError that names it, a text that is no
     rational or whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in
-    magnitude, before Fraction builds a power of ten that large.
+    magnitude, before Fraction builds a power of ten that large.  It also
+    refuses a value whose numerator or denominator has more than
+    MAX_DECIMAL_EXPONENT digits, which int's default limit would not print.
     """
     _, e, exponent = text.lower().partition("e")
     try:
@@ -640,9 +643,14 @@ def read_rational(text: str, name: str) -> Fraction:
             f"{name}={text.strip()!r} has a decimal exponent past {MAX_DECIMAL_EXPONENT} in magnitude"
         )
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{name}={text.strip()!r} is not parsable") from None
+    if max(abs(value.numerator), value.denominator) >= _DIGITS_LIMIT:
+        raise ValueError(
+            f"{name}={text.strip()!r} has a numerator or denominator of more than {MAX_DECIMAL_EXPONENT} digits"
+        )
+    return value
 
 
 def _parse_field(name: str, text: str, parse):

@@ -239,8 +239,9 @@ class TestBoundCommands:
          "--delta", "1/100", "--cert-value", "4.0043", "--tuple", data_path("tuple_50_246.txt")],
         ["chain", "hm", "--dhl-rule", "mk", "--k", "50", "--m", "1", "--cert-value", "1e999999999",
          "--tuple", data_path("tuple_50_246.txt")],
+        ["asympt", "--k", "5511", "--theta", "1e999999999", "--beta", "0.9"],
     ], ids=["m2eps", "m4eps-alpha", "mkeps", "at", "chain-eps", "chain-theta", "chain-varpi",
-            "cert-value"])
+            "cert-value", "asympt-theta"])
     def test_huge_decimal_exponent_refused(self, capsys, argv):
         # 10^999999999 would take minutes and about 415 MB to build
         start = time.perf_counter()
@@ -268,6 +269,28 @@ class TestBoundCommands:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith(f"error: certificate field {field}='1e999999999' has a decimal exponent")
         assert elapsed < 0.1
+
+    @pytest.mark.parametrize("value, code", [("1e4300", 2), ("1e4299", 0)])
+    def test_cert_value_digit_limit(self, capsys, value, code):
+        # 10^4300 parses, but has more digits than int's default limit prints
+        assert main(["chain", "hm", "--dhl-rule", "mk", "--k", "50", "--m", "1", "--hyp", "BV",
+                     "--cert-value", value, "--tuple", data_path("tuple_50_246.txt")]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err == (
+                "error: --cert-value='1e4300' has a numerator or denominator of more than 4300 digits\n")
+        else:
+            assert err == "" and f"bound={10**4299}" in out
+
+    def test_verify_cert_refuses_too_many_digits(self, capsys, tmp_path):
+        cert = tmp_path / "c.txt"
+        text = (EARLIER_CERTIFICATES / "krylov-2-12.cert").read_text()
+        text, count = re.subn(r"^C = .*$", "C = 1e4300", text, flags=re.M)
+        assert count == 1
+        cert.write_text(text)
+        assert main(["verify-cert", str(cert)]) == 2
+        assert capsys.readouterr().err == (
+            "error: certificate field C='1e4300' has a numerator or denominator of more than 4300 digits\n")
 
     def test_multiline_error_is_one_line(self, capsys, monkeypatch):
         def fail(k):
@@ -515,6 +538,8 @@ README_TUPLE_LINES = (
     ("tuple-hsmall", "tuple hsmall --k 3 --dmax 10"),
     ("tuple-find-schinzel", "tuple find --k 5511 --out ts.txt"),
     ("tuple-verify-schinzel", "tuple verify ts.txt"),
+    ("tuple-find-hr", "tuple find --k 5511 --method hensley-richards --out th.txt"),
+    ("tuple-verify-hr", "tuple verify th.txt"),
     ("tuple-find-k3", "tuple find --k 3 --method k-primes-past-k --out t3.txt"),
     ("chain-marginal", "chain hm --dhl-rule marginal --k 3 --m 1 --tuple t3.txt"),
 )

@@ -17,14 +17,7 @@ from primegaps.sieves import (
     sieve_shifted_schinzel,
     write_residue_sieve,
 )
-from primegaps.sieves import (
-    _eratosthenes_start,
-    _hensley_richards_start,
-    _hr_offsets,
-    _hr_sides,
-    _primes_with_index,
-    _schinzel_run,
-)
+from primegaps.sieves import _primes_with_index, _push_down, _schinzel_run, _window
 
 from .reference import (
     KPPK_DIAMETERS,
@@ -107,7 +100,7 @@ def test_exact_minimum_never_beaten():
 
 
 class TestDecrementalStart:
-    """The bitmap decrement loops stop where a loop that enumerates every
+    """The bitmap push-down loop stops where a loop that enumerates every
     window's residues anew stops."""
 
     @staticmethod
@@ -117,20 +110,39 @@ class TestDecrementalStart:
             m -= 1
         return m
 
+    @staticmethod
+    def check(k, sides, units=()):
+        ps, pi_k = _primes_with_index(k)
+        ref = TestDecrementalStart.reference_start(k, ps, pi_k, lambda m: _window(ps, m, sides, units))
+        assert _push_down(ps, pi_k, sides, units) == ref, k
+
     @pytest.mark.parametrize("ks", [range(2, 401), [5511]], ids=["2-400", "5511"])
     def test_eratosthenes(self, ks):
         for k in ks:
-            ps, pi_k = _primes_with_index(k)
-            ref = self.reference_start(k, ps, pi_k, lambda m: ps[m : m + k])
-            assert _eratosthenes_start(k, ps, pi_k) == ref, k
+            self.check(k, [(1, k)])
 
     @pytest.mark.parametrize("ks", [range(2, 401), [5511]], ids=["2-400", "5511"])
     def test_hensley_richards(self, ks):
         for k in ks:
-            nl, nr = _hr_sides(k)
-            ps, pi_k = _primes_with_index(k, extra=max(nl, nr))
-            ref = self.reference_start(k, ps, pi_k, lambda m: _hr_offsets(ps, m, nl, nr))
-            assert _hensley_richards_start(k, ps, pi_k) == ref, k
+            self.check(k, [(-1, k // 2 - 1), (1, (k + 1) // 2 - 1)], units=(-1, 1))
+
+
+#: SHA-256 over repr(offsets) of sieve_eratosthenes(k) and of
+#: sieve_hensley_richards(k), k in DECREMENTAL_KS, as the constructions
+#: wrote them when each kept its own push-down and push-up loops
+DECREMENTAL_KS = [*range(2, 401), 1000, 5511, 35410]
+DECREMENTAL_DIGESTS = {
+    "eratosthenes": "7a48ffdd69a937a4d856b19e4da81da91ba56d49f943570021f11344cac42670",
+    "hensley-richards": "81647806c532dd45a09e99c4b2b7bd5a786cd9a12ac390ac49a8e8e1ab0e8e18",
+}
+
+
+@pytest.mark.parametrize("method", sorted(DECREMENTAL_DIGESTS))
+def test_decremental_tuples_digest(method):
+    digest = hashlib.sha256()
+    for k in DECREMENTAL_KS:
+        digest.update(repr(find_tuple(k, SieveConfig(method=method)).offsets).encode())
+    assert digest.hexdigest() == DECREMENTAL_DIGESTS[method]
 
 
 class TestReferenceRows:
