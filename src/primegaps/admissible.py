@@ -281,25 +281,54 @@ def h_exact_small(k: int, dmax: int) -> int:
     raise ValueError(f"no admissible {k}-tuple within diameter {dmax}")
 
 
+#: digits allowed in a tuple file's integer, int's default string-conversion limit
+MAX_FILE_DIGITS = 4300
+
+
 def read_tuple_file(path) -> Tuple:
-    """ASCII tuple file: one offset per line, '#' comments, optional k=<int>."""
+    """ASCII tuple file: one offset per line, '#' comments, optional k=<int>.
+
+    Each offset and the k value is read by _file_int.  Any other line is
+    refused with one ValueError that names its line number and shows at
+    most its first few characters."""
     offsets = []
     declared_k = None
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("k="):
-                if declared_k is not None or offsets:
-                    raise ValueError("k=<int> must be the first non-comment line")
-                declared_k = int(line[2:])
-                continue
-            offsets.append(int(line))
+            value = _file_int(line)
+            if value is not None:
+                offsets.append(value)
+            elif not line.startswith("k="):
+                raise _not_an_integer(number, line)
+            elif declared_k is not None or offsets:
+                raise ValueError(f"line {number}: k=<int> must be the first non-comment line")
+            elif (declared_k := _file_int(line[2:])) is None:
+                raise _not_an_integer(number, line)
     t = Tuple(tuple(offsets))
     if declared_k is not None and declared_k != t.k:
         raise ValueError(f"declared k={declared_k} but file has {t.k} offsets")
     return t
+
+
+def _file_int(text: str):
+    """int(text) if text is a decimal integer of ASCII digits, with no
+    underscores and at most MAX_FILE_DIGITS digits, else None."""
+    if text.isascii() and "_" not in text and (
+        len(text) <= MAX_FILE_DIGITS or len(text.lstrip("+-")) <= MAX_FILE_DIGITS
+    ):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
+def _not_an_integer(number: int, line: str) -> ValueError:
+    shown = line if len(line) <= 12 else line[:12] + "..."
+    return ValueError(f"line {number}: {shown!r} is not a decimal integer of at most {MAX_FILE_DIGITS} digits")
 
 
 def write_tuple_file(path, t: Tuple, header: str | None = None) -> None:

@@ -7,17 +7,19 @@ A symmetric piecewise polynomial is specified by one polynomial per
 canonical piece and extended by symmetry.
 
 Everything here is exact rational arithmetic, and the ten inequality
-systems are the only geometric data.  It is done in integers: a polytope's
-rows, vertices, facets and point tests, and Poly3's numerators over one
-denominator, with _int_mul as the only product.  One integer simplex kernel
-(_simplex_integral) does every exact integral: Polytope3.integrate fans a
-polytope into tetrahedra for volumes and the square functional I.  The slot
+systems are the only geometric data.  It is done in integers, and Poly3
+holds numerators over one denominator, with _int_mul as the only product.
+Every convex cell, a polytope in (x, y, z) or a cell of the (x, y) plane,
+is a tuple of primitive integer rows, row . (1, x, ..) >= 0.  One integer
+incidence (_incidence) gives its vertices and the rows tight at each; one
+pulling triangulation (_pulling) is built from it, and one integer simplex
+kernel (_simplex_integral) integrates over it: volumes and the square
+functional I over the polytopes, J over the plane cells.  The slot
 functional J and the marginal conditions integrate F along z-fibres: the
 breakpoints are the permuted canonical inequalities that involve z, they cut
 the (x, y) regions into convex cells, and on each cell the z-integral of F is
-one bivariate polynomial.  J integrates its square over the cells, each fanned
-into triangles; on the far outer region each distinct one must vanish
-identically.
+one bivariate polynomial.  J integrates its square over the cells; on the
+far outer region each distinct one must vanish identically.
 
 verify_cutoff is the one verifier: it runs check_marginals, integrate_I and
 integrate_J once each, reads the support from the inequality systems, and
@@ -33,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from operator import mul
 
 __all__ = [
     "Poly3",
@@ -359,54 +361,14 @@ class Polytope3:
 
     def vertices(self):
         """Exact vertex enumeration over all triples of supporting planes."""
-        return sorted(_affine(v) for v in self._incidence())
-
-    def _incidence(self) -> dict:
-        """Each vertex, as a reduced homogeneous point (X, Y, Z, W), mapped to
-        the indices of the rows tight at it.  Rows with independent normals
-        n1, n2, n3 meet where n_i . p = -c0_i, at the point
-        -(c0_1 n2 x n3 + c0_2 n3 x n1 + c0_3 n1 x n2) / det, det = n1 . n2 x n3;
-        it is a vertex when no row is negative there."""
-        rows = self._rows
-        out = {}
-        for r1, r2, r3 in itertools.combinations(rows, 3):
-            c23, c31, c12 = _cross(r2[1:], r3[1:]), _cross(r3[1:], r1[1:]), _cross(r1[1:], r2[1:])
-            det = _dot(r1[1:], c23)
-            if det == 0:
-                continue
-            sign = -1 if det > 0 else 1
-            X, Y, Z = (sign * (r1[0] * a + r2[0] * b + r3[0] * c) for a, b, c in zip(c23, c31, c12))
-            W = abs(det)
-            values = [c0 * W + cx * X + cy * Y + cz * Z for c0, cx, cy, cz in rows]
-            if min(values) < 0:
-                continue
-            g = math.gcd(X, Y, Z, W)
-            out.setdefault((X // g, Y // g, Z // g, W // g),
-                           frozenset(i for i, v in enumerate(values) if v == 0))
-        return out
+        return _vertices(self._rows)
 
     def volume(self) -> Fraction:
         return self.integrate(Poly3.const(1))
 
     def integrate(self, poly: Poly3) -> Fraction:
-        """Exact integral of a polynomial over the polytope: the fan from the
-        first vertex over the facets without it gives tetrahedra, and the
-        integer simplex kernel (_simplex_integral) integrates poly over them.
-        A facet is the set of vertices tight at one row, taken once."""
-        verts = sorted((_affine(v), v, tight) for v, tight in self._incidence().items())
-        if len(verts) < 4:
-            return Fraction(0)
-        apex, _, apex_rows = verts[0]
-        facets = {}
-        for i, row in enumerate(self._rows):
-            face = tuple(j for j, v in enumerate(verts) if i in v[2])
-            if len(face) >= 3 and i not in apex_rows:
-                facets.setdefault(face, row[1:])
-        tetrahedra = []
-        for face, normal in facets.items():
-            ring = [verts[face[j]][0] for j in _order_face([verts[j][1] for j in face], normal)]
-            tetrahedra += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
-        return _simplex_integral(poly, tetrahedra)
+        """Exact integral of a polynomial over the polytope (see _integral)."""
+        return _integral(poly, self._rows)
 
 
 def _integer_row(row) -> tuple:
@@ -417,10 +379,66 @@ def _integer_row(row) -> tuple:
     return tuple(v // g for v in ints)
 
 
+def _incidence(rows) -> dict:
+    """The vertices of the cell {row . (1, x, ..) >= 0} in n <= 3 variables,
+    given by primitive integer rows: each a reduced homogeneous point
+    (X.., W), W > 0, mapped to the indices of the rows tight at it.  Each n
+    rows with independent normals meet at one point, by Cramer's rule in
+    integers: (W, X, ..) are the signed n x n minors of the n rows, W that of
+    their normals.  It is a vertex when no row is negative there."""
+    n = len(rows[0]) - 1
+    out = {}
+    for combo in itertools.combinations(rows, n):
+        cols = tuple(zip(*combo))
+        det = _det(cols[1:])
+        if det == 0:
+            continue
+        sign = 1 if det > 0 else -1
+        point = (abs(det), *(sign * (-1) ** k * _det(cols[:k] + cols[k + 1:]) for k in range(1, n + 1)))
+        values = [sum(map(mul, row, point)) for row in rows]
+        if min(values) < 0:
+            continue
+        g = math.gcd(*point)
+        W, *X = (c // g for c in point)
+        out.setdefault((*X, W), frozenset(i for i, v in enumerate(values) if v == 0))
+    return out
+
+
 def _affine(point) -> tuple:
-    """The rational point (X/W, Y/W, Z/W) of a homogeneous point."""
-    X, Y, Z, W = point
-    return Fraction(X, W), Fraction(Y, W), Fraction(Z, W)
+    """The rational point (X/W, ..) of a homogeneous point (X.., W)."""
+    *X, W = point
+    return tuple(Fraction(c, W) for c in X)
+
+
+def _vertices(rows) -> list:
+    """The sorted vertices of a cell of integer rows, as rational points."""
+    return sorted(_affine(p) for p in _incidence(rows))
+
+
+def _integral(poly: Poly3, rows) -> Fraction:
+    """Exact integral of a polynomial over a cell of integer rows: the
+    integer simplex kernel over a pulling triangulation of its vertices."""
+    verts = sorted((_affine(p), tight) for p, tight in _incidence(rows).items())
+    return _simplex_integral(poly, _pulling(verts, len(rows[0]) - 1)) if verts else Fraction(0)
+
+
+def _pulling(verts, dim) -> list:
+    """The simplices of a pulling triangulation of a convex cell of dimension
+    dim <= 3, given by its (point, tight rows) vertices: the first vertex
+    joined to the triangulation of each facet without it, recursively down
+    to points.  A facet is the set of vertices tight at one row, when there
+    are at least dim of them; a face of dimension below 2 has exactly one
+    more vertex than its dimension, and a row tight at a whole face is tight
+    at its first vertex.  A facet met by several rows is taken once."""
+    (apex, apex_rows), rest = verts[0], verts[1:]
+    if dim == 0:
+        return [(apex,)]
+    facets = {}
+    for row in sorted(set().union(*(tight for _, tight in rest)) - apex_rows):
+        face = tuple(v for v in rest if row in v[1])
+        if len(face) >= dim:
+            facets.setdefault(face)
+    return [(apex, *simplex) for face in facets for simplex in _pulling(face, dim - 1)]
 
 
 def _simplex_integral(poly: Poly3, simplices) -> Fraction:
@@ -495,46 +513,6 @@ def _det(rows):
     return rows[0][0]
 
 
-def _order_face(face, normal) -> list:
-    """Indices that order coplanar homogeneous points (X, Y, Z, W) into a
-    convex ring, counterclockwise about the integer normal: an exact angular
-    sort about their centroid.  The points go over the lcm L of their W, and
-    each offset from the centroid is scaled by n L, so it stays integral."""
-    n = len(face)
-    L = math.lcm(*(p[3] for p in face))
-    pts = [[c * (L // p[3]) for c in p[:3]] for p in face]
-    total = [sum(col) for col in zip(*pts)]
-    offsets = [[n * c - t for c, t in zip(p, total)] for p in pts]
-    e1 = offsets[0]
-    e2 = _cross(normal, e1)
-    coords = [(_dot(d, e1), _dot(d, e2)) for d in offsets]
-
-    def half(u, v):
-        return 0 if (v > 0 or (v == 0 and u > 0)) else 1
-
-    def cmp(i, j):
-        (pu, pv), (qu, qv) = coords[i], coords[j]
-        hp, hq = half(pu, pv), half(qu, qv)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = pu * qv - pv * qu
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-    return sorted(range(n), key=cmp_to_key(cmp))
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _check_eps(e) -> None:
     if not Fraction(1, 4) <= e <= Fraction(1, 3):
         raise ValueError("the partition is valid for eps in [1/4, 1/3]")
@@ -578,25 +556,12 @@ def _locate(e, point):
 # z-fibre programs derived from the partition: over 0 < y < x the fibre
 # 0 < z < 3/2-x-y changes piece only at breakpoints z = b(x, y), one per
 # inequality of the 60 polytopes that involves z.  Affine forms in (x, y) are
-# triples (c0, cx, cy); polygons are convex vertex rings.
+# triples (c0, cx, cy); a cell is a tuple of their primitive integer rows.
 # ---------------------------------------------------------------------------
 
 
 def _at(form, x, y):
     return form[0] + form[1] * x + form[2] * y
-
-
-def _clip(ring, form) -> tuple:
-    """The part of a convex polygon where form >= 0."""
-    vals = [_at(form, *v) for v in ring]
-    out = []
-    for p, q, vp, vq in zip(ring, ring[1:] + ring[:1], vals, vals[1:] + vals[:1]):
-        if vp >= 0:
-            out.append(p)
-        if vp * vq < 0:
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return tuple(out)
 
 
 def _fibre_geometry(e):
@@ -619,34 +584,34 @@ def _fibre_geometry(e):
 @functools.lru_cache(maxsize=None)
 def _fibre_programs(e) -> tuple:
     """Cells of the J region {0 < y < x, x+y < 1-e} and of the far outer
-    region {0 < y < x, 1+e < x+y < 3/2}, each with the segments
-    ((name, word, lo, hi), ...) of its fibre, lo and hi breakpoint forms,
-    running from z = 0 to z = 3/2-x-y."""
+    region {0 < y < x, 1+e < x+y < 3/2}, each as integer rows with the
+    segments ((name, word, lo, hi), ...) of its fibre, lo and hi breakpoint
+    forms, running from z = 0 to z = 3/2-x-y."""
     breaks, lines = _fibre_geometry(e)
-    sector = (  # 0 < y < x, x+y < 3/2
-        (Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(0)), (Fraction(3, 4), Fraction(3, 4)),
-    )
+    sector = ((0, 1, -1), (0, 0, 1), (3, -2, -2))  # 0 < y < x, x+y < 3/2
     out = []
-    for region in (_clip(sector, (1 - e, -1, -1)), _clip(sector, (-1 - e, 1, 1))):
-        cells = [region]
+    for region in (sector + (_integer_row((1 - e, -1, -1)),), sector + (_integer_row((-1 - e, 1, 1)),)):
+        cells = [(region, _vertices(region))]
         for form in lines:
             split = []
-            for ring in cells:
-                vals = [_at(form, *v) for v in ring]
+            for cell, verts in cells:
+                vals = [_at(form, *v) for v in verts]
                 if min(vals) < 0 < max(vals):
-                    split += [_clip(ring, form), _clip(ring, tuple(-c for c in form))]
+                    row = _integer_row(form)
+                    for side in (cell + (row,), cell + (tuple(-c for c in row),)):
+                        split.append((side, _vertices(side)))
                 else:
-                    split.append(ring)
+                    split.append((cell, verts))
             cells = split
-        out.append(tuple((ring, _fibre_segments(e, breaks, ring)) for ring in cells))
+        out.append(tuple((cell, _fibre_segments(e, breaks, verts)) for cell, verts in cells))
     return tuple(out)
 
 
-def _fibre_segments(e, breaks, ring) -> tuple:
+def _fibre_segments(e, breaks, verts) -> tuple:
     """The fibre over a cell, cut at the breakpoints and located at the
-    vertex centroid; adjacent segments of one piece are merged."""
-    x = sum(v[0] for v in ring) / len(ring)
-    y = sum(v[1] for v in ring) / len(ring)
+    centroid of its vertices; adjacent segments of one piece are merged."""
+    x = sum(v[0] for v in verts) / len(verts)
+    y = sum(v[1] for v in verts) / len(verts)
     zs = sorted((_at(b, x, y), b) for b in breaks if 0 <= _at(b, x, y) <= Fraction(3, 2) - x - y)
     segments = []
     for (z1, b1), (z2, b2) in zip(zs, zs[1:]):
@@ -679,12 +644,6 @@ def _fibre_integrals(f: PiecewiseCutoff):
     return g
 
 
-def _cell_integral(poly: Poly3, ring) -> Fraction:
-    """Integral of a polynomial in (x, y) over a convex polygon, fanned from
-    its first vertex into triangles for the integer simplex kernel."""
-    return _simplex_integral(poly, [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)])
-
-
 # ---------------------------------------------------------------------------
 # the two functionals and the marginal identities
 # ---------------------------------------------------------------------------
@@ -713,9 +672,9 @@ def integrate_J(f: PiecewiseCutoff) -> Fraction:
     6 x the integral of g^2 over the J region {0 < y < x, x+y < 1-eps}."""
     g = _fibre_integrals(f)
     total = Fraction(0)
-    for ring, segments in _fibre_programs(f.eps)[0]:
+    for cell, segments in _fibre_programs(f.eps)[0]:
         inner = g(segments)
-        total += _cell_integral(inner * inner, ring)
+        total += _integral(inner * inner, cell)
     return 6 * total
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .admissible import Tuple, is_admissible
 from .cutoff3d import PiecewiseCutoff, verify_cutoff
-from .varprob import BoundCertificate, read_rational
+from .varprob import BoundCertificate, read_field, read_rational
 
 __all__ = [
     "THETA_NEAR_ONE",
@@ -492,9 +492,4 @@ def audit_report(text: str) -> bool:
 def _field(kv: dict, key: str, parse, where: str):
     if key not in kv:
         raise ValueError(f"{where}: missing field {key}=")
-    if parse is Fraction:
-        return read_rational(kv[key], f"{where}: field {key}")
-    try:
-        return parse(kv[key])
-    except (ValueError, ArithmeticError):
-        raise ValueError(f"{where}: field {key}={kv[key]!r} is not parsable") from None
+    return read_field(kv[key], f"{where}: field {key}", parse)

@@ -49,6 +49,7 @@ __all__ = [
     "write_certificate",
     "read_certificate",
     "read_rational",
+    "read_field",
     "verify_certificate_file",
 ]
 
@@ -653,13 +654,16 @@ def read_rational(text: str, name: str) -> Fraction:
     return value
 
 
-def _parse_field(name: str, text: str, parse):
+def read_field(text: str, name: str, parse):
+    """parse(text) for the file field called name.  A Fraction is read by
+    read_rational; any other parse that fails gives one ValueError naming
+    the field."""
     if parse is Fraction:
-        return read_rational(text, f"certificate field {name}")
+        return read_rational(text, name)
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"certificate field {name}={text.strip()!r} is not parsable") from None
+    except (ValueError, ArithmeticError):
+        raise ValueError(f"{name}={text.strip()!r} is not parsable") from None
 
 
 def write_certificate(path, cert: BoundCertificate, d: int, basis_kind: str = "even") -> None:
@@ -692,11 +696,12 @@ def read_certificate(path):
                 continue
             if line.startswith("a[") and "=" in line:
                 name, text = (part.strip() for part in line.split("=", 1))
-                table, key = coeffs, _parse_field(name, name[2:-1] if name.endswith("]") else name, int)
-                value = _parse_field(name, text, Fraction)
+                label = f"certificate field {name}"
+                table, key = coeffs, read_field(name[2:-1] if name.endswith("]") else name, label, int)
+                value = read_field(text, label, Fraction)
             elif line.startswith("C") and "=" in line:
                 table, key = fields, "C"
-                name, value = key, _parse_field(key, line.split("=", 1)[1], Fraction)
+                name, value = key, read_field(line.split("=", 1)[1], "certificate field C", Fraction)
             else:
                 name, _, text = line.partition(" ")
                 table, key, value = fields, name, text.strip()
@@ -710,10 +715,10 @@ def read_certificate(path):
         raise ValueError(f"certificate file is missing the {', '.join(missing)} line")
     if sorted(coeffs) != list(range(len(coeffs))):
         raise ValueError(f"coefficient indices must be a[0] .. a[{len(coeffs) - 1}]")
-    k = _parse_field("k", fields["k"], int)
-    d = _parse_field("d", fields["d"], int)
+    k = read_field(fields["k"], "certificate field k", int)
+    d = read_field(fields["d"], "certificate field d", int)
     kind = fields["variant"]
-    eps = _parse_field("eps", fields["eps"], Fraction) if "eps" in fields else None
+    eps = read_field(fields["eps"], "certificate field eps", Fraction) if "eps" in fields else None
     variant = Variant(kind, k, eps)
     basis_kind = fields.get("basis", "even")
     _check_basis_kind(basis_kind)

@@ -382,10 +382,25 @@ def iterated_integral(integrand: Poly3, chain) -> Q:
     return acc.terms.get((0, 0, 0), Q(0))
 
 
+def fraction_clip(ring, form) -> tuple:
+    """The part of a convex polygon, a vertex ring of rational points, where
+    the affine form (c0, cx, cy) is >= 0: one Sutherland-Hodgman step in
+    Fractions.  The oracle for the vertices of a cell of integer rows."""
+    vals = [form[0] + form[1] * x + form[2] * y for x, y in ring]
+    out = []
+    for p, q, vp, vq in zip(ring, ring[1:] + ring[:1], vals, vals[1:] + vals[:1]):
+        if vp >= 0:
+            out.append(p)
+        if vp * vq < 0:
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return tuple(out)
+
+
 def slab_polygon_integral(poly: Poly3, ring) -> Q:
     """Integral of a polynomial in (x, y) over a convex polygon, by x-slabs
     between consecutive vertex abscissae: in each, one edge bounds y below
-    and one above.  The polygon oracle for the triangle fan."""
+    and one above.  The polygon oracle for the pulling triangulation."""
     edges = []
     for p, q in zip(ring, ring[1:] + ring[:1]):
         if p[0] != q[0]:

@@ -248,3 +248,28 @@ class TestTupleFiles:
         path.write_text("k=3\n0\n4\n")
         with pytest.raises(ValueError, match="declared k"):
             read_tuple_file(path)
+
+    @pytest.mark.parametrize("text, number", [
+        ("k=2\n0\nabc\n", 3),
+        ("# a comment\n0\n" + "1" * 5001 + "\n", 3),
+        ("k=abc\n0\n", 1),
+        ("k=" + "1" * 5001 + "\n0\n", 1),
+        ("0\n1_000\n", 2),
+        ("0\n+-4\n", 2),
+        ("0\n4.0\n", 2),
+        ("0\n\u0664\n", 2),  # ARABIC-INDIC DIGIT FOUR
+    ], ids=["word", "5001-digits", "k-word", "k-5001-digits", "underscore", "two-signs",
+            "decimal-point", "non-ascii-digit"])
+    def test_malformed_line_named(self, tmp_path, text, number):
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^line {number}: '") as info:
+            read_tuple_file(path)
+        # one short message: no long echo of the line, no Python setting
+        assert len(str(info.value)) < 100 and "\n" not in str(info.value)
+        assert "int_max_str_digits" not in str(info.value)
+
+    def test_widest_offsets_read(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(f"k=2\n-{'9' * 4300}\n+{'9' * 4300}\n")
+        assert read_tuple_file(path).offsets == (-(10**4300 - 1), 10**4300 - 1)

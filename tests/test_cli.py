@@ -72,6 +72,17 @@ class TestTupleCommands:
         code, out = run(capsys, "tuple", "verify", str(sparse))
         assert code == 1 and "admissible=no" in out
 
+    @pytest.mark.parametrize("text, number", [("k=2\n0\nabc\n", 3), ("0\n" + "1" * 5001 + "\n", 2)],
+                             ids=["word", "5001-digits"])
+    def test_verify_refuses_malformed_file(self, capsys, tmp_path, text, number):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main(["tuple", "verify", str(bad)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: line {number}: ")
+        assert len(err) < 100
+
     def test_verify_reference(self, capsys):
         code, out = run(capsys, "tuple", "verify", data_path("tuple_50_246.txt"))
         assert code == 0 and "diameter=246" in out

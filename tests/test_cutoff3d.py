@@ -13,11 +13,12 @@ from primegaps.cutoff3d import (
     PiecewiseCutoff,
     Poly3,
     Polytope3,
-    _cell_integral,
-    _clip,
     _fibre_programs,
+    _integer_row,
+    _integral,
     _locate,
     _simplex_integral,
+    _vertices,
     build_partition,
     builtin_cutoff,
     canonical_polytope,
@@ -32,6 +33,7 @@ from primegaps.cutoff3d import (
 
 from .reference import (
     FractionPoly3,
+    fraction_clip,
     fraction_polytope_contains,
     fraction_polytope_integrate,
     fraction_polytope_vertices,
@@ -61,6 +63,15 @@ MARGINAL_DIGESTS = {
     Q(2, 7): "0191735408d3c11a5dd218adc61287c74474bc24b4170486f698189d64289560",
     Q(3, 10): "5f0b1abf6c3d49b51009f463ee0d7e31ab3aff8acc2113c072bc1bb94b3997dc",
     Q(1, 3): "7c627e6bd28fa61856664a28d6c2cb0333f2615ba41cffe69799ceb1be5685e1",
+}
+# SHA-256 of the repr of each fibre program's cells, in order, as (sorted
+# vertices, segments), pinned when the cells were vertex rings clipped in
+# Fractions
+FIBRE_PROGRAM_DIGESTS = {
+    Q(1, 4): "2966368c5b21f7b4b881f048f6156812615b46c2c651da0c68abdf87f4fa8774",
+    Q(2, 7): "67fafa0e469c1360ee2a0ccc2ac1322acb8773ca3b4960cb3a735603acadbb16",
+    Q(3, 10): "7fbbb75bf8c44d64ffff041d1883fb5a44e4250c0a88e3a564fe18e43c59651c",
+    Q(1, 3): "9892aac9f695241a993cd22d977e63c4dcef10438a0ba0f027e5fd41b61bd04d",
 }
 MARGINAL_LABELS = ["G_yzx", "T_yzx", "U_yzx+G_yzx", "E_yzx+S_yzx+H_yzx", "G_yzx+G_zyx",
                    "U_yzx+G_yzx+G_zyx"]
@@ -201,19 +212,24 @@ class TestSimplexKernel:
 
 
 _RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_SECTOR_ROWS = ((0, 1, -1), (0, 0, 1), (3, -2, -2))  # 0 < y < x, x+y < 3/2
 
 
 @st.composite
 def _sector_cells(draw):
-    """A convex cell of the sector {0 < y < x, x+y < 3/2}, clipped 1 to 3
-    times by a random rational line through a random interior point."""
+    """A convex cell of the sector {0 < y < x, x+y < 3/2}, cut 1 to 3 times
+    by a random rational line through a random interior point: its integer
+    rows, and its vertex ring clipped in Fractions."""
+    rows = _SECTOR_ROWS
     ring = ((Q(0), Q(0)), (Q(3, 2), Q(0)), (Q(3, 4), Q(3, 4)))
     for _ in range(draw(st.integers(1, 3))):
         weights = [draw(st.integers(1, 9)) for _ in ring]
         px, py = (sum(w * v[i] for w, v in zip(weights, ring)) / sum(weights) for i in (0, 1))
         cx, cy = draw(_RATIONAL.filter(bool)), draw(_RATIONAL)
-        ring = _clip(ring, (-cx * px - cy * py, cx, cy))
-    return ring
+        form = (-cx * px - cy * py, cx, cy)
+        rows += (_integer_row(form),)
+        ring = fraction_clip(ring, form)
+    return rows, ring
 
 
 @st.composite
@@ -225,13 +241,29 @@ def _bivariate_polys(draw):
 
 
 class TestCellIntegral:
+    """Cells of integer rows against the Fraction vertex rings and the slab
+    integral they replaced (tests/reference.py)."""
+
     @settings(max_examples=60, deadline=None)
-    @given(ring=_sector_cells(), poly=_bivariate_polys())
-    def test_triangle_fan_matches_slab_oracle(self, ring, poly):
+    @given(cell=_sector_cells(), poly=_bivariate_polys())
+    def test_pulling_triangulation_matches_slab_oracle(self, cell, poly):
+        rows, ring = cell
+        assert _vertices(rows) == sorted(ring)
         expected = slab_polygon_integral(poly, ring)
-        assert _cell_integral(poly, ring) == expected
-        # the integral does not depend on the orientation of the ring
-        assert _cell_integral(poly, ring[::-1]) == expected
+        assert _integral(poly, rows) == expected
+        # the integral does not depend on the order of the rows
+        assert _integral(poly, rows[::-1]) == expected
+
+    def test_square_with_repeated_and_touching_rows(self):
+        # the unit square, with x < 1 twice and x + y > 0 touching only (0, 0)
+        square = ((0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, -1))
+        ring = ((Q(0), Q(0)), (Q(1), Q(0)), (Q(1), Q(1)), (Q(0), Q(1)))
+        poly = Poly3({(0, 0, 0): 2, (3, 1, 0): -5, (0, 2, 0): Q(1, 3)})
+        for rows in (square, square + ((1, -1, 0),), square + ((0, 1, 1),),
+                     ((0, 1, 1), (1, -1, 0)) + square):
+            assert _vertices(rows) == sorted(ring), rows
+            assert _integral(Poly3.const(1), rows) == 1, rows
+            assert _integral(poly, rows) == slab_polygon_integral(poly, ring), rows
 
 
 _COORD = st.fractions(min_value=-2, max_value=2, max_denominator=9)
@@ -350,6 +382,30 @@ class TestIntegerGeometry:
             assert not box.contains(point) and box.contains(point, strict=False)
         assert box.contains(mid)
 
+    @pytest.mark.parametrize("rows, apex, volume", [
+        # apex (1/2, 1/2, 1) over the unit square at z = 0
+        (((0, 0, 0, 1), (0, 0, 2, -1), (0, 2, 0, -1), (2, 0, -2, -1), (2, -2, 0, -1)),
+         (Q(1, 2), Q(1, 2), Q(1)), Q(1, 3)),
+        # apex (0, 1/2, 1/2) over the unit square at x = 1: the first vertex,
+        # so the triangulation pulls from it
+        (((1, -1, 0, 0), (-1, 1, 2, 0), (-1, 1, 0, 2), (1, 1, -2, 0), (1, 1, 0, -2)),
+         (Q(0), Q(1, 2), Q(1, 2)), Q(1, 3)),
+    ], ids=["apex-not-first", "apex-first"])
+    def test_square_pyramid(self, rows, apex, volume):
+        # the apex is tight at four rows
+        poly = Poly3({(0, 0, 0): 1, (2, 1, 0): -3, (0, 1, 2): Q(5, 7), (1, 0, 3): 2})
+        pyramid = _matches_fraction_oracle(rows, poly, [apex])
+        assert len(pyramid.vertices()) == 5 and apex in pyramid.vertices()
+        assert pyramid.volume() == volume
+
+    def test_octahedron(self):
+        # |x| + |y| + |z| < 1: every vertex is tight at four rows
+        rows = tuple((1, -a, -b, -c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+        poly = Poly3({(0, 0, 0): 2, (2, 0, 0): -1, (1, 1, 1): 4, (0, 0, 4): Q(3, 5), (1, 0, 0): 1})
+        octahedron = _matches_fraction_oracle(rows, poly, [(0, 0, 0), (1, 0, 0), (Q(1, 2), Q(1, 2), 0)])
+        assert len(octahedron.vertices()) == 6
+        assert octahedron.volume() == Q(4, 3)
+
     @settings(max_examples=40, deadline=None)
     @given(drawn=_boxes(), normal=_POINTS.filter(any), poly=_trivariate_polys(),
            points=st.lists(_POINTS, max_size=6))
@@ -457,21 +513,28 @@ class TestFibrePrograms:
         j_cells, far_cells = _fibre_programs(eps)
         areas = [(1 - eps) ** 2 / 4, (Q(9, 4) - (1 + eps) ** 2) / 4]
         for cells, area in zip((j_cells, far_cells), areas):
-            assert sum(_cell_integral(Poly3.const(1), ring) for ring, _ in cells) == area
-            for ring, segments in cells:
-                assert _cell_integral(Poly3.const(1), ring) > 0
+            assert sum(_integral(Poly3.const(1), cell) for cell, _ in cells) == area
+            for cell, segments in cells:
+                assert _integral(Poly3.const(1), cell) > 0
                 assert segments[0][2] == (0, 0, 0)
                 assert segments[-1][3] == (Q(3, 2), -1, -1)
                 for (_, _, _, hi), (_, _, lo, _) in zip(segments, segments[1:]):
                     assert hi == lo
                 # the program holds at the centroid and halfway to each vertex
-                cx = sum(v[0] for v in ring) / len(ring)
-                cy = sum(v[1] for v in ring) / len(ring)
-                for x, y in [(cx, cy)] + [((cx + vx) / 2, (cy + vy) / 2) for vx, vy in ring]:
+                verts = _vertices(cell)
+                cx = sum(v[0] for v in verts) / len(verts)
+                cy = sum(v[1] for v in verts) / len(verts)
+                for x, y in [(cx, cy)] + [((cx + vx) / 2, (cy + vy) / 2) for vx, vy in verts]:
                     for name, word, lo, hi in segments:
                         z_lo, z_hi = (b[0] + b[1] * x + b[2] * y for b in (lo, hi))
                         assert z_lo < z_hi
                         assert _locate(eps, (x, y, (z_lo + z_hi) / 2)) == (name, word)
+
+    @pytest.mark.parametrize("eps", PARTITION_EPS, ids=str)
+    def test_programs_pinned(self, eps):
+        programs = [[(tuple(_vertices(cell)), segments) for cell, segments in region]
+                    for region in _fibre_programs(eps)]
+        assert hashlib.sha256(repr(programs).encode()).hexdigest() == FIBRE_PROGRAM_DIGESTS[eps]
 
     def test_cell_counts(self):
         j_cells, far_cells = _fibre_programs(Q(1, 4))
