@@ -4,8 +4,9 @@ bounded-gap implication chains.
 Module map:
 
   primes       prime generation (a numpy sieve) shared by the tuple sieves
-  admissible   tuple type, fast/naive admissibility tests, gap encoding,
-               exact small-k minimal diameters, tuple files
+  admissible   tuple type, the bitmap admissibility test, gap encoding,
+               exact small-k minimal diameters, tuple files and the one
+               integer grammar of every file
   sieves       the five tuple constructions and residue sieve files
   symmpoly     exact symmetric-polynomial algebra and simplex integration
   varprob      quadratic-form matrices, exact rational certificates,

@@ -13,8 +13,8 @@ it inside their loops over the primes they have not sieved yet (a sieved
 prime leaves a class empty by construction) and gate each emitted tuple
 with the full ``is_admissible``.  The decremental sieves keep such a
 bitmap of their moving window and ask the same column test.
-``covers_all_classes`` and ``is_admissible_naive`` enumerate residues
-directly and serve as the reference.
+``covers_all_classes`` enumerates residues directly, for tuples too sparse
+for a bitmap.  ``read_int`` is the one integer grammar of every file.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ __all__ = [
     "covers_all_classes",
     "GapEncoding",
     "is_admissible",
-    "is_admissible_naive",
     "h_exact_small",
     "encode_gaps",
     "decode_gaps",
+    "read_int",
     "read_tuple_file",
     "write_tuple_file",
 ]
@@ -146,18 +146,9 @@ def _as_array(t) -> np.ndarray:
 
 
 def covers_all_classes(offs: np.ndarray, p: int) -> bool:
-    """Reference test: do the offsets meet every residue class mod p?"""
+    """Do the offsets meet every residue class mod p?  Enumerates them, in
+    O(k) memory: is_admissible's path for tuples too sparse for a bitmap."""
     return bool((np.bincount(offs % p, minlength=p) > 0).all())
-
-
-def is_admissible_naive(t) -> bool:
-    """Admissibility by full residue enumeration mod every prime p <= k."""
-    offs = _as_array(t)
-    k = len(offs)
-    for p in primes_upto(k):
-        if covers_all_classes(offs, int(p)):
-            return False
-    return True
 
 
 # Tuples with diameter above BITMAP_MAX_SPREAD * k are enumerated prime by
@@ -281,14 +272,26 @@ def h_exact_small(k: int, dmax: int) -> int:
     raise ValueError(f"no admissible {k}-tuple within diameter {dmax}")
 
 
-#: digits allowed in a tuple file's integer, int's default string-conversion limit
-MAX_FILE_DIGITS = 4300
+#: the most digits an integer, or a decimal exponent, may have in a file or an
+#: option: the digit count Python's int() converts by default
+MAX_DIGITS = 4300
+
+
+def read_int(text: str) -> int:
+    """int(text) for ASCII digits after at most one sign, with no underscores,
+    spaces or other characters and at most MAX_DIGITS digits: the one integer
+    grammar of tuple, certificate, residue-sieve and report files.  Any other
+    text raises ValueError."""
+    if not (text.isascii() and (text.isdigit() or text[:1] in "+-" and text[1:].isdigit())
+            and (len(text) <= MAX_DIGITS or len(text.lstrip("+-")) <= MAX_DIGITS)):
+        raise ValueError("not a decimal integer")
+    return int(text)
 
 
 def read_tuple_file(path) -> Tuple:
     """ASCII tuple file: one offset per line, '#' comments, optional k=<int>.
 
-    Each offset and the k value is read by _file_int.  Any other line is
+    Each offset and the k value is read by read_int.  Any other line is
     refused with one ValueError that names its line number and shows at
     most its first few characters."""
     offsets = []
@@ -298,37 +301,27 @@ def read_tuple_file(path) -> Tuple:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            value = _file_int(line)
-            if value is not None:
-                offsets.append(value)
-            elif not line.startswith("k="):
-                raise _not_an_integer(number, line)
-            elif declared_k is not None or offsets:
+            try:
+                offsets.append(read_int(line))
+                continue
+            except ValueError:
+                if not line.startswith("k="):
+                    raise _not_an_integer(number, line) from None
+            if declared_k is not None or offsets:
                 raise ValueError(f"line {number}: k=<int> must be the first non-comment line")
-            elif (declared_k := _file_int(line[2:])) is None:
-                raise _not_an_integer(number, line)
+            try:
+                declared_k = read_int(line[2:])
+            except ValueError:
+                raise _not_an_integer(number, line) from None
     t = Tuple(tuple(offsets))
     if declared_k is not None and declared_k != t.k:
         raise ValueError(f"declared k={declared_k} but file has {t.k} offsets")
     return t
 
 
-def _file_int(text: str):
-    """int(text) if text is a decimal integer of ASCII digits, with no
-    underscores and at most MAX_FILE_DIGITS digits, else None."""
-    if text.isascii() and "_" not in text and (
-        len(text) <= MAX_FILE_DIGITS or len(text.lstrip("+-")) <= MAX_FILE_DIGITS
-    ):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    return None
-
-
 def _not_an_integer(number: int, line: str) -> ValueError:
     shown = line if len(line) <= 12 else line[:12] + "..."
-    return ValueError(f"line {number}: {shown!r} is not a decimal integer of at most {MAX_FILE_DIGITS} digits")
+    return ValueError(f"line {number}: {shown!r} is not a decimal integer of at most {MAX_DIGITS} digits")
 
 
 def write_tuple_file(path, t: Tuple, header: str | None = None) -> None:

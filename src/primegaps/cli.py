@@ -137,84 +137,61 @@ def _cmd_cutoff3d(args) -> int:
     return 0
 
 
-def _hypothesis_from_args(args) -> pipeline.Hypothesis:
-    if args.hyp == "BV":
-        return pipeline.Hypothesis.bv()
-    theta = read_rational(args.theta, "--theta") if args.theta is not None else pipeline.THETA_NEAR_ONE
-    if args.hyp == "GEH" or args.dhl_rule == "marginal":
-        return pipeline.Hypothesis.geh(theta)
-    return pipeline.Hypothesis.eh(theta)
-
-
-#: the chain hm options each rule does not read, refused rather than dropped
-_UNREAD_BY_RULE = {
-    "mk": ("eps", "varpi", "delta", "nonstrict"),
-    "trunc": ("hyp", "theta", "eps", "nonstrict"),
-    "eps": ("varpi", "delta"),
-    "marginal": ("varpi", "delta", "nonstrict"),
-}
-
-#: the chain hm options each rule cannot do without
-_NEEDED_BY_RULE = {"trunc": ("varpi", "delta"), "eps": ("eps",)}
-
-
 def _cmd_chain(args) -> int:
-    rule = args.dhl_rule
-    for name in _UNREAD_BY_RULE[rule]:
-        if getattr(args, name) not in (None, False):
+    rule, spec = args.dhl_rule, pipeline.RULES[args.dhl_rule]
+    # a flag the rule does not read is refused rather than dropped; MPZ is
+    # built from --varpi and --delta, every other hypothesis from --hyp and --theta
+    mpz = "MPZ" in spec.tags
+    reads = {"hyp": not mpz, "theta": not mpz, "eps": spec.eps, "varpi": mpz, "delta": mpz,
+             "nonstrict": spec.nonstrict}
+    for name, read in reads.items():
+        if not read and getattr(args, name) not in (None, False):
             raise ValueError(f"--dhl-rule {rule} takes no --{name}")
-    for name in _NEEDED_BY_RULE.get(rule, ()):
-        if getattr(args, name) is None:
+    for name in ("varpi", "delta", "eps"):
+        if reads[name] and getattr(args, name) is None and rule != "marginal":
             raise ValueError(f"--dhl-rule {rule} needs --{name}")
     if args.hyp == "BV" and args.theta is not None:
         raise ValueError("--hyp BV takes no --theta")
+    eps = read_rational(args.eps, "--eps") if args.eps is not None else None
     if rule == "marginal":
-        # the rule's bound is the built-in cutoff verification: evidence
-        # handed in would be dropped from the report, and a k, hypothesis
-        # or eps that the cutoff does not have would be ignored, so refuse them
+        # the rule's evidence is the built-in cutoff's exact verification:
+        # evidence handed in would be dropped from the report, and a k,
+        # hypothesis or eps that the cutoff does not have would be ignored,
+        # so refuse them
         if args.cert or args.cert_value:
             raise ValueError("--dhl-rule marginal takes no --cert or --cert-value")
         if args.k != 3:
             raise ValueError(f"--dhl-rule marginal needs --k 3 (the built-in cutoff), not {args.k}")
         if args.hyp not in (None, "GEH"):
             raise ValueError(f"--dhl-rule marginal needs --hyp GEH, not {args.hyp}")
-        eps = cutoff3d.builtin_cutoff().eps
-        if args.eps is not None and read_rational(args.eps, "--eps") != eps:
-            raise ValueError(f"--dhl-rule marginal needs the built-in cutoff's --eps {eps}, not {args.eps}")
+        evidence = pipeline.MarginalEvidence.from_cutoff(cutoff3d.builtin_cutoff())
+        if eps not in (None, evidence.eps):
+            raise ValueError(f"--dhl-rule marginal needs the built-in cutoff's --eps {evidence.eps}, not {args.eps}")
+        eps = evidence.eps
+    elif args.cert and spec.variant is None:
+        raise ValueError(f"--dhl-rule {rule} takes no --cert")
+    elif not (args.cert or args.cert_value):
+        raise ValueError(f"--dhl-rule {rule} needs --cert or --cert-value")
+    if mpz:
+        hyp = pipeline.Hypothesis.mpz(read_rational(args.varpi, "--varpi"), read_rational(args.delta, "--delta"))
+    elif args.hyp == "BV":
+        hyp = pipeline.Hypothesis.bv()
+    else:
+        theta = read_rational(args.theta, "--theta") if args.theta is not None else pipeline.THETA_NEAR_ONE
+        hyp = pipeline.Hypothesis(args.hyp or spec.tags[0], theta=theta)
     t = admissible.read_tuple_file(args.tuple)
     provenance = {}
     if args.cert:
-        cert, _ = varprob.verify_certificate_file(args.cert)
-        if not cert.verified:
+        evidence, _ = varprob.verify_certificate_file(args.cert)
+        if not evidence.verified:
             print("certificate failed exact verification", file=sys.stderr)
             return 1
-        bound_input = cert
         with open(args.cert, "rb") as fh:
             provenance["cert_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     elif args.cert_value:
-        bound_input = pipeline.ExternalBound(read_rational(args.cert_value, "--cert-value"), args.cert_source)
-    elif rule != "marginal":
-        raise ValueError(f"--dhl-rule {rule} needs --cert or --cert-value")
-
-    if rule == "mk":
-        hyp = _hypothesis_from_args(args)
-        dhl = pipeline.dhl_from_mk(args.k, bound_input, hyp, args.m, provenance=provenance)
-    elif rule == "trunc":
-        dhl = pipeline.dhl_from_trunc(
-            args.k, bound_input, read_rational(args.varpi, "--varpi"),
-            read_rational(args.delta, "--delta"), args.m, provenance=provenance,
-        )
-    elif rule == "eps":
-        hyp = _hypothesis_from_args(args)
-        dhl = pipeline.dhl_from_eps(
-            args.k, read_rational(args.eps, "--eps"), bound_input, hyp, args.m,
-            nonstrict=args.nonstrict, provenance=provenance,
-        )
-    else:  # marginal: the evidence of the built-in cutoff's exact verification
-        evidence = pipeline.MarginalEvidence.from_cutoff(cutoff3d.builtin_cutoff())
-        dhl = pipeline.dhl_from_marginal(args.k, evidence.eps, evidence, _hypothesis_from_args(args), args.m)
-    claim = pipeline.hm_from_dhl(dhl, t)
-    report = pipeline.emit_report([claim])
+        evidence = pipeline.ExternalBound(read_rational(args.cert_value, "--cert-value"), args.cert_source)
+    dhl = pipeline.derive(rule, args.k, args.m, hyp, evidence, eps, args.nonstrict, provenance)
+    report = pipeline.emit_report([pipeline.hm_from_dhl(dhl, t)])
     print(report, end="")
     if args.out:
         with open(args.out, "w") as fh:
@@ -304,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser("chain", help="derive gap claims")
     chsub = ch.add_subparsers(dest="chain_cmd", required=True)
     chm = chsub.add_parser("hm")
-    chm.add_argument("--dhl-rule", required=True, choices=("mk", "trunc", "eps", "marginal"))
+    chm.add_argument("--dhl-rule", required=True, choices=tuple(pipeline.RULES))
     chm.add_argument("--k", type=int, required=True)
     chm.add_argument("--m", type=int, required=True)
     chm.add_argument("--eps")

@@ -1,24 +1,25 @@
 """Chaining certified bounds and tuples into prime-gap claims.
 
-Implication rules (consumed as axioms, tagged by the distribution
-hypothesis they require):
+RULES is the one table of the implication rules, consumed as axioms: the
+hypothesis tags each takes, the certificate variant it consumes, and whether
+it reads eps and nonstrict.
 
-  * plain rule: a verified lower bound C for the plain variational
-    quantity with EH(theta) gives DHL[k, m+1] when C > 2m/theta;
-  * truncated rule: a bound for the truncated quantity with the
-    MPZ(varpi, delta) estimate, gated by 600 varpi + 180 delta < 7,
-    gives DHL[k, m+1] when C > m/(1/4 + varpi);
-  * enlarged rule: a bound for the enlarged variant with EH or GEH and
-    the matching side condition;
-  * marginal rule: an exactly verified piecewise cutoff with vanishing
-    marginals under GEH; its evidence is MarginalEvidence.from_cutoff, which
-    takes every value from cutoff3d.verify_cutoff.
+  * mk, plain: a bound C for M_k (a plain certificate or an external value)
+    with EH(theta) or BV gives DHL[k, m+1] when C > 2m/theta;
+  * trunc, truncated: a bound for M_k truncated to t_i <= delta/(1/4 + varpi)
+    with MPZ(varpi, delta), gated by 600 varpi + 180 delta < 7, gives
+    DHL[k, m+1] when C > m/(1/4 + varpi).  It consumes no certificate: a
+    plain one bounds M_k, which can exceed the truncated quantity;
+  * eps, enlarged: a bound for M_{k,eps} (an eps certificate at that eps, or
+    an external value) with EH, BV or GEH and the matching side condition;
+  * marginal: GEH and an exactly verified piecewise cutoff with vanishing
+    marginals, the evidence MarginalEvidence.from_cutoff takes from
+    cutoff3d.verify_cutoff.
 
-All four rules share one derivation, and a report audit rebuilds each
-chain through it and re-renders the line byte for byte.  Every comparison is
-exact rational arithmetic; unverified certificates are rejected outright.
-DHL[k, m+1] plus an admissible k-tuple bounds the m-th gap quantity by the
-tuple diameter.
+derive is the one derivation for all four; a report audit rebuilds each chain
+through the same checks and re-renders the line byte for byte.  Every
+comparison is exact.  DHL[k, m+1] plus an admissible k-tuple bounds the m-th
+gap quantity by the tuple diameter.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ __all__ = [
     "MarginalEvidence",
     "DHLClaim",
     "HmClaim",
+    "Rule",
+    "RULES",
     "rule_threshold",
+    "derive",
     "dhl_from_mk",
     "dhl_from_trunc",
     "dhl_from_eps",
@@ -53,6 +57,26 @@ __all__ = [
 #: stand-in for "theta sufficiently close to 1" under the full EH/GEH
 #: hypothesis; documented constant, exact rational
 THETA_NEAR_ONE = Fraction(10**9 - 1, 10**9)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What an implication rule takes, as derive, the audit and the CLI read it."""
+
+    title: str  # its name in messages
+    tags: tuple  # the hypothesis tags it takes
+    variant: str | None  # the certificate variant it consumes, None if none
+    eps: bool  # whether it reads eps
+    nonstrict: bool  # whether it reads nonstrict
+
+
+#: the implication rules, by the name a report line gives them
+RULES = {
+    "mk": Rule("plain", ("EH", "BV"), "plain", eps=False, nonstrict=False),
+    "trunc": Rule("truncated", ("MPZ",), None, eps=False, nonstrict=False),
+    "eps": Rule("enlarged", ("EH", "BV", "GEH"), "eps", eps=True, nonstrict=True),
+    "marginal": Rule("marginal", ("GEH",), None, eps=True, nonstrict=False),
+}
 
 
 @dataclass(frozen=True)
@@ -207,13 +231,17 @@ class DHLClaim:
         for key, value in provenance.items():
             if not re.fullmatch("[a-z0-9_]+", key) or key in _CHAIN_FIELDS or value.split() != [value]:
                 raise ValueError(f"provenance {key}={value!r} would not read back from a report")
-        # the keys _derive writes must match the rule
-        if ("eps" in provenance) != (self.rule in ("eps", "marginal")):
-            raise ValueError(f"provenance eps= does not match rule {self.rule}")
-        if (provenance.get("bound_source") == "cutoff-verification") != (self.rule == "marginal"):
-            raise ValueError(f"provenance bound_source= does not match rule {self.rule}")
-        if "nonstrict_side_conditions" in provenance and self.rule != "eps":
-            raise ValueError(f"provenance nonstrict_side_conditions= does not match rule {self.rule}")
+        # the keys derive writes must match the rule
+        rule, spec = self.rule, _rule(self.rule)
+        source = provenance.get("bound_source")
+        if ("eps" in provenance) != spec.eps:
+            raise ValueError(f"provenance eps= does not match rule {rule}")
+        if (source == "cutoff-verification") != (rule == "marginal") or (
+            source == "certificate" and spec.variant is None
+        ):
+            raise ValueError(f"provenance bound_source= does not match rule {rule}")
+        if "nonstrict_side_conditions" in provenance and not spec.nonstrict:
+            raise ValueError(f"provenance nonstrict_side_conditions= does not match rule {rule}")
         object.__setattr__(self, "provenance", provenance)
 
     @property
@@ -236,44 +264,43 @@ def rule_threshold(rule: str, hyp: Hypothesis, k: int, m: int, eps=None,
                    nonstrict: bool = False):
     """Check the gates of an implication rule; return its exact threshold.
 
-    The dhl_from_* derivation and audit_report both call this, so an audit
-    re-derives each chain's threshold and gates from the rule's inputs.
-    Raises ValueError naming the first gate that fails.  nonstrict relaxes
-    the EH and GEH side conditions of the enlarged rule to <=.
+    derive and audit_report both call this, so an audit re-derives each
+    chain's threshold and gates.  Raises ValueError naming the first gate
+    that fails.  nonstrict relaxes the EH and GEH side conditions to <= for
+    a rule that reads it.
     """
     if not k >= m + 1 >= 2:
         raise ValueError("need k >= m+1 >= 2")
+    spec = _rule(rule)
+    if spec.eps and eps is None:
+        raise ValueError(f"the {rule} rule needs eps")
     tag = hyp.tag
-    if rule == "mk":
-        if tag not in ("EH", "BV"):
-            raise ValueError("the plain rule needs EH or BV")
-    elif rule == "trunc":
-        if tag != "MPZ":
-            raise ValueError("the truncated rule needs MPZ")
+    if tag not in spec.tags:
+        *rest, last = spec.tags
+        raise ValueError(f"the {spec.title} rule needs {', '.join(rest) + ' or ' if rest else ''}{last}")
+    if tag == "MPZ":
         if not 0 < hyp.varpi < Fraction(1, 4):
             raise ValueError("gate violated: 0 < varpi < 1/4")
         if not 0 < hyp.delta < Fraction(1, 2):
             raise ValueError("gate violated: 0 < delta < 1/2")
         if not 600 * hyp.varpi + 180 * hyp.delta < 7:
             raise ValueError("gate violated: 600*varpi + 180*delta < 7")
-    elif rule in ("eps", "marginal"):
-        if eps is None:
-            raise ValueError(f"the {rule} rule needs eps")
-        if rule == "marginal" and tag != "GEH":
-            raise ValueError("the marginal rule needs GEH")
+    elif spec.eps:
         if tag == "BV":  # 1 + eps < 2 <= 1/theta for every theta < 1/2
             lhs, rhs, side = 1 + eps, Fraction(2), "1 + eps < 1/theta"
         elif tag == "EH":
             lhs, rhs, side = 1 + eps, 1 / hyp.theta, "1 + eps < 1/theta"
-        elif tag == "GEH":
-            lhs, rhs, side = eps, Fraction(1, k - 1), "eps < 1/(k-1)"
         else:
-            raise ValueError("the enlarged rule needs EH, BV or GEH")
-        if not (lhs < rhs or (nonstrict and rule == "eps" and tag != "BV" and lhs == rhs)):
+            lhs, rhs, side = eps, Fraction(1, k - 1), "eps < 1/(k-1)"
+        if not (lhs < rhs or (nonstrict and spec.nonstrict and tag != "BV" and lhs == rhs)):
             raise ValueError(f"side condition failed: {side}")
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
     return hyp.ratio_threshold(m)
+
+
+def _rule(name: str) -> Rule:
+    if name not in RULES:
+        raise ValueError(f"unknown rule {name!r}")
+    return RULES[name]
 
 
 def _bound_value(evidence, rule: str, k: int, eps):
@@ -286,24 +313,26 @@ def _bound_value(evidence, rule: str, k: int, eps):
             raise ValueError("marginal evidence does not match (k, eps)")
         return evidence.ratio, "cutoff-verification"
     if isinstance(evidence, BoundCertificate):
-        variant = evidence.variant
+        variant, spec = evidence.variant, RULES[rule]
+        if spec.variant is None:
+            raise ValueError(f"the {spec.title} rule takes no certificate")
         if not evidence.verified:
             raise ValueError("certificate is not verified")
-        if variant.kind != ("eps" if rule == "eps" else "plain") or variant.k != k:
+        if variant.kind != spec.variant or variant.k != k:
             raise ValueError(f"certificate variant {variant} does not match the rule for k={k}")
-        if rule == "eps" and variant.eps != eps:
-            raise ValueError(
-                f"certificate variant {variant} does not match the rule at eps = {eps}"
-            )
+        if spec.eps and variant.eps != eps:
+            raise ValueError(f"certificate variant {variant} does not match the rule at eps = {eps}")
         return Fraction(evidence.C), "certificate"
     if isinstance(evidence, ExternalBound):
         return evidence.C, f"external:{evidence.source}"
     raise TypeError("C must be a BoundCertificate or ExternalBound")
 
 
-def _derive(rule: str, k: int, m: int, hyp: Hypothesis, evidence, eps=None,
-            nonstrict: bool = False, provenance=None) -> DHLClaim:
-    """The one derivation of a DHLClaim from evidence, for every rule."""
+def derive(rule: str, k: int, m: int, hyp: Hypothesis, evidence, eps=None,
+           nonstrict: bool = False, provenance=None) -> DHLClaim:
+    """The one derivation of a DHLClaim for every rule in RULES: its gates and
+    threshold, the bound its evidence supports, and the strict comparison."""
+    eps = None if eps is None else Fraction(eps)
     threshold = rule_threshold(rule, hyp, k, m, eps, nonstrict)
     value, source = _bound_value(evidence, rule, k, eps)
     if not value > threshold:
@@ -318,34 +347,27 @@ def _derive(rule: str, k: int, m: int, hyp: Hypothesis, evidence, eps=None,
 
 def dhl_from_mk(k: int, C, hyp: Hypothesis, m: int, provenance=None) -> DHLClaim:
     """Plain rule: needs EH (or BV) and C > 2m/theta, exactly."""
-    return _derive("mk", k, m, hyp, C, provenance=provenance)
+    return derive("mk", k, m, hyp, C, provenance=provenance)
 
 
 def dhl_from_trunc(k: int, C, varpi, delta, m: int, provenance=None) -> DHLClaim:
-    """Truncated rule under the MPZ estimate.
-
-    Gates (exact): 0 < varpi < 1/4, 0 < delta < 1/2, 600 varpi + 180 delta < 7;
-    then C > m/(1/4 + varpi).
-    """
-    return _derive("trunc", k, m, Hypothesis.mpz(varpi, delta), C, provenance=provenance)
+    """Truncated rule under MPZ(varpi, delta): the gates 0 < varpi < 1/4,
+    0 < delta < 1/2 and 600 varpi + 180 delta < 7, then C > m/(1/4 + varpi)."""
+    return derive("trunc", k, m, Hypothesis.mpz(varpi, delta), C, provenance=provenance)
 
 
 def dhl_from_eps(k: int, eps, C, hyp: Hypothesis, m: int, nonstrict: bool = False,
                  provenance=None) -> DHLClaim:
-    """Enlarged rule: EH needs 1+eps < 1/theta, GEH needs eps < 1/(k-1).
-
-    A certificate must be for the eps variant at this k and this eps.
-
-    nonstrict relaxes the side conditions (only) to non-strict comparisons,
-    justified by continuity in eps; default off.
-    """
-    return _derive("eps", k, m, hyp, C, Fraction(eps), nonstrict, provenance)
+    """Enlarged rule: EH needs 1+eps < 1/theta, GEH needs eps < 1/(k-1), and a
+    certificate must be for the eps variant at this k and eps.  nonstrict
+    relaxes the side conditions (only) to <=, by continuity in eps."""
+    return derive("eps", k, m, hyp, C, eps, nonstrict, provenance)
 
 
 def dhl_from_marginal(k: int, eps, evidence: MarginalEvidence, hyp: Hypothesis, m: int,
                       provenance=None) -> DHLClaim:
     """Marginal rule: GEH plus an exactly verified vanishing-marginal cutoff."""
-    return _derive("marginal", k, m, hyp, evidence, Fraction(eps), provenance=provenance)
+    return derive("marginal", k, m, hyp, evidence, eps, provenance=provenance)
 
 
 def trunc_params_from_bound(m: int, lower_bound, T):
@@ -466,7 +488,7 @@ def audit_report(text: str) -> bool:
         k, m = (_field(kv, key, int, where) for key in ("k", "m"))
         rule = _field(kv, "rule", str, where)
         hyp = _field(kv, "hypothesis", Hypothesis.parse, where)
-        eps = _field(kv, "eps", Fraction, where) if rule in ("eps", "marginal") else None
+        eps = _field(kv, "eps", Fraction, where) if rule in RULES and RULES[rule].eps else None
         nonstrict = kv.get("nonstrict_side_conditions") == "true"
         provenance = {key: value for key, value in kv.items() if key not in _CHAIN_FIELDS}
         try:

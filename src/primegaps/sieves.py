@@ -42,6 +42,7 @@ from .admissible import (
     _tuple_bitmap,
     _window_admissible,
     is_admissible,
+    read_int,
 )
 from .primes import nth_prime_bound, primes_upto
 
@@ -479,7 +480,7 @@ def apply_residue_sieve(path) -> Tuple:
     if not lines:
         raise ValueError("residue sieve file is empty")
     try:
-        rows = [[int(v) for v in fields] for fields in lines]
+        rows = [[read_int(v) for v in fields] for fields in lines]
     except ValueError:
         raise ValueError("residue sieve file holds a non-integer field") from None
     if len(rows[0]) != 4:

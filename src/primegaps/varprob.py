@@ -30,6 +30,7 @@ from operator import mul
 
 import numpy as np
 
+from .admissible import MAX_DIGITS, read_int
 from .symmpoly import Signature, _apply_L_int, _beta_numerator, _slot_terms, _TermTable
 
 __all__ = [
@@ -618,30 +619,28 @@ def certificate_pair(variant: Variant, d: int, basis_kind: str, n=None) -> GramP
     return assemble_eps(variant.k, d, variant.eps, even_only)
 
 
-#: the largest decimal exponent a rational may carry, in magnitude: the
-#: digit count Python's int() accepts by default, which Fraction already
-#: enforces on digit strings (10^4300 is about 14,300 bits)
-MAX_DECIMAL_EXPONENT = 4300
-_DIGITS_LIMIT = 10**MAX_DECIMAL_EXPONENT
+#: a rational read from text has a numerator and denominator below this, so
+#: that int's default limit prints them (10^4300 is about 14,300 bits)
+_DIGITS_LIMIT = 10**MAX_DIGITS
 
 
 def read_rational(text: str, name: str) -> Fraction:
     """Fraction(text) for the option or field called name.
 
     Refuses, with a one-line ValueError that names it, a text that is no
-    rational or whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in
-    magnitude, before Fraction builds a power of ten that large.  It also
-    refuses a value whose numerator or denominator has more than
-    MAX_DECIMAL_EXPONENT digits, which int's default limit would not print.
+    rational or whose decimal exponent exceeds MAX_DIGITS in magnitude,
+    before Fraction builds a power of ten that large.  It also refuses a
+    value whose numerator or denominator has more than MAX_DIGITS digits,
+    which int's default limit would not print.
     """
     _, e, exponent = text.lower().partition("e")
     try:
-        too_wide = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        too_wide = bool(e) and abs(int(exponent)) > MAX_DIGITS
     except ValueError:
         too_wide = False  # a malformed exponent: Fraction refuses it below
     if too_wide:
         raise ValueError(
-            f"{name}={text.strip()!r} has a decimal exponent past {MAX_DECIMAL_EXPONENT} in magnitude"
+            f"{name}={text.strip()!r} has a decimal exponent past {MAX_DIGITS} in magnitude"
         )
     try:
         value = Fraction(text)
@@ -649,19 +648,19 @@ def read_rational(text: str, name: str) -> Fraction:
         raise ValueError(f"{name}={text.strip()!r} is not parsable") from None
     if max(abs(value.numerator), value.denominator) >= _DIGITS_LIMIT:
         raise ValueError(
-            f"{name}={text.strip()!r} has a numerator or denominator of more than {MAX_DECIMAL_EXPONENT} digits"
+            f"{name}={text.strip()!r} has a numerator or denominator of more than {MAX_DIGITS} digits"
         )
     return value
 
 
 def read_field(text: str, name: str, parse):
     """parse(text) for the file field called name.  A Fraction is read by
-    read_rational; any other parse that fails gives one ValueError naming
-    the field."""
+    read_rational and an int by admissible.read_int; any other parse that
+    fails gives one ValueError naming the field."""
     if parse is Fraction:
         return read_rational(text, name)
     try:
-        return parse(text)
+        return (read_int if parse is int else parse)(text)
     except (ValueError, ArithmeticError):
         raise ValueError(f"{name}={text.strip()!r} is not parsable") from None
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from primegaps import sieves
-from primegaps.admissible import Tuple, read_tuple_file
+from primegaps.admissible import Tuple, _as_array, covers_all_classes, read_tuple_file
 from primegaps.cutoff3d import Poly3, _simplex_integral
+from primegaps.primes import primes_upto
 from primegaps.symmpoly import _perm_count
 
 
@@ -32,6 +33,13 @@ def tuple_51() -> Tuple:
 
 def tuple_54() -> Tuple:
     return _data_tuple("tuple_54_270.txt")
+
+
+def is_admissible_naive(t) -> bool:
+    """Admissibility by full residue enumeration mod every prime p <= k: the
+    oracle that is_admissible's bitmap test is checked against."""
+    offs = _as_array(t)
+    return not any(covers_all_classes(offs, int(p)) for p in primes_upto(len(offs)))
 
 
 # published diameters for the k-primes-past-k construction (exact)

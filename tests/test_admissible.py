@@ -11,14 +11,13 @@ from primegaps.admissible import (
     encode_gaps,
     h_exact_small,
     is_admissible,
-    is_admissible_naive,
     read_tuple_file,
     write_tuple_file,
 )
 
 from primegaps.primes import primes_upto
 
-from .reference import tuple_50, tuple_51, tuple_54
+from .reference import is_admissible_naive, tuple_50, tuple_51, tuple_54
 
 
 class TestTupleType:
