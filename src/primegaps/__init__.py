@@ -16,9 +16,14 @@ Module map:
   cutoff3d     exact verification of the 60-piece three-variable cutoff
   pipeline     implication rules and auditable claim reports
   cli          the command-line interface ("primegaps ...")
+
+Importing the package loads none of them: each submodule (and numpy or
+mpmath, where it needs them) loads on first use, as `primegaps.varprob`,
+`from primegaps import varprob` or `from primegaps import *`, so a
+process pays only for the modules it uses.
 """
 
-from . import admissible, bounds, cutoff3d, pipeline, primes, sieves, symmpoly, varprob
+import importlib
 
 __version__ = "0.1.0"
 
@@ -33,3 +38,11 @@ __all__ = [
     "varprob",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name not yet in the module's namespace; the
+    # import binds the submodule there, so each loads once
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

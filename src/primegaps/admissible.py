@@ -14,12 +14,14 @@ prime leaves a class empty by construction) and gate each emitted tuple
 with the full ``is_admissible``.  The decremental sieves keep such a
 bitmap of their moving window and ask the same column test.
 ``covers_all_classes`` enumerates residues directly, for tuples too sparse
-for a bitmap.  ``read_int`` is the one integer grammar of every file.
+for a bitmap.  ``read_int`` is the one integer grammar of every file and
+of the CLI's integer options.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +49,11 @@ class Tuple:
     offsets: tuple
 
     def __post_init__(self):
-        offs = tuple(int(h) for h in self.offsets)
+        offs = tuple(map(int, self.offsets))
         if len(offs) < 1:
             raise ValueError("tuple must have k >= 1 elements")
-        for a, b in zip(offs, offs[1:]):
-            if a >= b:
-                raise ValueError("offsets must be strictly increasing")
+        if not all(map(operator.lt, offs, offs[1:])):
+            raise ValueError("offsets must be strictly increasing")
         object.__setattr__(self, "offsets", offs)
 
     @property
@@ -280,8 +281,8 @@ MAX_DIGITS = 4300
 def read_int(text: str) -> int:
     """int(text) for ASCII digits after at most one sign, with no underscores,
     spaces or other characters and at most MAX_DIGITS digits: the one integer
-    grammar of tuple, certificate, residue-sieve and report files.  Any other
-    text raises ValueError."""
+    grammar of tuple, certificate, residue-sieve and report files and of the
+    CLI's integer options.  Any other text raises ValueError."""
     if not (text.isascii() and (text.isdigit() or text[:1] in "+-" and text[1:].isdigit())
             and (len(text) <= MAX_DIGITS or len(text.lstrip("+-")) <= MAX_DIGITS)):
         raise ValueError("not a decimal integer")

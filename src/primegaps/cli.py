@@ -19,9 +19,8 @@ import argparse
 import hashlib
 import sys
 
-import mpmath as mp
-
-from . import admissible, bounds, cutoff3d, pipeline, sieves, varprob
+from . import admissible, cutoff3d, pipeline, sieves, varprob
+from .admissible import read_int
 from .varprob import read_rational
 
 
@@ -39,7 +38,7 @@ def _cmd_tuple(args) -> int:
         shift = args.shift
         if shift != "search":
             try:
-                shift = int(shift)
+                shift = read_int(shift)
             except ValueError:
                 raise ValueError(f"--shift takes an integer or 'search', not {shift!r}") from None
         cfg = sieves.SieveConfig(method=args.method, shift=shift, batch_size=args.batch_size)
@@ -99,15 +98,39 @@ def _cmd_verify_cert(args) -> int:
     return 0 if cert.verified else 1
 
 
-def _cmd_asympt(args) -> int:
-    theta, beta = read_rational(args.theta, "--theta"), read_rational(args.beta, "--beta")
-    tau = read_rational(args.tau, "--tau") if args.tau is not None else None
-    p = bounds.AsymptoticParams.from_scaled(args.k, theta, beta, tau=tau)
-    r = bounds.asymptotic_lower(p)
-    for name in ("m2", "mu", "sigma2", "Z", "Z3", "W", "X", "V", "U"):
-        print(f"{name} = {mp.nstr(getattr(r, name), 15)}")
-    print(f"error_budget = {mp.nstr(r.error_budget, 5)}")
-    print(f"lower_bound = {mp.nstr(r.lower_bound, 15)}")
+# the commands that evaluate `bounds`: only these import it, and so mpmath
+_EVALUATORS = ("asympt", "m2exact", "m2eps", "m4eps", "bessel")
+
+
+def _cmd_evaluate(args) -> int:
+    """asympt, m2exact, m2eps, m4eps and bessel: print a closed-form or
+    asymptotic bound."""
+    import mpmath as mp
+
+    from . import bounds
+
+    if args.cmd == "asympt":
+        theta, beta = read_rational(args.theta, "--theta"), read_rational(args.beta, "--beta")
+        tau = read_rational(args.tau, "--tau") if args.tau is not None else None
+        p = bounds.AsymptoticParams.from_scaled(args.k, theta, beta, tau=tau)
+        r = bounds.asymptotic_lower(p)
+        for name in ("m2", "mu", "sigma2", "Z", "Z3", "W", "X", "V", "U"):
+            print(f"{name} = {mp.nstr(getattr(r, name), 15)}")
+        print(f"error_budget = {mp.nstr(r.error_budget, 5)}")
+        print(f"lower_bound = {mp.nstr(r.lower_bound, 15)}")
+    elif args.cmd == "m2exact":
+        print(mp.nstr(bounds.m2_exact(), 15))
+    elif args.cmd == "m2eps":
+        print(mp.nstr(bounds.m2_eps(read_rational(args.eps, "--eps")), 15))
+    elif args.cmd == "m4eps":
+        eps, alpha = read_rational(args.eps, "--eps"), read_rational(args.alpha, "--alpha")
+        I, J, ok = bounds.m4eps_check(eps, alpha)
+        print(f"I = {I} ({float(I):.12g})")
+        print(f"J = {J} ({float(J):.12g})")
+        print(f"4J/I = {4 * J / I} ({float(4 * J / I):.12g})")
+        print(f"exceeds 2.00558: {'yes' if ok else 'no'}")
+    else:
+        print(mp.nstr(bounds.bessel_lower(args.k), 15))
     return 0
 
 
@@ -182,6 +205,8 @@ def _cmd_chain(args) -> int:
     t = admissible.read_tuple_file(args.tuple)
     provenance = {}
     if args.cert:
+        # the header names the variant: refuse a mismatch before re-assembly
+        pipeline.check_variant(rule, args.k, eps, varprob.read_certificate(args.cert)[0])
         evidence, _ = varprob.verify_certificate_file(args.cert)
         if not evidence.verified:
             print("certificate failed exact verification", file=sys.stderr)
@@ -220,35 +245,35 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tuple", help="admissible tuple operations")
     tsub = t.add_subparsers(dest="tuple_cmd", required=True)
     tf = tsub.add_parser("find")
-    tf.add_argument("--k", type=int, required=True)
+    tf.add_argument("--k", type=read_int, required=True)
     tf.add_argument("--method", default="shifted-schinzel", choices=sieves.METHODS)
     tf.add_argument("--shift", default="search")
-    tf.add_argument("--batch-size", type=int, default=1)
+    tf.add_argument("--batch-size", type=read_int, default=1)
     tf.add_argument("--out")
     tf.add_argument("--sieve-out", help="residue-sieve file (shifted methods only)")
     tv = tsub.add_parser("verify")
     tv.add_argument("file")
     th = tsub.add_parser("hsmall")
-    th.add_argument("--k", type=int, required=True)
-    th.add_argument("--dmax", type=int, required=True)
+    th.add_argument("--k", type=read_int, required=True)
+    th.add_argument("--dmax", type=read_int, required=True)
 
     mk = sub.add_parser("mk", help="plain-variant lower bounds")
     mksub = mk.add_subparsers(dest="mk_cmd", required=True)
     mkk = mksub.add_parser("krylov")
-    mkk.add_argument("--k", type=int, required=True)
-    mkk.add_argument("--n", type=int, required=True)
+    mkk.add_argument("--k", type=read_int, required=True)
+    mkk.add_argument("--n", type=read_int, required=True)
     mkk.add_argument("--out")
     mkb = mksub.add_parser("basis")
-    mkb.add_argument("--k", type=int, required=True)
-    mkb.add_argument("--d", type=int, required=True)
+    mkb.add_argument("--k", type=read_int, required=True)
+    mkb.add_argument("--d", type=read_int, required=True)
     mkb.add_argument("--full-signatures", action="store_true")
     mkb.add_argument("--out")
 
     mke = sub.add_parser("mkeps", help="enlarged-variant lower bounds")
     mkesub = mke.add_subparsers(dest="mkeps_cmd", required=True)
     mkeb = mkesub.add_parser("basis")
-    mkeb.add_argument("--k", type=int, required=True)
-    mkeb.add_argument("--d", type=int, required=True)
+    mkeb.add_argument("--k", type=read_int, required=True)
+    mkeb.add_argument("--d", type=read_int, required=True)
     mkeb.add_argument("--eps", required=True)
     mkeb.add_argument("--full-signatures", action="store_true")
     mkeb.add_argument("--out")
@@ -257,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("file")
 
     asy = sub.add_parser("asympt", help="explicit truncated-variant lower bound")
-    asy.add_argument("--k", type=int, required=True)
+    asy.add_argument("--k", type=read_int, required=True)
     asy.add_argument("--theta", required=True)
     asy.add_argument("--beta", required=True)
     asy.add_argument("--tau", default=None)
@@ -269,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     m4.add_argument("--eps", required=True)
     m4.add_argument("--alpha", required=True)
     be = sub.add_parser("bessel", help="Bessel-zero lower bound")
-    be.add_argument("--k", type=int, required=True)
+    be.add_argument("--k", type=read_int, required=True)
 
     c3 = sub.add_parser("cutoff3d", help="piecewise-cutoff verification")
     c3sub = c3.add_subparsers(dest="cutoff_cmd", required=True)
@@ -282,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     chsub = ch.add_subparsers(dest="chain_cmd", required=True)
     chm = chsub.add_parser("hm")
     chm.add_argument("--dhl-rule", required=True, choices=tuple(pipeline.RULES))
-    chm.add_argument("--k", type=int, required=True)
-    chm.add_argument("--m", type=int, required=True)
+    chm.add_argument("--k", type=read_int, required=True)
+    chm.add_argument("--m", type=read_int, required=True)
     chm.add_argument("--eps")
     chm.add_argument("--theta")
     chm.add_argument("--varpi")
@@ -310,25 +335,8 @@ def main(argv=None) -> int:
             return _cmd_bound(args)
         if args.cmd == "verify-cert":
             return _cmd_verify_cert(args)
-        if args.cmd == "asympt":
-            return _cmd_asympt(args)
-        if args.cmd == "m2exact":
-            print(mp.nstr(bounds.m2_exact(), 15))
-            return 0
-        if args.cmd == "m2eps":
-            print(mp.nstr(bounds.m2_eps(read_rational(args.eps, "--eps")), 15))
-            return 0
-        if args.cmd == "m4eps":
-            eps, alpha = read_rational(args.eps, "--eps"), read_rational(args.alpha, "--alpha")
-            I, J, ok = bounds.m4eps_check(eps, alpha)
-            print(f"I = {I} ({float(I):.12g})")
-            print(f"J = {J} ({float(J):.12g})")
-            print(f"4J/I = {4 * J / I} ({float(4 * J / I):.12g})")
-            print(f"exceeds 2.00558: {'yes' if ok else 'no'}")
-            return 0
-        if args.cmd == "bessel":
-            print(mp.nstr(bounds.bessel_lower(args.k), 15))
-            return 0
+        if args.cmd in _EVALUATORS:
+            return _cmd_evaluate(args)
         if args.cmd == "cutoff3d":
             return _cmd_cutoff3d(args)
         if args.cmd == "chain":

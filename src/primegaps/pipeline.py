@@ -43,6 +43,7 @@ __all__ = [
     "Rule",
     "RULES",
     "rule_threshold",
+    "check_variant",
     "derive",
     "dhl_from_mk",
     "dhl_from_trunc",
@@ -303,6 +304,18 @@ def _rule(name: str) -> Rule:
     return RULES[name]
 
 
+def check_variant(rule: str, k: int, eps, variant) -> None:
+    """Raise ValueError unless a certificate for `variant` is what the rule
+    consumes at this k (and eps, for a rule that reads eps).  It needs only
+    the variant a certificate file names, so a mismatch is refused before
+    the file is re-checked."""
+    spec = RULES[rule]
+    if variant.kind != spec.variant or variant.k != k:
+        raise ValueError(f"certificate variant {variant} does not match the rule for k={k}")
+    if spec.eps and variant.eps != eps:
+        raise ValueError(f"certificate variant {variant} does not match the rule at eps = {eps}")
+
+
 def _bound_value(evidence, rule: str, k: int, eps):
     """Exact bound value the evidence supports for the rule, and its source."""
     if rule == "marginal":
@@ -313,15 +326,12 @@ def _bound_value(evidence, rule: str, k: int, eps):
             raise ValueError("marginal evidence does not match (k, eps)")
         return evidence.ratio, "cutoff-verification"
     if isinstance(evidence, BoundCertificate):
-        variant, spec = evidence.variant, RULES[rule]
+        spec = RULES[rule]
         if spec.variant is None:
             raise ValueError(f"the {spec.title} rule takes no certificate")
         if not evidence.verified:
             raise ValueError("certificate is not verified")
-        if variant.kind != spec.variant or variant.k != k:
-            raise ValueError(f"certificate variant {variant} does not match the rule for k={k}")
-        if spec.eps and variant.eps != eps:
-            raise ValueError(f"certificate variant {variant} does not match the rule at eps = {eps}")
+        check_variant(rule, k, eps, evidence.variant)
         return Fraction(evidence.C), "certificate"
     if isinstance(evidence, ExternalBound):
         return evidence.C, f"external:{evidence.source}"

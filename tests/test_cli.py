@@ -1,7 +1,11 @@
+import json
 import os
 import re
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -308,7 +312,7 @@ class TestBoundCommands:
             raise ValueError("hypsum() failed to converge to the requested 7223 bits\n"
                              "  of accuracy\nusing a working precision of 40000 bits.")
 
-        monkeypatch.setattr("primegaps.cli.bounds.bessel_lower", fail)
+        monkeypatch.setattr("primegaps.bounds.bessel_lower", fail)
         code = main(["bessel", "--k", "6"])
         err = capsys.readouterr().err
         assert code == 2
@@ -397,6 +401,30 @@ class TestChainCommands:
                         "--cert-value", "4", "--cert-source", "synthetic",
                         "--tuple", str(tup))
         assert code == 0 and "rule=trunc" in out
+
+    @pytest.mark.parametrize("rule_args, cert, message", [
+        (["--dhl-rule", "mk", "--hyp", "BV"], "krylov-2-12.cert",
+         "certificate variant plain(2) does not match the rule for k=50"),
+        (["--dhl-rule", "eps", "--eps", "1/25", "--hyp", "BV"], "krylov-2-12.cert",
+         "certificate variant plain(2) does not match the rule for k=50"),
+        (["--dhl-rule", "eps", "--eps", "1/30", "--hyp", "BV"], "eps-50-6.cert",
+         "certificate variant eps(50, 1/25) does not match the rule at eps = 1/30"),
+    ], ids=["mk-k", "eps-kind", "eps-eps"])
+    def test_cert_mismatch_refused_before_reassembly(self, capsys, monkeypatch, rule_args, cert,
+                                                     message):
+        # the variant the file's header names is checked against the rule
+        # before the Gram pair is rebuilt
+        from primegaps import varprob
+
+        def reassemble(path):
+            raise AssertionError("a mismatched certificate was re-assembled")
+
+        monkeypatch.setattr(varprob, "verify_certificate_file", reassemble)
+        code = main(["chain", "hm", *rule_args, "--k", "50", "--m", "1",
+                     "--cert", str(EARLIER_CERTIFICATES / cert),
+                     "--tuple", data_path("tuple_50_246.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("source", ["Polymath 8b table", "x threshold=1"])
     def test_source_that_would_not_read_back(self, capsys, tmp_path, source):
@@ -703,3 +731,59 @@ class TestReportAudit:
         code, out, err = audit_file(capsys, tmp_path, text)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+
+
+#: run in a fresh interpreter: the modules loaded by `import primegaps`, then
+#: by one use of a submodule and by `from primegaps import *`
+IMPORT_PROBE = """
+import json, sys
+import primegaps
+got = {"bare": sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "mpmath")
+                      or m.startswith("primegaps.")),
+       "varprob": primegaps.varprob is sys.modules["primegaps.varprob"]}
+try:
+    primegaps.nope
+    got["nope"] = "resolved"
+except AttributeError as exc:
+    got["nope"] = str(exc)
+from primegaps import *
+got["star"] = sorted(name for name in primegaps.__all__ if name in globals())
+print(json.dumps(got))
+"""
+
+#: `python -m primegaps ARGS...` in a fresh interpreter, then the exit code
+#: and every module it loaded (`-X importtime` would miss the submodules,
+#: which the package imports through importlib)
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv[0] = "primegaps"
+try:
+    runpy.run_module("primegaps", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _python(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_import_on_use():
+    # every audit is a fresh process, so start-up is the floor of each one:
+    # the package loads nothing until a submodule is used
+    got = _python("-c", IMPORT_PROBE)
+    assert got["bare"] == [] and got["varprob"] is True
+    assert got["nope"] == "module 'primegaps' has no attribute 'nope'"
+    assert got["star"] == sorted(__import__("primegaps").__all__)
+    # a command that evaluates no bound loads neither bounds nor mpmath
+    got = _python("-c", CLI_PROBE, "verify-cert", str(EARLIER_CERTIFICATES / "krylov-2-12.cert"))
+    assert got["code"] == 0 and "primegaps.varprob" in got["modules"]
+    assert not {"mpmath", "primegaps.bounds"} & set(got["modules"])
+    # and a bound command loads both
+    got = _python("-c", CLI_PROBE, "m2exact")
+    assert got["code"] == 0 and {"mpmath", "primegaps.bounds"} <= set(got["modules"])

@@ -1,7 +1,8 @@
-"""One integer grammar for every file: ASCII digits after at most one sign,
-no underscores, at most 4300 digits (admissible.read_int).  One case per
-format that holds integers: tuple, certificate, residue-sieve and report
-files.  Each underscore form below is one that int() takes."""
+"""One integer grammar for every file and every integer option: ASCII digits
+after at most one sign, no underscores, at most 4300 digits
+(admissible.read_int).  One case per format that holds integers: tuple,
+certificate, residue-sieve and report files, and the CLI's options.  Each
+underscore form below is one that int() takes."""
 
 import pytest
 
@@ -77,3 +78,30 @@ def test_report_file(old, new, message):
     assert text != GOLDEN_REPORT
     with pytest.raises(ValueError, match=f"^{message}$"):
         audit_report(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tuple", "hsmall", "--k", "0_3", "--dmax", "10"],
+    ["tuple", "hsmall", "--k", "3", "--dmax", "1_0"],
+    ["tuple", "hsmall", "--k", " 3", "--dmax", "10"],
+    ["tuple", "find", "--k", "7", "--batch-size", "0_1"],
+    ["mk", "krylov", "--k", "2", "--n", "٣"],
+    ["mkeps", "basis", "--k", "2", "--d", "4_", "--eps", "1/4"],
+    ["bessel", "--k", "0_6"],
+    ["chain", "hm", "--dhl-rule", "mk", "--k", "5", "--m", "1_0", "--cert-value", "4.5",
+     "--tuple", "t.txt"],
+], ids=["k", "dmax", "space", "batch-size", "n", "d", "bessel-k", "m"])
+def test_cli_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "invalid read_int value" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shift", ["0_0", " 0", "٠"])
+def test_cli_shift(capsys, shift):
+    code = main(["tuple", "find", "--k", "7", "--method", "shifted-greedy", "--shift", shift])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: --shift takes an integer or 'search', not {shift!r}\n"
