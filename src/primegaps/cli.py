@@ -16,6 +16,7 @@ Subcommand groups:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -238,6 +239,11 @@ def _cmd_report(args) -> int:
     return 0 if all_ok else 1
 
 
+class _Integer(str):
+    """The text of an integer option, read by read_int in main, so that a
+    refusal is one error line that names the option."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="primegaps", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -245,35 +251,35 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tuple", help="admissible tuple operations")
     tsub = t.add_subparsers(dest="tuple_cmd", required=True)
     tf = tsub.add_parser("find")
-    tf.add_argument("--k", type=read_int, required=True)
+    tf.add_argument("--k", type=_Integer, required=True)
     tf.add_argument("--method", default="shifted-schinzel", choices=sieves.METHODS)
     tf.add_argument("--shift", default="search")
-    tf.add_argument("--batch-size", type=read_int, default=1)
+    tf.add_argument("--batch-size", type=_Integer, default=1)
     tf.add_argument("--out")
     tf.add_argument("--sieve-out", help="residue-sieve file (shifted methods only)")
     tv = tsub.add_parser("verify")
     tv.add_argument("file")
     th = tsub.add_parser("hsmall")
-    th.add_argument("--k", type=read_int, required=True)
-    th.add_argument("--dmax", type=read_int, required=True)
+    th.add_argument("--k", type=_Integer, required=True)
+    th.add_argument("--dmax", type=_Integer, required=True)
 
     mk = sub.add_parser("mk", help="plain-variant lower bounds")
     mksub = mk.add_subparsers(dest="mk_cmd", required=True)
     mkk = mksub.add_parser("krylov")
-    mkk.add_argument("--k", type=read_int, required=True)
-    mkk.add_argument("--n", type=read_int, required=True)
+    mkk.add_argument("--k", type=_Integer, required=True)
+    mkk.add_argument("--n", type=_Integer, required=True)
     mkk.add_argument("--out")
     mkb = mksub.add_parser("basis")
-    mkb.add_argument("--k", type=read_int, required=True)
-    mkb.add_argument("--d", type=read_int, required=True)
+    mkb.add_argument("--k", type=_Integer, required=True)
+    mkb.add_argument("--d", type=_Integer, required=True)
     mkb.add_argument("--full-signatures", action="store_true")
     mkb.add_argument("--out")
 
     mke = sub.add_parser("mkeps", help="enlarged-variant lower bounds")
     mkesub = mke.add_subparsers(dest="mkeps_cmd", required=True)
     mkeb = mkesub.add_parser("basis")
-    mkeb.add_argument("--k", type=read_int, required=True)
-    mkeb.add_argument("--d", type=read_int, required=True)
+    mkeb.add_argument("--k", type=_Integer, required=True)
+    mkeb.add_argument("--d", type=_Integer, required=True)
     mkeb.add_argument("--eps", required=True)
     mkeb.add_argument("--full-signatures", action="store_true")
     mkeb.add_argument("--out")
@@ -282,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("file")
 
     asy = sub.add_parser("asympt", help="explicit truncated-variant lower bound")
-    asy.add_argument("--k", type=read_int, required=True)
+    asy.add_argument("--k", type=_Integer, required=True)
     asy.add_argument("--theta", required=True)
     asy.add_argument("--beta", required=True)
     asy.add_argument("--tau", default=None)
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     m4.add_argument("--eps", required=True)
     m4.add_argument("--alpha", required=True)
     be = sub.add_parser("bessel", help="Bessel-zero lower bound")
-    be.add_argument("--k", type=read_int, required=True)
+    be.add_argument("--k", type=_Integer, required=True)
 
     c3 = sub.add_parser("cutoff3d", help="piecewise-cutoff verification")
     c3sub = c3.add_subparsers(dest="cutoff_cmd", required=True)
@@ -307,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     chsub = ch.add_subparsers(dest="chain_cmd", required=True)
     chm = chsub.add_parser("hm")
     chm.add_argument("--dhl-rule", required=True, choices=tuple(pipeline.RULES))
-    chm.add_argument("--k", type=read_int, required=True)
-    chm.add_argument("--m", type=read_int, required=True)
+    chm.add_argument("--k", type=_Integer, required=True)
+    chm.add_argument("--m", type=_Integer, required=True)
     chm.add_argument("--eps")
     chm.add_argument("--theta")
     chm.add_argument("--varpi")
@@ -326,9 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call and reused after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        for name, text in vars(args).items():
+            if isinstance(text, _Integer):
+                try:
+                    setattr(args, name, read_int(text))
+                except ValueError:
+                    raise ValueError(f"--{name.replace('_', '-')} takes an integer, not {text!r}") from None
         if args.cmd == "tuple":
             return _cmd_tuple(args)
         if args.cmd in ("mk", "mkeps"):

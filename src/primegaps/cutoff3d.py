@@ -14,7 +14,10 @@ is a tuple of primitive integer rows, row . (1, x, ..) >= 0.  One integer
 incidence (_incidence) gives its vertices and the rows tight at each; one
 pulling triangulation (_pulling) is built from it, and one integer simplex
 kernel (_simplex_integral) integrates over it: volumes and the square
-functional I over the polytopes, J over the plane cells.  The slot
+functional I over the polytopes, J over the plane cells.  The kernel uses
+the vertex formula: a monomial's integral over a simplex is a weight times
+the monomial's coefficient in the complete homogeneous polynomial of the
+vertices' linear forms, built up vertex by vertex.  The slot
 functional J and the marginal conditions integrate F along z-fibres: the
 breakpoints are the permuted canonical inequalities that involve z, they cut
 the (x, y) regions into convex cells, and on each cell the z-integral of F is
@@ -446,50 +449,35 @@ def _simplex_integral(poly: Poly3, simplices) -> Fraction:
 
     Each simplex is given by its n + 1 vertices with n rational coordinates,
     and poly may involve only the first n variables.  Vertices are scaled to
-    integers by the lcm L of their denominators.  Each simplex is then an
-    integer affine image of the standard one, where u^a v^b w^c integrates
-    to a!b!c!/(a+b+c+n)!, and the Jacobian is the determinant of its n edges."""
+    integers V_0, .., V_n by the lcm L of their denominators.  By the vertex
+    formula (Baldoni, Berline, De Loera, Koeppe and Vergne, Math. Comp. 80,
+    2011) X^a Y^b Z^c integrates over the simplex to |det E| a!b!c!/(a+b+c+n)!
+    times h_abc, E its n edges and h_abc the coefficient of X^a Y^b Z^c in
+    the complete homogeneous polynomial h_{a+b+c} of the vertex forms
+    V_j . (X, Y, Z).  The h_d are built vertex by vertex, h_d += (V_j . X) h_{d-1}
+    for rising d, all in integers; one Fraction divides the sum at the end."""
     if not simplices or poly.is_zero():
         return Fraction(0)
     n = len(simplices[0]) - 1
     D = poly.degree
     L = math.lcm(*(int(c.denominator) for s in simplices for v in s for c in v))
-    # poly(X / L) = sum of coeff[key] X^key over den * L^D
-    coeff = {key: c * L ** (D - sum(key)) for key, c in poly.num.items()}
+    f = math.factorial
+    # poly(X / L) = sum of num[key] X^key over den * L^D, each term weighted
+    # by a!b!c!(D+n)!/(a+b+c+n)!, an integer whenever a+b+c <= D
+    weighted = {(a, b, c): v * L ** (D - a - b - c) * (f(a) * f(b) * f(c) * f(D + n) // f(a + b + c + n))
+                for (a, b, c), v in poly.num.items()}
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     total = 0
     for simplex in simplices:
-        apex, *rest = [[int(c * L) for c in v] for v in simplex]
-        edges = [[c - a for c, a in zip(v, apex)] for v in rest]
-        forms = [(apex[axis], *(e[axis] for e in edges)) for axis in range(n)]
-        total += abs(_det(edges)) * _simplex_sum(coeff, forms, D)
-    return Fraction(total, math.factorial(D + n) * L ** (D + n) * poly.den)
-
-
-def _simplex_sum(coeff, forms, D) -> int:
-    """(D+n)! times the standard n-simplex integral of sum coeff[i,j,l] X^i Y^j Z^l,
-    where the n <= 3 integer affine forms (c0, c1, .., cn) in (u, v, w) give
-    X, Y, Z in turn; the variables past the first n do not occur."""
-    n = len(forms)
-    units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)][: n + 1]
-    powers = [[{(0, 0, 0): 1}] for _ in range(3)]
-    for axis, form in enumerate(forms):
-        form = dict(zip(units, form))
-        for _ in range(max(key[axis] for key in coeff)):
-            powers[axis].append(_int_mul(powers[axis][-1], form))
-    xp, yp, zp = powers
-    nested: dict = {}  # Horner grouping: sum_i X^i sum_j Y^j sum_l c_ijl Z^l
-    for (i, j, l), c in coeff.items():
-        _int_mul({(0, 0, 0): c}, zp[l], nested.setdefault(i, {}).setdefault(j, {}))
-    composed: dict = {}
-    for i, by_j in nested.items():
-        inner: dict = {}
-        for j, zsum in by_j.items():
-            _int_mul(yp[j], zsum, inner)
-        _int_mul(xp[i], inner, composed)
-    f = math.factorial
-    # a!b!c!(D+n)!/(a+b+c+n)! is an integer whenever a+b+c <= D
-    return sum(v * f(a) * f(b) * f(c) * f(D + n) // f(a + b + c + n)
-               for (a, b, c), v in composed.items())
+        apex, *rest = verts = [[int(c * L) for c in v] for v in simplex]
+        det = _det([[c - a for c, a in zip(v, apex)] for v in rest])
+        h = [{(0, 0, 0): 1}] + [{} for _ in range(D)]
+        for vertex in verts:
+            form = {unit: c for unit, c in zip(units, vertex) if c}
+            for d in range(1, D + 1):
+                _int_mul(form, h[d - 1], h[d])
+        total += abs(det) * sum(w * h[sum(key)].get(key, 0) for key, w in weighted.items())
+    return Fraction(total, f(D + n) * L ** (D + n) * poly.den)
 
 
 def _int_mul(p: dict, q: dict, acc=None) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -137,6 +138,57 @@ class TestPartition:
             build_partition(Q(1, 5))
 
 
+_VERTEX_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _simplices_and_polys(draw, n):
+    """One or two n-simplices with rational vertices, the last one sometimes
+    flattened onto the midpoint of two others (zero volume), and a rational
+    polynomial in the first n variables of total degree at most 10, not
+    homogeneous in general and sometimes zero."""
+    simplices = []
+    for _ in range(draw(st.integers(1, 2))):
+        verts = draw(st.lists(st.tuples(*[_VERTEX_COORD] * n), min_size=n + 1, max_size=n + 1))
+        if draw(st.booleans()) and n > 1:
+            verts[-1] = tuple((a + b) / 2 for a, b in zip(verts[0], verts[1]))
+        simplices.append(tuple(verts))
+    keys = [key for key in itertools.product(range(11), repeat=3)
+            if sum(key) <= 10 and not any(key[n:])]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+    return simplices, Poly3({key: draw(_VERTEX_COORD) for key in chosen})
+
+
+def _chain_oracle(poly, simplex):
+    """The integral over one simplex by the affine map from the standard one:
+    poly composed with the map in Fraction polynomials of (u, v, w), named
+    (x, y, z), integrated along u, v, w and scaled by |det| of the edges."""
+    n = len(simplex) - 1
+    apex, edges = simplex[0], [[c - a for c, a in zip(v, simplex[0])] for v in simplex[1:]]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    forms = [FractionPoly3({(0, 0, 0): apex[axis], **{units[i]: e[axis] for i, e in enumerate(edges)}})
+             for axis in range(n)]
+    composed = FractionPoly3()
+    for key, c in poly.terms.items():
+        term = FractionPoly3.const(c)
+        for form, e in zip(forms, key):
+            for _ in range(e):
+                term = term * form
+        composed = composed + term
+    one = Poly3.const(1)
+    chain = [("x", Poly3(), one), ("y", Poly3(), one - Poly3.var("x")),
+             ("z", Poly3(), one - Poly3.var("x") - Poly3.var("y"))][:n]
+    return abs(_fraction_det(edges)) * iterated_integral(composed, chain)
+
+
+def _fraction_det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return Q(1)
+    return sum((-1) ** j * m[0][j] * _fraction_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
 class TestSimplexKernel:
     def test_standard_simplex_monomials(self):
         rows = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, -1, -1))
@@ -200,6 +252,14 @@ class TestSimplexKernel:
                 for triangle in (ccw, ccw[::-1]):
                     value = _simplex_integral(Poly3({(a, b, 0): 1}), [triangle])
                     assert value == Q(f(a) * f(b), f(a + b + 2)), (a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_vertex_formula_matches_chain_oracle(self, n, data):
+        simplices, poly = data.draw(_simplices_and_polys(n))
+        expected = sum((_chain_oracle(poly, s) for s in simplices), Q(0))
+        assert _simplex_integral(poly, simplices) == expected
 
     def test_partition_square_integral_is_I(self):
         f = builtin_cutoff()
