@@ -16,7 +16,6 @@ Subcommand groups:
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import sys
 
@@ -332,14 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built on its first call and reused after."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for name, text in vars(args).items():
             if isinstance(text, _Integer):

@@ -787,19 +787,3 @@ def test_import_on_use():
     # and a bound command loads both
     got = _python("-c", CLI_PROBE, "m2exact")
     assert got["code"] == 0 and {"mpmath", "primegaps.bounds"} <= set(got["modules"])
-
-
-def test_parser_built_once(capsys, monkeypatch):
-    # a re-check runs several commands in one process: main builds its
-    # parser on the first call only, while build_parser returns a fresh one
-    from primegaps import cli
-
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    for argv in (["tuple", "hsmall", "--k", "3", "--dmax", "10"], ["m2exact"],
-                 ["tuple", "hsmall", "--k", "4", "--dmax", "10"]):
-        assert run(capsys, *argv)[0] == 0
-    assert built == [1]
-    assert real() is not real()
