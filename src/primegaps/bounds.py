@@ -236,6 +236,8 @@ class AsymptoticParams:
         The derived tau is shaded down by one part in 1e30 so the boundary
         condition k*mu <= 1 - tau survives binary rounding.
         """
+        if k < 2:  # before log k, which is 0 at k = 1
+            raise ValueError("k must be >= 2")
         with mp.workdps(DPS):
             logk = mp.log(k)
             c = _mpf(theta) / logk

@@ -20,7 +20,6 @@ import hashlib
 import sys
 
 from . import admissible, cutoff3d, pipeline, sieves, varprob
-from .admissible import read_int
 from .varprob import read_rational
 
 
@@ -35,13 +34,13 @@ def _cmd_tuple(args) -> int:
     if args.tuple_cmd == "find":
         if args.sieve_out and args.method not in _SIEVE_RUNS:
             raise ValueError(f"--sieve-out needs a shifted method, not {args.method}")
-        shift = args.shift
-        if shift != "search":
-            try:
-                shift = read_int(shift)
-            except ValueError:
-                raise ValueError(f"--shift takes an integer or 'search', not {shift!r}") from None
-        cfg = sieves.SieveConfig(method=args.method, shift=shift, batch_size=args.batch_size)
+        # a flag the method does not read is refused rather than dropped
+        reads = {"shift": args.method in _SIEVE_RUNS, "batch_size": args.method == "shifted-greedy"}
+        given = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
+        for name in given:
+            if not reads[name]:
+                raise ValueError(f"--method {args.method} takes no --{name.replace('_', '-')}")
+        cfg = sieves.SieveConfig(method=args.method, **given)
         if args.sieve_out:
             run = _SIEVE_RUNS[args.method](args.k, cfg)
             t = run.tuple
@@ -98,13 +97,9 @@ def _cmd_verify_cert(args) -> int:
     return 0 if cert.verified else 1
 
 
-# the commands that evaluate `bounds`: only these import it, and so mpmath
-_EVALUATORS = ("asympt", "m2exact", "m2eps", "m4eps", "bessel")
-
-
 def _cmd_evaluate(args) -> int:
     """asympt, m2exact, m2eps, m4eps and bessel: print a closed-form or
-    asymptotic bound."""
+    asymptotic bound.  The only handler that imports `bounds`, and so mpmath."""
     import mpmath as mp
 
     from . import bounds
@@ -238,47 +233,68 @@ def _cmd_report(args) -> int:
     return 0 if all_ok else 1
 
 
-class _Integer(str):
-    """The text of an integer option, read by read_int in main, so that a
-    refusal is one error line that names the option."""
+_COMMANDS = {"tuple": _cmd_tuple, "mk": _cmd_bound, "mkeps": _cmd_bound, "verify-cert": _cmd_verify_cert,
+             **dict.fromkeys(("asympt", "m2exact", "m2eps", "m4eps", "bessel"), _cmd_evaluate),
+             "cutoff3d": _cmd_cutoff3d, "chain": _cmd_chain, "report": _cmd_report}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising ArgumentError, for main to print; so do its subparsers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, exit_on_error=False, **kwargs)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _integer(text: str, what: str = "an integer") -> int:
+    try:
+        return admissible.read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"takes {what}, not {text!r}") from None
+
+
+def _shift(text: str):
+    return text if text == "search" else _integer(text, "an integer or 'search'")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="primegaps", description=__doc__)
+    ap = _Parser(prog="primegaps", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     t = sub.add_parser("tuple", help="admissible tuple operations")
     tsub = t.add_subparsers(dest="tuple_cmd", required=True)
     tf = tsub.add_parser("find")
-    tf.add_argument("--k", type=_Integer, required=True)
+    tf.add_argument("--k", type=_integer, required=True)
     tf.add_argument("--method", default="shifted-schinzel", choices=sieves.METHODS)
-    tf.add_argument("--shift", default="search")
-    tf.add_argument("--batch-size", type=_Integer, default=1)
+    tf.add_argument("--shift", type=_shift)
+    tf.add_argument("--batch-size", type=_integer)
     tf.add_argument("--out")
     tf.add_argument("--sieve-out", help="residue-sieve file (shifted methods only)")
     tv = tsub.add_parser("verify")
     tv.add_argument("file")
     th = tsub.add_parser("hsmall")
-    th.add_argument("--k", type=_Integer, required=True)
-    th.add_argument("--dmax", type=_Integer, required=True)
+    th.add_argument("--k", type=_integer, required=True)
+    th.add_argument("--dmax", type=_integer, required=True)
 
     mk = sub.add_parser("mk", help="plain-variant lower bounds")
     mksub = mk.add_subparsers(dest="mk_cmd", required=True)
     mkk = mksub.add_parser("krylov")
-    mkk.add_argument("--k", type=_Integer, required=True)
-    mkk.add_argument("--n", type=_Integer, required=True)
+    mkk.add_argument("--k", type=_integer, required=True)
+    mkk.add_argument("--n", type=_integer, required=True)
     mkk.add_argument("--out")
     mkb = mksub.add_parser("basis")
-    mkb.add_argument("--k", type=_Integer, required=True)
-    mkb.add_argument("--d", type=_Integer, required=True)
+    mkb.add_argument("--k", type=_integer, required=True)
+    mkb.add_argument("--d", type=_integer, required=True)
     mkb.add_argument("--full-signatures", action="store_true")
     mkb.add_argument("--out")
 
     mke = sub.add_parser("mkeps", help="enlarged-variant lower bounds")
     mkesub = mke.add_subparsers(dest="mkeps_cmd", required=True)
     mkeb = mkesub.add_parser("basis")
-    mkeb.add_argument("--k", type=_Integer, required=True)
-    mkeb.add_argument("--d", type=_Integer, required=True)
+    mkeb.add_argument("--k", type=_integer, required=True)
+    mkeb.add_argument("--d", type=_integer, required=True)
     mkeb.add_argument("--eps", required=True)
     mkeb.add_argument("--full-signatures", action="store_true")
     mkeb.add_argument("--out")
@@ -287,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("file")
 
     asy = sub.add_parser("asympt", help="explicit truncated-variant lower bound")
-    asy.add_argument("--k", type=_Integer, required=True)
+    asy.add_argument("--k", type=_integer, required=True)
     asy.add_argument("--theta", required=True)
     asy.add_argument("--beta", required=True)
     asy.add_argument("--tau", default=None)
@@ -299,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     m4.add_argument("--eps", required=True)
     m4.add_argument("--alpha", required=True)
     be = sub.add_parser("bessel", help="Bessel-zero lower bound")
-    be.add_argument("--k", type=_Integer, required=True)
+    be.add_argument("--k", type=_integer, required=True)
 
     c3 = sub.add_parser("cutoff3d", help="piecewise-cutoff verification")
     c3sub = c3.add_subparsers(dest="cutoff_cmd", required=True)
@@ -312,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     chsub = ch.add_subparsers(dest="chain_cmd", required=True)
     chm = chsub.add_parser("hm")
     chm.add_argument("--dhl-rule", required=True, choices=tuple(pipeline.RULES))
-    chm.add_argument("--k", type=_Integer, required=True)
-    chm.add_argument("--m", type=_Integer, required=True)
+    chm.add_argument("--k", type=_integer, required=True)
+    chm.add_argument("--m", type=_integer, required=True)
     chm.add_argument("--eps")
     chm.add_argument("--theta")
     chm.add_argument("--varpi")
@@ -332,33 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        for name, text in vars(args).items():
-            if isinstance(text, _Integer):
-                try:
-                    setattr(args, name, read_int(text))
-                except ValueError:
-                    raise ValueError(f"--{name.replace('_', '-')} takes an integer, not {text!r}") from None
-        if args.cmd == "tuple":
-            return _cmd_tuple(args)
-        if args.cmd in ("mk", "mkeps"):
-            return _cmd_bound(args)
-        if args.cmd == "verify-cert":
-            return _cmd_verify_cert(args)
-        if args.cmd in _EVALUATORS:
-            return _cmd_evaluate(args)
-        if args.cmd == "cutoff3d":
-            return _cmd_cutoff3d(args)
-        if args.cmd == "chain":
-            return _cmd_chain(args)
-        if args.cmd == "report":
-            return _cmd_report(args)
-        raise AssertionError
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.cmd](args)
+    except argparse.ArgumentError as exc:
+        # a refusal of argparse's own or of an option's type, after the option
+        message = " ".join(filter(None, (exc.argument_name, exc.message)))
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
-        # one line, whatever the message's own line breaks
-        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
-        return 2
+        message = str(exc)
+    # one line, whatever the message's own line breaks
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

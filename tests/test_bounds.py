@@ -222,6 +222,10 @@ class TestAsymptoticLower:
             AsymptoticParams(1, "0.1", "0.1", "0.1")
         with pytest.raises(ValueError):
             AsymptoticParams(5, "-0.1", "0.1", "0.1")
+        # k = 1 would divide by log k = 0 before the check
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="^k must be >= 2$"):
+                AsymptoticParams.from_scaled(k, "0.9", "0.9")
 
     @pytest.mark.parametrize("row", ASYMPTOTIC_ROWS[:3])
     def test_reference_rows_fast(self, row):

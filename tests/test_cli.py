@@ -37,7 +37,7 @@ class TestTupleCommands:
 
     def test_find_shifted(self, capsys):
         code, out = run(capsys, "tuple", "find", "--k", "7", "--method", "shifted-greedy",
-                        "--shift", "0")
+                        "--shift", "0", "--batch-size", "2")
         assert code == 0 and "k=7" in out
 
     @pytest.mark.parametrize("method", ["shifted-schinzel", "shifted-greedy"])
@@ -56,6 +56,17 @@ class TestTupleCommands:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and not sieve_file.exists()
         assert err.count("\n") == 1 and err.startswith("error:") and method in err
+
+    @pytest.mark.parametrize("method, flag, value", [
+        ("eratosthenes", "--shift", "5"), ("k-primes-past-k", "--shift", "search"),
+        ("hensley-richards", "--batch-size", "1"), ("shifted-schinzel", "--batch-size", "3"),
+    ])
+    def test_find_refuses_unread_flag(self, capsys, method, flag, value):
+        # --shift is read by the shifted methods only, --batch-size by shifted-greedy only
+        code = main(["tuple", "find", "--k", "7", "--method", method, flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --method {method} takes no {flag}\n"
 
     def test_verify_rejects_inadmissible(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -318,6 +329,37 @@ class TestBoundCommands:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: hypsum() failed")
         assert "7223 bits of accuracy using" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tuple", "hsmall", "--dmax", "3"], "the following arguments are required: --k"),
+        ([], "the following arguments are required: cmd"),
+        (["tuple"], "the following arguments are required: tuple_cmd"),
+        (["tuple", "find", "--k", "7", "--method", "nope"], "--method invalid choice: 'nope' (choose from "),
+        (["m2exact", "--bogus"], "unrecognized arguments: --bogus"),
+        (["chain", "hm", "--dhl-rule", "plain", "--k", "3", "--m", "1", "--tuple", "t.txt"],
+         "--dhl-rule invalid choice: 'plain' (choose from "),
+        (["tuple", "find", "--k"], "--k expected one argument"),
+        (["asympt", "--k", "1", "--theta", "0.9", "--beta", "0.9"], "k must be >= 2"),
+        (["asympt", "--k", "0", "--theta", "0.9", "--beta", "0.9"], "k must be >= 2"),
+    ], ids=["missing-option", "no-command", "no-subcommand", "bad-choice", "unknown-option",
+            "unknown-rule", "missing-value", "asympt-k1", "asympt-k0"])
+    def test_refusal_is_one_line(self, capsys, argv, message):
+        # argparse's own refusals go through main like every other: exit 2,
+        # no usage text, one error line
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: primegaps [-h]"),
+        (["tuple", "find", "--help"], "usage: primegaps tuple find [-h]"),
+    ], ids=["top", "tuple-find"])
+    def test_help_exits_zero(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 0 and err == "" and out.startswith(usage)
 
     def test_bessel_large_order(self, capsys):
         code, out = run(capsys, "bessel", "--k", "7472")

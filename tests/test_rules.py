@@ -45,13 +45,14 @@ class TestTable:
         assert [spec.variant for spec in RULES.values()] == ["plain", None, "eps", None]
 
     @pytest.mark.parametrize("rule", list(RULES) + ["plain"])
-    def test_cli_offers_the_table(self, rule):
+    def test_cli_offers_the_table(self, capsys, rule):
         argv = ["chain", "hm", "--dhl-rule", rule, "--k", "3", "--m", "1", "--tuple", "t.txt"]
         if rule in RULES:
             assert build_parser().parse_args(argv).dhl_rule == rule
         else:
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(argv)
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: --dhl-rule invalid choice")
 
     @pytest.mark.parametrize("rule, hyp, evidence, eps, wrapper", [
         ("mk", Hypothesis.bv(), ExternalBound(5, "x"), None,
